@@ -5,8 +5,8 @@
 //! queue vs the `BinaryHeap` it replaced, raw message-handoff cost
 //! through the engine in every execution mode, the speculation
 //! machinery's checkpoint-capture and rollback-replay costs, the
-//! tracing overhead of per-process buffering, and the memoized
-//! collective selection.
+//! tracing overhead of per-process buffering, the memoized collective
+//! selection, and the scheduler's slot-ledger queries and dispatch round.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -250,6 +250,104 @@ fn collective_memo(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scheduler's control plane in isolation. The ledger queries are
+/// what `dispatch_round` asks once per pending task, on a full ledger
+/// (every counter zero: the early-out) and a half-full one (first half
+/// of the slots busy: the search has to walk to the first free rack).
+/// The `backlog200` pair prices one dispatch round against a 200-task
+/// locality-seeking backlog on a full 128-slot cluster: the second run
+/// adds 100 one-task submissions, each of which makes the scheduler
+/// re-plan over the whole backlog, so (pokes100 - pokes0) / 100 is one
+/// round plus one submit message.
+fn sched_ledger(c: &mut Criterion) {
+    use hpcbd_sched::{JobSpec, QueueSpec, ScenarioSpec, Segment, SlotLedger, TaskSpec, Wave};
+
+    const QUERIES: u32 = 10_000;
+    let mut g = c.benchmark_group("sched_ledger");
+    g.sample_size(20);
+    for nodes in [16u32, 2048] {
+        for (fill, busy_nodes) in [("full", nodes), ("half", nodes / 2)] {
+            let mut l = SlotLedger::new(nodes, 8, 4);
+            for s in 0..busy_nodes * 8 {
+                l.reserve(s, (s % 4) as usize, true, s as u64);
+            }
+            let slots = nodes * 8;
+            let probe = NodeId(nodes / 2);
+            g.bench_function(&format!("free_any_x10k_{slots}_{fill}"), |b| {
+                b.iter(|| {
+                    (0..QUERIES)
+                        .filter_map(|_| black_box(&l).free_any())
+                        .count()
+                })
+            });
+            g.bench_function(&format!("free_in_rack_x10k_{slots}_{fill}"), |b| {
+                b.iter(|| {
+                    (0..QUERIES)
+                        .filter_map(|_| black_box(&l).free_in_rack(black_box(probe)))
+                        .count()
+                })
+            });
+            g.bench_function(&format!("usage_x10k_{slots}_{fill}"), |b| {
+                b.iter(|| {
+                    (0..QUERIES)
+                        .map(|q| black_box(&l).usage(q as usize % 4))
+                        .sum::<u32>()
+                })
+            });
+        }
+    }
+
+    fn job(tasks: Vec<TaskSpec>) -> JobSpec {
+        JobSpec {
+            template: "bench/compute",
+            queue: "only",
+            tenant: "bench",
+            waves: vec![Wave { tasks, gang: false }],
+        }
+    }
+    let task = |ms: u64, preferred: Option<NodeId>| {
+        let seg: Segment = std::sync::Arc::new(move |ctx, _env| {
+            ctx.compute(Work::flops(3.0e6 * ms as f64), 1.0);
+        });
+        TaskSpec {
+            segments: vec![seg],
+            preferred,
+            preemptable: true,
+        }
+    };
+    let spec = ScenarioSpec {
+        name: "backlog",
+        nodes: 16,
+        per_node: 8,
+        rack_size: 4,
+        horizon_s: 1.0,
+        seed: 1,
+        locality_delay: hpcbd_simnet::SimDuration::from_millis(5),
+        preemption: false,
+        queues: vec![QueueSpec::new("only", 1)],
+        sources: vec![],
+    };
+    set_default_execution(Execution::Sequential);
+    for pokes in [0u64, 100] {
+        // The cluster fills at t = 0 and stays full for a virtual second;
+        // the 200-task backlog and the pokes all arrive inside it, past
+        // both locality-delay levels so every pending task asks all
+        // three of free_on / free_in_rack / free_any.
+        let mut trace = vec![
+            (0, job(vec![task(1000, None); 128])),
+            (
+                1_000_000,
+                job((0..200).map(|i| task(1, Some(NodeId(i % 16)))).collect()),
+            ),
+        ];
+        trace.extend((0..pokes).map(|k| (20_000_000 + k * 1_000_000, job(vec![task(1, None)]))));
+        g.bench_function(&format!("backlog200_pokes{pokes}"), |b| {
+            b.iter(|| black_box(hpcbd_sched::run_trace(&spec, trace.clone()).makespan_ns))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     queue_churn,
@@ -258,6 +356,7 @@ criterion_group!(
     tracing_overhead,
     telemetry_overhead,
     compute_loop,
-    collective_memo
+    collective_memo,
+    sched_ledger
 );
 criterion_main!(benches);

@@ -38,7 +38,8 @@ pub use arrivals::{arrivals, RateProcess, SplitMix64};
 pub use job::{JobFactory, JobSpec, Segment, TaskSpec, Wave};
 pub use queue::{fair_share, QueueSpec, ShareMeter, SlotLedger, SlotState};
 pub use scenario::{
-    factory, quantile_ns, run, run_trace, ScenarioOutcome, ScenarioSpec, SourceSpec,
+    factory, quantile_ns, run, run_trace, validate_trace, JobError, ScenarioOutcome, ScenarioSpec,
+    SourceSpec, TraceError,
 };
 pub use scheduler::{
     scheduler, slot_worker, submitter, QueueStats, SchedStats, SchedulerConfig, SubmitMsg, TaskKey,

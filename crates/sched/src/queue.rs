@@ -81,22 +81,46 @@ pub enum SlotState {
 /// Per-node slot ledger over the cluster topology. Slot `s` lives on
 /// node `s / per_node`; racks are contiguous groups of `rack_size`
 /// nodes (Comet-style racks on an oversubscription-free fabric — the
-/// rack level matters for locality preferences, not bandwidth).
+/// rack level matters for locality preferences, not bandwidth). The
+/// last rack is partial when `nodes % rack_size != 0`.
+///
+/// The scheduler queries the ledger once per pending task per message,
+/// so every query answers from counters that `reserve` / `release` /
+/// `mark_reclaiming` maintain: counts are field reads, and a slot search
+/// gives up at once on a zero counter and otherwise walks rack, node and
+/// slot only as far as the first one with a free slot. Invariant: each
+/// counter equals what a scan of `state` would count (the unit tests
+/// keep that scan as their oracle).
 #[derive(Debug, Clone)]
 pub struct SlotLedger {
     per_node: u32,
     rack_size: u32,
     state: Vec<SlotState>,
+    free: u32,
+    reclaiming: u32,
+    /// Busy + reclaiming slots per queue; grows to the highest queue
+    /// index ever reserved for.
+    queue_usage: Vec<u32>,
+    node_free: Vec<u32>,
+    rack_free: Vec<u32>,
 }
 
 impl SlotLedger {
     /// A ledger of `nodes * per_node` free slots.
     pub fn new(nodes: u32, per_node: u32, rack_size: u32) -> SlotLedger {
         assert!(nodes > 0 && per_node > 0 && rack_size > 0);
+        let rack_free = (0..nodes.div_ceil(rack_size))
+            .map(|r| (nodes - r * rack_size).min(rack_size) * per_node)
+            .collect();
         SlotLedger {
             per_node,
             rack_size,
             state: vec![SlotState::Free; (nodes * per_node) as usize],
+            free: nodes * per_node,
+            reclaiming: 0,
+            queue_usage: Vec::new(),
+            node_free: vec![per_node; nodes as usize],
+            rack_free,
         }
     }
 
@@ -127,27 +151,30 @@ impl SlotLedger {
 
     /// Number of free slots.
     pub fn free_count(&self) -> u32 {
-        self.state
-            .iter()
-            .filter(|s| matches!(s, SlotState::Free))
-            .count() as u32
+        self.free
+    }
+
+    /// Number of slots with a kill in flight.
+    pub fn reclaiming_count(&self) -> u32 {
+        self.reclaiming
     }
 
     /// Slots currently charged to `queue` (busy + reclaiming).
     pub fn usage(&self, queue: usize) -> u32 {
-        self.state
-            .iter()
-            .filter(|s| match s {
-                SlotState::Busy { queue: q, .. } | SlotState::Reclaiming { queue: q } => {
-                    *q == queue
-                }
-                SlotState::Free => false,
-            })
-            .count() as u32
+        self.queue_usage.get(queue).copied().unwrap_or(0)
+    }
+
+    /// [`SlotLedger::usage`] of every queue that ever held a slot, by
+    /// queue index (queues past the end hold nothing).
+    pub fn usages(&self) -> &[u32] {
+        &self.queue_usage
     }
 
     /// Lowest-numbered free slot on `node`.
     pub fn free_on(&self, node: NodeId) -> Option<u32> {
+        if self.node_free[node.0 as usize] == 0 {
+            return None;
+        }
         let start = node.0 * self.per_node;
         (start..start + self.per_node).find(|s| self.state[*s as usize] == SlotState::Free)
     }
@@ -156,31 +183,32 @@ impl SlotLedger {
     /// including `node` itself).
     pub fn free_in_rack(&self, node: NodeId) -> Option<u32> {
         let rack = self.rack_of(node);
-        (0..self.total()).find(|s| {
-            self.rack_of(self.node_of(*s)) == rack && self.state[*s as usize] == SlotState::Free
-        })
+        if self.rack_free[rack as usize] == 0 {
+            return None;
+        }
+        let nodes = self.node_free.len() as u32;
+        let first = rack * self.rack_size;
+        (first..(first + self.rack_size).min(nodes)).find_map(|nd| self.free_on(NodeId(nd)))
     }
 
     /// Lowest-numbered free slot anywhere.
     pub fn free_any(&self) -> Option<u32> {
-        (0..self.total()).find(|s| self.state[*s as usize] == SlotState::Free)
+        if self.free == 0 {
+            return None;
+        }
+        let rack = self.rack_free.iter().position(|f| *f > 0)? as u32;
+        self.free_in_rack(NodeId(rack * self.rack_size))
     }
 
     /// Atomically pick `n` free slots for a gang, spreading over the
     /// nodes with the most free slots first (deterministic tie-break on
     /// node id). `None` if fewer than `n` slots are free.
     pub fn gang_pick(&self, n: u32) -> Option<Vec<u32>> {
-        if self.free_count() < n {
+        if self.free < n {
             return None;
         }
-        let nodes = self.total() / self.per_node;
-        let mut order: Vec<u32> = (0..nodes).collect();
-        order.sort_by_key(|nd| {
-            let free = (0..self.per_node)
-                .filter(|k| self.state[(nd * self.per_node + k) as usize] == SlotState::Free)
-                .count() as u32;
-            (std::cmp::Reverse(free), *nd)
-        });
+        let mut order: Vec<u32> = (0..self.node_free.len() as u32).collect();
+        order.sort_by_key(|nd| (std::cmp::Reverse(self.node_free[*nd as usize]), *nd));
         let mut picked = Vec::with_capacity(n as usize);
         for nd in order {
             for k in 0..self.per_node {
@@ -196,6 +224,17 @@ impl SlotLedger {
         None
     }
 
+    /// The free counters covering `slot`: total, its node, its rack.
+    fn free_counters(&mut self, slot: u32) -> [&mut u32; 3] {
+        let node = self.node_of(slot);
+        let rack = self.rack_of(node);
+        [
+            &mut self.free,
+            &mut self.node_free[node.0 as usize],
+            &mut self.rack_free[rack as usize],
+        ]
+    }
+
     /// Mark `slot` busy for `queue`.
     pub fn reserve(&mut self, slot: u32, queue: usize, preemptable: bool, seq: u64) {
         assert_eq!(
@@ -208,23 +247,37 @@ impl SlotLedger {
             preemptable,
             seq,
         };
+        for c in self.free_counters(slot) {
+            *c -= 1;
+        }
+        if queue >= self.queue_usage.len() {
+            self.queue_usage.resize(queue + 1, 0);
+        }
+        self.queue_usage[queue] += 1;
     }
 
     /// Free `slot` (task done or preemption acknowledged).
     pub fn release(&mut self, slot: u32) {
-        assert_ne!(
-            self.state[slot as usize],
-            SlotState::Free,
-            "double release of slot {slot}"
-        );
+        match self.state[slot as usize] {
+            SlotState::Free => panic!("double release of slot {slot}"),
+            SlotState::Busy { queue, .. } => self.queue_usage[queue] -= 1,
+            SlotState::Reclaiming { queue } => {
+                self.queue_usage[queue] -= 1;
+                self.reclaiming -= 1;
+            }
+        }
         self.state[slot as usize] = SlotState::Free;
+        for c in self.free_counters(slot) {
+            *c += 1;
+        }
     }
 
     /// Transition a busy slot to reclaiming (kill sent, ack pending).
     pub fn mark_reclaiming(&mut self, slot: u32) {
         match self.state[slot as usize] {
             SlotState::Busy { queue, .. } => {
-                self.state[slot as usize] = SlotState::Reclaiming { queue }
+                self.state[slot as usize] = SlotState::Reclaiming { queue };
+                self.reclaiming += 1;
             }
             other => panic!("mark_reclaiming on {other:?}"),
         }
@@ -332,6 +385,181 @@ impl ShareMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-scan ledger queries the counters replaced, kept verbatim
+    /// as the reference the incremental answers must equal.
+    mod scan {
+        use super::*;
+
+        pub fn free_count(l: &SlotLedger) -> u32 {
+            l.state
+                .iter()
+                .filter(|s| matches!(s, SlotState::Free))
+                .count() as u32
+        }
+
+        pub fn reclaiming_count(l: &SlotLedger) -> u32 {
+            l.state
+                .iter()
+                .filter(|s| matches!(s, SlotState::Reclaiming { .. }))
+                .count() as u32
+        }
+
+        pub fn usage(l: &SlotLedger, queue: usize) -> u32 {
+            l.state
+                .iter()
+                .filter(|s| match s {
+                    SlotState::Busy { queue: q, .. } | SlotState::Reclaiming { queue: q } => {
+                        *q == queue
+                    }
+                    SlotState::Free => false,
+                })
+                .count() as u32
+        }
+
+        pub fn free_on(l: &SlotLedger, node: NodeId) -> Option<u32> {
+            let start = node.0 * l.per_node;
+            (start..start + l.per_node).find(|s| l.state[*s as usize] == SlotState::Free)
+        }
+
+        pub fn free_in_rack(l: &SlotLedger, node: NodeId) -> Option<u32> {
+            let rack = l.rack_of(node);
+            (0..l.total()).find(|s| {
+                l.rack_of(l.node_of(*s)) == rack && l.state[*s as usize] == SlotState::Free
+            })
+        }
+
+        pub fn free_any(l: &SlotLedger) -> Option<u32> {
+            (0..l.total()).find(|s| l.state[*s as usize] == SlotState::Free)
+        }
+
+        pub fn gang_pick(l: &SlotLedger, n: u32) -> Option<Vec<u32>> {
+            if free_count(l) < n {
+                return None;
+            }
+            let nodes = l.total() / l.per_node;
+            let mut order: Vec<u32> = (0..nodes).collect();
+            order.sort_by_key(|nd| {
+                let free = (0..l.per_node)
+                    .filter(|k| l.state[(nd * l.per_node + k) as usize] == SlotState::Free)
+                    .count() as u32;
+                (std::cmp::Reverse(free), *nd)
+            });
+            let mut picked = Vec::with_capacity(n as usize);
+            for nd in order {
+                for k in 0..l.per_node {
+                    let s = nd * l.per_node + k;
+                    if l.state[s as usize] == SlotState::Free {
+                        picked.push(s);
+                        if picked.len() == n as usize {
+                            return Some(picked);
+                        }
+                    }
+                }
+            }
+            None
+        }
+
+        pub fn pick_victim(l: &SlotLedger, weights: &[u32], beneficiary: usize) -> Option<u32> {
+            let total = l.total();
+            let mut over_queues: Vec<(f64, usize)> = (0..weights.len())
+                .filter(|qi| *qi != beneficiary)
+                .filter_map(|qi| {
+                    let over = usage(l, qi) as f64 - fair_share(total, weights, qi);
+                    (over > 0.0).then_some((over, qi))
+                })
+                .collect();
+            over_queues.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
+            for (_, victim_q) in over_queues {
+                let best = l
+                    .state
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, st)| match st {
+                        SlotState::Busy {
+                            queue,
+                            preemptable: true,
+                            seq,
+                        } if *queue == victim_q => Some((*seq, i as u32)),
+                        _ => None,
+                    })
+                    .max_by_key(|(seq, _)| *seq);
+                if let Some((_, s)) = best {
+                    return Some(s);
+                }
+            }
+            None
+        }
+    }
+
+    const QUEUES: usize = 3;
+
+    /// Every query of the incremental ledger against the scan oracle.
+    fn assert_matches_scan(l: &SlotLedger, nodes: u32, gang: u32) {
+        prop_assert_eq!(l.free_count(), scan::free_count(l));
+        prop_assert_eq!(l.reclaiming_count(), scan::reclaiming_count(l));
+        for q in 0..QUEUES + 1 {
+            prop_assert_eq!(l.usage(q), scan::usage(l, q), "usage({})", q);
+        }
+        for nd in (0..nodes).map(NodeId) {
+            prop_assert_eq!(l.free_on(nd), scan::free_on(l, nd), "free_on({:?})", nd);
+            prop_assert_eq!(
+                l.free_in_rack(nd),
+                scan::free_in_rack(l, nd),
+                "free_in_rack({:?})",
+                nd
+            );
+        }
+        prop_assert_eq!(l.free_any(), scan::free_any(l));
+        for n in [0, 1, gang, l.free_count(), l.free_count() + 1] {
+            prop_assert_eq!(l.gang_pick(n), scan::gang_pick(l, n), "gang_pick({})", n);
+        }
+        let weights = [3, 1, 0];
+        for b in 0..QUEUES {
+            prop_assert_eq!(
+                l.pick_victim(&weights, b),
+                scan::pick_victim(l, &weights, b),
+                "pick_victim({})",
+                b
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random reserve / release / mark_reclaiming sequences over
+        /// random shapes (single-slot nodes, partial last rack): after
+        /// every step the counters answer exactly what a scan answers.
+        #[test]
+        fn incremental_ledger_equals_scan_oracle(
+            nodes in 1u32..12,
+            per_node in 1u32..5,
+            rack_size in 1u32..6,
+            ops in proptest::collection::vec((0u32..4, any::<u32>(), 0usize..QUEUES, any::<bool>()), 0..160),
+        ) {
+            let mut l = SlotLedger::new(nodes, per_node, rack_size);
+            assert_matches_scan(&l, nodes, 2);
+            for (seq, &(op, pick, queue, preemptable)) in ops.iter().enumerate() {
+                let slot = pick % l.total();
+                // Ops 0 and 1 both reserve, so ledgers fill up and the
+                // zero-counter early-outs are exercised; an op that does
+                // not apply to the slot's state falls through to the one
+                // that does.
+                match (op, l.state(slot)) {
+                    (_, SlotState::Free) => l.reserve(slot, queue, preemptable, seq as u64),
+                    (2, SlotState::Busy { .. }) => l.mark_reclaiming(slot),
+                    (0 | 1, SlotState::Busy { .. }) => match l.free_any() {
+                        Some(s) => l.reserve(s, queue, preemptable, seq as u64),
+                        None => l.release(slot),
+                    },
+                    (_, _) => l.release(slot),
+                }
+                assert_matches_scan(&l, nodes, pick % 7);
+            }
+        }
+    }
 
     #[test]
     fn reserve_release_conserves_slots() {

@@ -96,11 +96,121 @@ pub fn run(spec: &ScenarioSpec) -> ScenarioOutcome {
     run_trace(spec, trace)
 }
 
+/// Why a job can never complete on a scenario's cluster. Each of these
+/// would otherwise surface inside the scheduler coroutine, as an index
+/// panic or as the engine's generic deadlock report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobError {
+    /// The job names a queue the scenario does not have.
+    UnknownQueue,
+    /// The job has no waves.
+    NoWaves,
+    /// This wave has no tasks, so no `TASK_DONE` ever completes it.
+    EmptyWave {
+        /// Wave index.
+        wave: usize,
+    },
+    /// This gang wave needs `width` slots at once, but its queue can
+    /// never hold more than `limit`, so the dispatch round would hold
+    /// for it forever.
+    GangTooWide {
+        /// Wave index.
+        wave: usize,
+        /// Tasks in the gang.
+        width: usize,
+        /// The queue's `cap_slots`, or the cluster's slots if fewer.
+        limit: u32,
+    },
+}
+
+/// A [`JobError`] and the job of the trace it was found in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceError {
+    /// Index of the job in the trace.
+    pub job: usize,
+    /// The job's template.
+    pub template: &'static str,
+    /// The job's queue name.
+    pub queue: &'static str,
+    /// What is wrong with it.
+    pub cause: JobError,
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TraceError {
+            job,
+            template,
+            queue,
+            ..
+        } = self;
+        write!(
+            f,
+            "malformed job {job} (template {template}, queue {queue}): "
+        )?;
+        match self.cause {
+            JobError::UnknownQueue => f.write_str("the scenario has no such queue"),
+            JobError::NoWaves => f.write_str("it has no waves"),
+            JobError::EmptyWave { wave } => write!(f, "wave {wave} has no tasks"),
+            JobError::GangTooWide { wave, width, limit } => write!(
+                f,
+                "gang wave {wave} is {width} tasks wide but its queue can hold at most {limit} slots"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// Check that every job of `trace` can complete on `spec`'s cluster;
+/// the first one that cannot is the error.
+pub fn validate_trace(
+    spec: &ScenarioSpec,
+    trace: &[(u64, crate::job::JobSpec)],
+) -> Result<(), TraceError> {
+    let slots = spec.nodes * spec.per_node;
+    for (job, (_, js)) in trace.iter().enumerate() {
+        let fail = |cause| TraceError {
+            job,
+            template: js.template,
+            queue: js.queue,
+            cause,
+        };
+        let queue = spec
+            .queues
+            .iter()
+            .find(|q| q.name == js.queue)
+            .ok_or_else(|| fail(JobError::UnknownQueue))?;
+        if js.waves.is_empty() {
+            return Err(fail(JobError::NoWaves));
+        }
+        let limit = queue.cap_slots.map_or(slots, |cap| cap.min(slots));
+        for (wave, w) in js.waves.iter().enumerate() {
+            let width = w.tasks.len();
+            if width == 0 {
+                return Err(fail(JobError::EmptyWave { wave }));
+            }
+            if w.gang && width > limit as usize {
+                return Err(fail(JobError::GangTooWide { wave, width, limit }));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Run the scenario against an explicit arrival trace of
 /// `(instant_ns, job)` pairs (must be time-sorted). `spec.sources` is
 /// ignored; everything else applies. This is the layer tests use to
 /// force specific contention patterns.
+///
+/// # Panics
+///
+/// With the [`TraceError`] as the message, before any simulated process
+/// starts, if [`validate_trace`] rejects the trace.
 pub fn run_trace(spec: &ScenarioSpec, trace: Vec<(u64, crate::job::JobSpec)>) -> ScenarioOutcome {
+    if let Err(e) = validate_trace(spec, &trace) {
+        panic!("{e}");
+    }
     let offered = trace.len() as u64;
 
     let cluster = ClusterSpec::comet(spec.nodes);

@@ -222,24 +222,21 @@ struct State {
     meter: crate::queue::ShareMeter,
     dispatch_seq: u64,
     completed: u64,
-    q_labels: Vec<String>,
+    /// Queue weights and `floor(fair_share)` per queue: fixed for the run.
+    weights: Vec<u32>,
+    fair_floor: Vec<u32>,
+    /// Undispatched tasks per queue (the sum of its jobs' `pending`).
+    pending_tasks: Vec<u32>,
+    q_labels: Vec<Arc<str>>,
 }
 
+/// `sched.locality` labels, indexed by the locality level a dispatch hit.
+const LEVEL_LABELS: [&str; 3] = ["level=local", "level=rack", "level=any"];
+
 impl State {
-    fn usages(&self) -> Vec<u32> {
-        (0..self.cfg.queues.len())
-            .map(|qi| self.ledger.usage(qi))
-            .collect()
-    }
-
-    fn weights(&self) -> Vec<u32> {
-        self.cfg.queues.iter().map(|q| q.weight).collect()
-    }
-
     /// Advance the share meter to `now` before mutating the ledger.
     fn tick(&mut self, now: SimTime) {
-        let usages = self.usages();
-        self.meter.advance(now.nanos(), &usages);
+        self.meter.advance(now.nanos(), self.ledger.usages());
     }
 }
 
@@ -248,6 +245,8 @@ impl State {
 pub fn scheduler(ctx: &mut ProcCtx, cfg: SchedulerConfig) -> SchedStats {
     let nodes = cfg.workers.len() as u32 / cfg.per_node;
     let n_queues = cfg.queues.len();
+    let weights: Vec<u32> = cfg.queues.iter().map(|q| q.weight).collect();
+    let total = nodes * cfg.per_node;
     let mut st = State {
         ledger: SlotLedger::new(nodes, cfg.per_node, cfg.rack_size),
         jobs: BTreeMap::new(),
@@ -270,10 +269,15 @@ pub fn scheduler(ctx: &mut ProcCtx, cfg: SchedulerConfig) -> SchedStats {
         meter: crate::queue::ShareMeter::new(n_queues),
         dispatch_seq: 0,
         completed: 0,
+        fair_floor: (0..n_queues)
+            .map(|qi| fair_share(total, &weights, qi).floor() as u32)
+            .collect(),
+        weights,
+        pending_tasks: vec![0; n_queues],
         q_labels: cfg
             .queues
             .iter()
-            .map(|q| format!("queue={}", q.name))
+            .map(|q| format!("queue={}", q.name).into())
             .collect(),
         cfg,
     };
@@ -304,7 +308,7 @@ pub fn scheduler(ctx: &mut ProcCtx, cfg: SchedulerConfig) -> SchedStats {
         st.stats[qi].share_slot_ns = *share;
     }
     SchedStats {
-        fairness_x1000: st.meter.maxmin_x1000(&st.weights()),
+        fairness_x1000: st.meter.maxmin_x1000(&st.weights),
         total_slots: st.ledger.total(),
         makespan_ns: now.nanos(),
         queues: st.stats,
@@ -353,6 +357,7 @@ fn handle(ctx: &mut ProcCtx, st: &mut State, m: Message) {
                 running: 0,
             };
             job.load_wave(0, ctx.now());
+            st.pending_tasks[qi] += job.pending.len() as u32;
             st.queue_fifo[qi].push_back(sub.id);
             st.jobs.insert(sub.id, job);
             st.stats[qi].submitted += 1;
@@ -367,7 +372,9 @@ fn handle(ctx: &mut ProcCtx, st: &mut State, m: Message) {
             assert_eq!(held, *key, "slot/task accounting out of sync");
             let now = ctx.now();
             st.tick(now);
-            let was_reclaiming = matches!(st.ledger.state(slot), SlotState::Reclaiming { .. });
+            // A completion that beat an in-flight kill (slot still
+            // reclaiming) is authoritative: the slot is freed all the
+            // same and nothing is re-queued.
             st.ledger.release(slot);
             let job = st.jobs.get_mut(&job_id).expect("ack for unknown job");
             let qi = job.queue;
@@ -377,20 +384,19 @@ fn handle(ctx: &mut ProcCtx, st: &mut State, m: Message) {
                 // lose its place; the lost segments re-run from scratch.
                 job.attempts[key.index as usize] += 1;
                 job.pending.push_front(key.index);
+                st.pending_tasks[qi] += 1;
                 if !st.queue_fifo[qi].contains(&job_id) {
                     st.queue_fifo[qi].push_back(job_id);
                 }
                 st.stats[qi].preemptions += 1;
                 st.stats[qi].requeues += 1;
                 ctx.metric_counter("sched.preemptions", st.q_labels[qi].clone(), 1);
-            } else if was_reclaiming {
-                // The task beat the kill: completion is authoritative and
-                // nothing is re-queued.
             }
             if m.tag == TAG_TASK_DONE && job.pending.is_empty() && job.running == 0 {
                 let next = job.wave + 1;
                 if next < job.spec.waves.len() {
                     job.load_wave(next, now);
+                    st.pending_tasks[qi] += job.pending.len() as u32;
                     if !st.queue_fifo[qi].contains(&job_id) {
                         st.queue_fifo[qi].push_back(job_id);
                     }
@@ -424,11 +430,13 @@ fn complete_job(ctx: &mut ProcCtx, st: &mut State, job_id: u64, now: SimTime) {
         }
     }
     st.completed += 1;
-    let tenant_label = format!(
-        "queue={},tenant={}",
-        st.cfg.queues[qi].name, job.spec.tenant
-    );
-    ctx.metric_observe("sched.job_latency_ns", tenant_label, latency);
+    if ctx.telemetry_enabled() {
+        let tenant_label = format!(
+            "queue={},tenant={}",
+            st.cfg.queues[qi].name, job.spec.tenant
+        );
+        ctx.metric_observe("sched.job_latency_ns", tenant_label, latency);
+    }
     ctx.metric_observe("sched.queue_wait_ns", st.q_labels[qi].clone(), wait);
     ctx.metric_counter("sched.jobs_completed", st.q_labels[qi].clone(), 1);
 }
@@ -496,8 +504,10 @@ fn dispatch_round(ctx: &mut ProcCtx, st: &mut State) {
 
 /// Try to dispatch one task (or one whole gang wave) from queue `qi`.
 fn try_dispatch_queue(ctx: &mut ProcCtx, st: &mut State, qi: usize) -> bool {
-    let fifo: Vec<u64> = st.queue_fifo[qi].iter().copied().collect();
-    for job_id in fifo {
+    // By index: the fifo only changes on a successful dispatch, which
+    // returns.
+    for i in 0..st.queue_fifo[qi].len() {
+        let job_id = st.queue_fifo[qi][i];
         let job = &st.jobs[&job_id];
         if job.pending.is_empty() {
             continue;
@@ -522,23 +532,23 @@ fn try_dispatch_elastic(ctx: &mut ProcCtx, st: &mut State, job_id: u64) -> bool 
     let level = locality_level(ctx.now(), job, st.cfg.locality_delay);
     let wave = job.wave;
     // First pending task that can get a slot at the current level.
-    let mut choice: Option<(usize, u32, u8)> = None; // (pos in pending, slot, level hit)
+    let mut choice: Option<(usize, u32, usize)> = None; // (pos in pending, slot, level hit)
     for (pos, idx) in job.pending.iter().enumerate() {
         let t = &job.spec.waves[wave].tasks[*idx as usize];
         let found = match t.preferred {
-            None => st.ledger.free_any().map(|s| (s, 2u8)),
+            None => st.ledger.free_any().map(|s| (s, 2)),
             Some(pref) => st
                 .ledger
                 .free_on(pref)
-                .map(|s| (s, 0u8))
+                .map(|s| (s, 0))
                 .or_else(|| {
                     (level >= 1)
-                        .then(|| st.ledger.free_in_rack(pref).map(|s| (s, 1u8)))
+                        .then(|| st.ledger.free_in_rack(pref).map(|s| (s, 1)))
                         .flatten()
                 })
                 .or_else(|| {
                     (level >= 2)
-                        .then(|| st.ledger.free_any().map(|s| (s, 2u8)))
+                        .then(|| st.ledger.free_any().map(|s| (s, 2)))
                         .flatten()
                 }),
         };
@@ -554,6 +564,7 @@ fn try_dispatch_elastic(ctx: &mut ProcCtx, st: &mut State, job_id: u64) -> bool 
     let idx = job.pending.remove(pos).expect("pending position vanished");
     let attempt = job.attempts[idx as usize];
     job.running += 1;
+    st.pending_tasks[qi] -= 1;
     if job.first_dispatch.is_none() {
         job.first_dispatch = Some(ctx.now());
     }
@@ -568,18 +579,14 @@ fn try_dispatch_elastic(ctx: &mut ProcCtx, st: &mut State, job_id: u64) -> bool 
         index: idx,
         attempt,
     };
-    let loc = match (task.preferred, hit) {
-        (None, _) => "any",
-        (Some(_), 0) => "local",
-        (Some(_), 1) => "rack",
-        (Some(_), _) => "any",
-    };
-    match loc {
-        "local" => st.stats[qi].local += 1,
-        "rack" => st.stats[qi].rack += 1,
+    // `hit` is 0 = preferred node, 1 = its rack, 2 = anywhere (or no
+    // preference).
+    match hit {
+        0 => st.stats[qi].local += 1,
+        1 => st.stats[qi].rack += 1,
         _ => st.stats[qi].remote += 1,
     }
-    ctx.metric_counter("sched.locality", format!("level={loc}"), 1);
+    ctx.metric_counter("sched.locality", LEVEL_LABELS[hit], 1);
     // A task that has been preempted twice is exempt from further kills
     // — without a bound, a starved queue can kill the same task at
     // every checkpoint, livelocking the cluster into restart churn.
@@ -622,6 +629,7 @@ fn try_dispatch_gang(ctx: &mut ProcCtx, st: &mut State, job_id: u64) -> bool {
         return false;
     };
     let job = st.jobs.get_mut(&job_id).expect("dispatching unknown job");
+    st.pending_tasks[qi] -= job.pending.len() as u32;
     job.pending.clear();
     job.running = n;
     if job.first_dispatch.is_none() {
@@ -710,9 +718,7 @@ fn launch(
 /// head-of-line job is an unscheduled gang wave: the condition under
 /// which the dispatch round reserves freed slots for the gang.
 fn starved_on_gang(st: &State, qi: usize) -> bool {
-    let weights = st.weights();
-    let fs = fair_share(st.ledger.total(), &weights, qi).floor() as u32;
-    if st.ledger.usage(qi) >= fs {
+    if st.ledger.usage(qi) >= st.fair_floor[qi] {
         return false;
     }
     st.queue_fifo[qi]
@@ -723,36 +729,32 @@ fn starved_on_gang(st: &State, qi: usize) -> bool {
         .unwrap_or(false)
 }
 
-/// Demand of queue `qi`: undispatched tasks across its jobs.
-fn pending_demand(st: &State, qi: usize) -> u32 {
-    st.queue_fifo[qi]
-        .iter()
-        .map(|id| st.jobs[id].pending.len() as u32)
-        .sum()
-}
-
 /// One paced preemption step for starved queue `qi`: send at most one
 /// kill, and only while the queue sits below its fair share with demand
 /// that free + already-reclaiming slots cannot cover.
 fn try_preempt(ctx: &mut ProcCtx, st: &mut State, qi: usize) {
-    let weights = st.weights();
-    let fs = fair_share(st.ledger.total(), &weights, qi).floor() as u32;
+    let fs = st.fair_floor[qi];
     let usage = st.ledger.usage(qi);
     if usage >= fs {
         return;
     }
-    let demand = pending_demand(st, qi);
+    let demand = st.pending_tasks[qi];
+    debug_assert_eq!(
+        demand,
+        st.queue_fifo[qi]
+            .iter()
+            .map(|id| st.jobs[id].pending.len() as u32)
+            .sum::<u32>(),
+        "pending-task counter of queue {qi} drifted from its jobs"
+    );
     if demand == 0 {
         return;
     }
-    let reclaiming = (0..st.ledger.total())
-        .filter(|s| matches!(st.ledger.state(*s), SlotState::Reclaiming { .. }))
-        .count() as u32;
     let want = demand.min(fs - usage);
-    if st.ledger.free_count() + reclaiming >= want {
+    if st.ledger.free_count() + st.ledger.reclaiming_count() >= want {
         return;
     }
-    let Some(victim) = st.ledger.pick_victim(&weights, qi) else {
+    let Some(victim) = st.ledger.pick_victim(&st.weights, qi) else {
         return;
     };
     let (key, _) = st.slot_task[victim as usize].expect("victim slot has no task");

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use hpcbd_sched::{
-    factory, quantile_ns, run, run_trace, JobSpec, QueueSpec, RateProcess, ScenarioOutcome,
-    ScenarioSpec, Segment, SourceSpec, TaskSpec, Wave,
+    factory, quantile_ns, run, run_trace, validate_trace, JobError, JobSpec, QueueSpec,
+    RateProcess, ScenarioOutcome, ScenarioSpec, Segment, SourceSpec, TaskSpec, Wave,
 };
 use hpcbd_simnet::{set_default_execution, Execution, NodeId, SimDuration, Work};
 
@@ -333,10 +333,15 @@ fn digest(out: &ScenarioOutcome) -> String {
     s
 }
 
+/// The default execution mode is process-global: tests that sweep it
+/// take this lock so each really runs under the mode it set.
+static MODE_SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The tentpole determinism claim: sequential, parallel and speculative
 /// execution produce bit-identical schedules, latencies and counters.
 #[test]
 fn mixed_scenario_is_identical_across_execution_modes() {
+    let _sweep = MODE_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
     let spec = mixed_scenario(true);
     set_default_execution(Execution::Sequential);
     let base = digest(&run(&spec));
@@ -363,4 +368,171 @@ fn mixed_scenario_latency_quantiles_are_ordered() {
     let p99 = quantile_ns(&q.latency_ns, 0.99);
     let p999 = quantile_ns(&q.latency_ns, 0.999);
     assert!(p50 > 0 && p50 <= p99 && p99 <= p999);
+}
+
+/// 64 nodes x 8 slots with a partial last rack (64 = 10 x 6 + 4): batch
+/// floods the cluster, a burst of locality-seeking queries reclaims its
+/// fair share by preemption, a gang squeezes in, and a final
+/// whole-cluster gang can only start if every one of the 512 slots came
+/// back.
+fn wide_cluster_trace() -> (ScenarioSpec, Vec<(u64, JobSpec)>) {
+    let spec = ScenarioSpec {
+        name: "wide",
+        nodes: 64,
+        per_node: 8,
+        rack_size: 6,
+        horizon_s: 10.0,
+        seed: 7,
+        locality_delay: SimDuration::from_millis(20),
+        preemption: true,
+        queues: vec![
+            QueueSpec::new("interactive", 3).slo_ns(1_000_000_000),
+            QueueSpec::new("batch", 1),
+        ],
+        sources: vec![],
+    };
+    let elastic = |queue, tasks| job(queue, vec![Wave { tasks, gang: false }]);
+    let gang = |width| {
+        job(
+            "batch",
+            vec![Wave {
+                tasks: vec![compute_task(10, 1, None).pinned(); width],
+                gang: true,
+            }],
+        )
+    };
+    let mut trace = Vec::new();
+    for i in 0..3 {
+        trace.push((i, elastic("batch", vec![compute_task(20, 10, None); 256])));
+    }
+    for k in 0..40u32 {
+        let tasks = (0..16)
+            .map(|i| compute_task(10, 2, Some(NodeId((k * 7 + i) % 64))))
+            .collect();
+        trace.push((
+            50_000_000 + k as u64 * 5_000_000,
+            elastic("interactive", tasks),
+        ));
+    }
+    trace.push((100_000_000, gang(64)));
+    trace.sort_by_key(|(at, _)| *at);
+    trace.push((5_000_000_000, gang(512)));
+    (spec, trace)
+}
+
+#[test]
+fn wide_cluster_completes_leaks_nothing_and_matches_across_modes() {
+    let _sweep = MODE_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    let (spec, trace) = wide_cluster_trace();
+    let tasks: u64 = trace.iter().map(|(_, j)| j.total_tasks() as u64).sum();
+    let mut base: Option<String> = None;
+    for exec in [
+        Execution::Sequential,
+        Execution::Parallel { threads: 4 },
+        Execution::Speculative { threads: 4 },
+    ] {
+        set_default_execution(exec);
+        let out = run_trace(&spec, trace.clone());
+        let q = &out.stats.queues;
+        assert_eq!(out.stats.total_slots, 512);
+        assert_eq!(q[0].completed + q[1].completed, out.offered);
+        assert!(q[1].preemptions > 0, "no contention: {:?}", q[1]);
+        assert_eq!(
+            q[0].tasks_dispatched + q[1].tasks_dispatched,
+            tasks + q[0].requeues + q[1].requeues
+        );
+        let got = digest(&out);
+        assert_eq!(base.get_or_insert(got.clone()), &got, "under {exec:?}");
+    }
+    set_default_execution(Execution::Sequential);
+}
+
+fn rejected(spec: &ScenarioSpec, bad: JobSpec) -> JobError {
+    let good = job(
+        "only",
+        vec![Wave {
+            tasks: vec![compute_task(1, 1, None)],
+            gang: false,
+        }],
+    );
+    let err = validate_trace(spec, &[(0, good), (1, bad)]).unwrap_err();
+    assert_eq!((err.job, err.template), (1, "test/compute"));
+    err.cause
+}
+
+fn gang_of(queue: &'static str, width: usize) -> JobSpec {
+    job(
+        queue,
+        vec![Wave {
+            tasks: vec![compute_task(1, 1, None); width],
+            gang: true,
+        }],
+    )
+}
+
+#[test]
+fn job_without_waves_is_rejected() {
+    let cause = rejected(&one_queue_spec(false), job("only", vec![]));
+    assert_eq!(cause, JobError::NoWaves);
+}
+
+#[test]
+fn empty_wave_is_rejected() {
+    let waves = vec![
+        Wave {
+            tasks: vec![compute_task(1, 1, None)],
+            gang: false,
+        },
+        Wave {
+            tasks: vec![],
+            gang: false,
+        },
+    ];
+    let cause = rejected(&one_queue_spec(false), job("only", waves));
+    assert_eq!(cause, JobError::EmptyWave { wave: 1 });
+}
+
+#[test]
+fn gang_wider_than_the_cluster_is_rejected() {
+    let spec = one_queue_spec(false);
+    assert_eq!(validate_trace(&spec, &[(0, gang_of("only", 4))]), Ok(()));
+    assert_eq!(
+        rejected(&spec, gang_of("only", 5)),
+        JobError::GangTooWide {
+            wave: 0,
+            width: 5,
+            limit: 4,
+        }
+    );
+}
+
+#[test]
+fn gang_wider_than_its_queue_cap_is_rejected() {
+    let mut spec = one_queue_spec(false);
+    spec.queues.push(QueueSpec::new("capped", 1).cap(2));
+    assert_eq!(validate_trace(&spec, &[(0, gang_of("capped", 2))]), Ok(()));
+    assert_eq!(
+        rejected(&spec, gang_of("capped", 3)),
+        JobError::GangTooWide {
+            wave: 0,
+            width: 3,
+            limit: 2,
+        }
+    );
+}
+
+#[test]
+fn job_for_an_unknown_queue_is_rejected() {
+    let cause = rejected(&one_queue_spec(false), gang_of("nowhere", 1));
+    assert_eq!(cause, JobError::UnknownQueue);
+}
+
+/// `run_trace` refuses a malformed trace by name on the caller's thread,
+/// not as a panic (or deadlock report) from inside a simulated process.
+#[test]
+#[should_panic(
+    expected = "malformed job 0 (template test/compute, queue only): gang wave 0 is 5 tasks wide but its queue can hold at most 4 slots"
+)]
+fn run_trace_names_the_malformed_job() {
+    run_trace(&one_queue_spec(false), vec![(0, gang_of("only", 5))]);
 }

@@ -342,10 +342,19 @@ struct Engine {
     resume_cv: Condvar,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `notify_one` calls `enqueue_resume` made on this thread.
+    static RESUME_NOTIFIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The worker pool's resume queue: pids whose coroutines have a pending
 /// wake value and await a worker.
 struct ResumeQ {
     q: std::collections::VecDeque<Pid>,
+    /// Workers blocked in `resume_cv.wait` right now. Raised immediately
+    /// before the wait and lowered after it, both under this lock.
+    idle: usize,
     /// Set once the last process finished (or a worker spawn failed);
     /// workers exit when the queue is drained.
     shutdown: bool,
@@ -369,10 +378,20 @@ impl Engine {
         }
     }
 
+    /// Queue `pid` for a worker, entering the kernel (`notify_one` is a
+    /// `futex_wake`) only when a worker is actually asleep — never in
+    /// sequential mode, whose single worker is the one enqueuing. No
+    /// wakeup is lost: a worker starts waiting only after taking this
+    /// lock and finding the queue empty, so `idle == 0` here means every
+    /// worker will see this push before it can sleep.
     fn enqueue_resume(&self, pid: Pid) {
         let mut q = self.resume.lock();
         q.q.push_back(pid);
-        self.resume_cv.notify_one();
+        if q.idle > 0 {
+            #[cfg(test)]
+            RESUME_NOTIFIES.with(|c| c.set(c.get() + 1));
+            self.resume_cv.notify_one();
+        }
     }
     /// Grant the commit token to the next runnable process if the
     /// conservative frontier allows it; otherwise detect completion or
@@ -2307,6 +2326,7 @@ impl Sim {
             metric_sink: Mutex::new(Vec::new()),
             resume: Mutex::new(ResumeQ {
                 q: std::collections::VecDeque::new(),
+                idle: 0,
                 shutdown: false,
             }),
             resume_cv: Condvar::new(),
@@ -2602,7 +2622,9 @@ fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
                 if q.shutdown {
                     return;
                 }
+                q.idle += 1;
                 engine.resume_cv.wait(&mut q);
+                q.idle -= 1;
             }
         };
         crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
@@ -2623,5 +2645,36 @@ fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sequential mode runs its one worker on the calling thread, so no
+    /// thread ever waits on the resume queue and no wake may enter the
+    /// kernel to notify one.
+    #[test]
+    fn sequential_mode_never_notifies_the_resume_queue() {
+        let mut sim = Sim::new(Topology::comet(2));
+        sim.set_execution(Execution::Sequential);
+        let tr = Transport::ipoib_socket();
+        for i in 0..2u32 {
+            sim.spawn(NodeId(i), format!("p{i}"), move |ctx| {
+                let peer = Pid(1 - i);
+                for round in 0..200u32 {
+                    if round % 2 == i {
+                        ctx.send(peer, 7, 64, Payload::Empty, &tr);
+                    } else {
+                        ctx.recv(MatchSpec::tag(7));
+                    }
+                }
+            });
+        }
+        let before = RESUME_NOTIFIES.with(|c| c.get());
+        let report = sim.run();
+        assert!(report.makespan() > SimTime::ZERO);
+        assert_eq!(RESUME_NOTIFIES.with(|c| c.get()), before);
     }
 }
