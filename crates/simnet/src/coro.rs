@@ -33,11 +33,13 @@
 //! engine's ownership protocol: **at most one worker resumes a given
 //! coroutine at any moment**. The engine guarantees this by routing
 //! every wake through the per-process slot (`parked` flag) and the
-//! resume queue — a pid enters the queue exactly once per suspension,
-//! and only the worker that popped it touches the coroutine. Worker
-//! migration (pid parked on worker A, resumed on worker B) is ordered
-//! by the resume-queue mutex, which makes A's writes to the saved
-//! context happen-before B's resume.
+//! resume path — a pid enters a worker's run-next slot or the shared
+//! queue exactly once per suspension, and only the worker that took it
+//! out touches the coroutine. Worker migration (pid parked on worker A,
+//! resumed on worker B) is ordered by the per-process slot mutex, under
+//! which A publishes `parked` after saving the context and the waker
+//! reads it, and then by the release/acquire pair on the run-next slot
+//! (or the resume-queue mutex) between the waker and B.
 //!
 //! Stack safety: coroutine stacks have no guard pages (48k stacks would
 //! need ~96k VMAs, past the default `vm.max_map_count`). Instead the
@@ -97,7 +99,7 @@ const ASM_BACKEND: bool = true;
 const ASM_BACKEND: bool = false;
 
 /// Which coroutine backend this process uses (resolved once).
-fn use_asm_backend() -> bool {
+pub(crate) fn use_asm_backend() -> bool {
     static B: OnceLock<bool> = OnceLock::new();
     *B.get_or_init(|| match std::env::var("HPCBD_COROUTINE") {
         Ok(v) => match v.trim() {
@@ -615,8 +617,8 @@ pub(crate) struct Coroutine {
 
 // Safety: resume/suspend mutate only through the switch cell, and the
 // engine protocol guarantees a unique resumer per coroutine at any
-// moment, with cross-worker migration ordered by the resume-queue
-// mutex (see module docs).
+// moment, with cross-worker migration ordered by the per-process slot
+// mutex and the resume path (see module docs).
 unsafe impl Send for Coroutine {}
 unsafe impl Sync for Coroutine {}
 

@@ -10,9 +10,10 @@
 //! with the minimum virtual clock among all runnable processes, and
 //! those commit windows are totally ordered.** The commit token is
 //! passed through explicit per-process wakers: a wake stores the grant
-//! in the process's slot and enqueues its coroutine on the worker
-//! resume queue; parking is an in-process context switch, not a condvar
-//! wait. The ready queue is a calendar bucket queue
+//! in the process's slot and leaves its coroutine in the run-next slot
+//! of the worker that issued the wake (see [`Engine::enqueue_resume`]);
+//! parking is an in-process context switch, not a condvar wait. The
+//! ready queue is a calendar bucket queue
 //! ([`crate::queue::CalendarQueue`]) ordered by
 //! `(virtual time, pid, generation)`, a key chosen to be independent of
 //! the wall-clock order in which entries are pushed — which is what lets
@@ -77,11 +78,14 @@
 //! tracing costs one `Vec::push` per event on the hot path.
 
 use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::cost::Work;
 use crate::error::{DeadlockNote, RecvTimeout};
@@ -180,7 +184,7 @@ enum Status {
 
 /// Per-process waker slot. A wake stores the grant value; `parked`
 /// tracks whether the process's coroutine is suspended and therefore
-/// needs a resume-queue push to observe it (see [`Engine::wake`]).
+/// needs to be enqueued for a worker to observe it (see [`Engine::wake`]).
 struct Slot {
     m: Mutex<SlotState>,
 }
@@ -335,29 +339,124 @@ struct Engine {
     /// Export order is recovered by [`crate::telemetry::sort_points`],
     /// so the wall-clock absorb order is irrelevant.
     metric_sink: Mutex<Vec<crate::telemetry::MetricPoint>>,
-    /// Coroutines ready to be resumed by a worker. Lock order: `sched`
-    /// and a slot lock may be held when taking this lock, never the
-    /// reverse.
-    resume: Mutex<ResumeQ>,
+    /// One run-next slot per worker: `0` when empty, else
+    /// `stamp << 32 | pid + 1`, a coroutine with a pending wake value that
+    /// the worker will resume as soon as its current one switches out.
+    /// Only worker `w` fills `next[w]`; anyone may empty it (the owner by
+    /// `swap`, an idle worker by `compare_exchange`). The stamp counts the
+    /// owner's stores, so a thief can tell the entry it saw a poll ago from
+    /// a new entry for the same pid.
+    next: Vec<AtomicU64>,
+    /// Overflow of the slots: wakes issued off the worker pool (the first
+    /// grant of a run, every wake under the thread coroutine backend) or
+    /// while the waker's slot was still full. Lock order: `sched` and a
+    /// slot lock may be held when taking this lock, never the reverse.
+    resume: Mutex<VecDeque<Pid>>,
     resume_cv: Condvar,
+    /// Length of `resume`, written under its lock. Read without it (hence
+    /// `Relaxed`: a hint that publishes nothing) so a worker finding the
+    /// queue empty takes no lock.
+    resume_len: AtomicUsize,
+    /// Workers inside the bounded poll of [`Engine::next_resume`]. A hint:
+    /// while one is polling it will find any new entry within a
+    /// [`POLL_SPACING`], so nobody needs to be woken.
+    pollers: AtomicUsize,
+    /// Workers blocked in `resume_cv.wait` that no `notify_one` has
+    /// claimed yet. Written only under the `resume` lock, read without it
+    /// as a hint.
+    sleepers: AtomicUsize,
+    /// Set (under the `resume` lock) once the last process finished or a
+    /// worker spawn failed; workers exit when they find nothing to run.
+    shutdown: AtomicBool,
+}
+
+/// What the thread issuing a wake does next, which decides whether the
+/// grant it leaves in its run-next slot is worth a `futex_wake`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waker {
+    /// Keeps executing its coroutine (token release, speculative sleep
+    /// or send): the entry waits for as long as that compute segment
+    /// lasts unless another worker takes it.
+    Runs,
+    /// Parks or finishes right after: its own worker is free to drain
+    /// the slot within nanoseconds.
+    Parks,
+}
+
+/// Spacing of an idle worker's polls, which is also the age a run-next
+/// entry must reach before it is stolen (seen unchanged on two
+/// consecutive polls). A steal moves the whole chain of grants, and the
+/// engine's working set behind it, to the thief's cache: on
+/// `datacenter_day` under `parallel:1` (two cores, `wall_mt_s`, sequential
+/// 0.083 s) a 0.25 µs spacing steals 3.6 k grants a day and reads 0.146 s,
+/// 1 µs 1.6 k and 0.117 s, 4 µs 290 and 0.099 s, 16 µs 0.092 s, 64 µs
+/// 0.091 s; `comet_sixteenth` reads 0.63 / 0.46 / 0.38 / 0.36 s at
+/// 1 / 4 / 16 / 64 µs. About 25 µs per steal, so an entry younger than
+/// that is cheaper left to its owner; `reduce64` and `pagerank16`, whose
+/// segments run for far longer, do not move between 1 and 64 µs.
+const POLL_SPACING: Duration = Duration::from_micros(16);
+/// Polls without work before a worker sleeps on the condvar (about
+/// 4 ms). Same measurement at 16 µs: 64 rounds read 0.097 s (a sleeper
+/// costs its waker a `futex_wake` and comes back a scheduling latency
+/// later), 256 and 1,000 rounds both 0.093 s.
+const POLL_ROUNDS: u32 = 256;
+
+thread_local! {
+    /// The engine and worker index this OS thread is running
+    /// [`worker_loop`] for (null off the worker pool).
+    static WORKER: Cell<(*const Engine, usize)> = const { Cell::new((std::ptr::null(), 0)) };
+    /// Stamp of this thread's last run-next store.
+    static STAMP: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Worker index of the calling thread in `engine`, with a fresh stamp
+/// for its run-next slot. Read at call time and never inlined: a wake
+/// does not span a `suspend`, so a coroutine that migrated reads the
+/// thread it is on *now*, provided the compiler cannot reuse a
+/// thread-local address it computed before the switch
+/// ([`crate::coro`] relies on the same property for `CURRENT`). The
+/// thread coroutine backend runs process bodies on their own OS threads,
+/// which are no workers: its wakes all take the shared queue.
+#[inline(never)]
+fn worker_here(engine: &Engine) -> Option<(usize, u32)> {
+    let (e, w) = WORKER.with(Cell::get);
+    if !std::ptr::eq(e, engine) {
+        return None;
+    }
+    let stamp = STAMP.with(|s| {
+        s.set(s.get().wrapping_add(1));
+        s.get()
+    });
+    Some((w, stamp))
+}
+
+/// Marks the calling thread as worker `w` of an engine for its
+/// lifetime, restoring the previous mark on drop (a process body may run
+/// a nested `Sim` on its worker's thread).
+struct WorkerScope {
+    prev: (*const Engine, usize),
+}
+
+impl WorkerScope {
+    fn enter(engine: &Engine, w: usize) -> WorkerScope {
+        WorkerScope {
+            prev: WORKER.with(|c| c.replace((engine, w))),
+        }
+    }
+}
+
+impl Drop for WorkerScope {
+    fn drop(&mut self) {
+        WORKER.with(|c| c.set(self.prev));
+    }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// `notify_one` calls `enqueue_resume` made on this thread.
-    static RESUME_NOTIFIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The worker pool's resume queue: pids whose coroutines have a pending
-/// wake value and await a worker.
-struct ResumeQ {
-    q: std::collections::VecDeque<Pid>,
-    /// Workers blocked in `resume_cv.wait` right now. Raised immediately
-    /// before the wait and lowered after it, both under this lock.
-    idle: usize,
-    /// Set once the last process finished (or a worker spawn failed);
-    /// workers exit when the queue is drained.
-    shutdown: bool,
+    /// `notify_one` calls the resume path made on this thread.
+    static RESUME_NOTIFIES: Cell<u64> = const { Cell::new(0) };
+    /// Acquisitions of the `resume` lock made on this thread.
+    static RESUME_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 impl Engine {
@@ -366,7 +465,7 @@ impl Engine {
     /// granted itself between pushing its ready-queue entry and
     /// parking), the value alone suffices: its park loop consumes it
     /// without suspending, or its worker re-enqueues it at switch-out.
-    fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason) {
+    fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason, waker: Waker) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
         let mut s = self.shards[pid.index()].slot.m.lock();
         debug_assert!(s.value.is_none(), "second wake before {pid} parked");
@@ -374,30 +473,184 @@ impl Engine {
         if s.parked {
             s.parked = false;
             drop(s);
-            self.enqueue_resume(pid);
+            self.enqueue_resume(pid, waker);
         }
     }
 
-    /// Queue `pid` for a worker, entering the kernel (`notify_one` is a
-    /// `futex_wake`) only when a worker is actually asleep — never in
-    /// sequential mode, whose single worker is the one enqueuing. No
-    /// wakeup is lost: a worker starts waiting only after taking this
-    /// lock and finding the queue empty, so `idle == 0` here means every
-    /// worker will see this push before it can sleep.
-    fn enqueue_resume(&self, pid: Pid) {
-        let mut q = self.resume.lock();
-        q.q.push_back(pid);
-        if q.idle > 0 {
+    /// Make `pid`'s coroutine (parked, wake value pending) available to
+    /// the worker pool. Go's `runnext` rule: the grant stays on the worker
+    /// that made it, in `next[w]`, and that worker resumes it as soon as
+    /// its current coroutine switches out; the shared queue only takes
+    /// what the slot cannot.
+    ///
+    /// * **No lost wakeup, no starvation.** Progress never depends on a
+    ///   steal or a notify: a worker drains its own slot every time its
+    ///   coroutine switches out. An entry in the shared queue behind a
+    ///   busy pool is reached as soon as the running chain parks, which it
+    ///   must once it needs that process: the process is either in flight
+    ///   (the frontier then blocks every later grant) or doomed by
+    ///   deadlock teardown. The `futex_wake` is an optimization for
+    ///   overlap: a waker that keeps running wakes one sleeper, and only
+    ///   if nobody is already polling; a kick that falls between a
+    ///   worker's last poll and its sleep costs overlap until the next
+    ///   one, nothing else. Sequential mode (one worker, which is the
+    ///   waker) never takes the lock or enters the kernel here.
+    /// * **Ordering.** [`Engine::wake`] enqueues only a coroutine whose
+    ///   previous worker already published `parked = true` under the slot
+    ///   mutex, after saving its context; the `Release` store below and
+    ///   the `Acquire` swap or compare-exchange that empties `next[w]`
+    ///   carry that to whichever worker resumes it (the `resume` mutex
+    ///   does the same on the overflow path).
+    /// * **Determinism.** Which worker resumes a coroutine, and when,
+    ///   carries an already-committed grant to a core; it decides nothing
+    ///   (DESIGN.md §12).
+    fn enqueue_resume(&self, pid: Pid, waker: Waker) {
+        if let Some((w, stamp)) = worker_here(self) {
+            let slot = &self.next[w];
+            // Only this thread fills `next[w]`: empty now means empty
+            // until the store.
+            if slot.load(Ordering::Relaxed) == 0 {
+                slot.store(
+                    u64::from(stamp) << 32 | (u64::from(pid.0) + 1),
+                    Ordering::Release,
+                );
+                if waker == Waker::Runs
+                    && self.pollers.load(Ordering::Relaxed) == 0
+                    && self.sleepers.load(Ordering::Relaxed) > 0
+                {
+                    self.notify_sleeper(&self.lock_resume());
+                }
+                return;
+            }
+        }
+        let mut q = self.lock_resume();
+        q.push_back(pid);
+        self.resume_len.store(q.len(), Ordering::Relaxed);
+        // Two coroutines are runnable and the waker's worker takes one.
+        if self.pollers.load(Ordering::Relaxed) == 0 {
+            self.notify_sleeper(&q);
+        }
+    }
+
+    fn lock_resume(&self) -> MutexGuard<'_, VecDeque<Pid>> {
+        #[cfg(test)]
+        RESUME_LOCKS.with(|c| c.set(c.get() + 1));
+        self.resume.lock()
+    }
+
+    /// Wake one sleeping worker, if any. The sleeper is claimed here, at
+    /// notify time, so that the wakes issued until it runs do not each
+    /// notify it again. Needs the `resume` lock: a worker registers as a
+    /// sleeper and starts waiting in one critical section, so under the
+    /// lock `sleepers > 0` means a `notify_one` finds it.
+    fn notify_sleeper(&self, _resume: &MutexGuard<'_, VecDeque<Pid>>) {
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.sleepers.fetch_sub(1, Ordering::Relaxed);
+            crate::selfprof::host_count(crate::selfprof::HostOp::WorkerNotify);
             #[cfg(test)]
             RESUME_NOTIFIES.with(|c| c.set(c.get() + 1));
             self.resume_cv.notify_one();
         }
     }
+
+    /// Signal the worker pool to exit once it runs out of work.
+    fn shut_down(&self) {
+        let _q = self.lock_resume();
+        self.shutdown.store(true, Ordering::Release);
+        self.resume_cv.notify_all();
+    }
+
+    /// One look for a coroutine worker `w` may resume: its own slot, the
+    /// shared queue, then another worker's slot. `seen` holds the value
+    /// this worker last saw in each other slot; it steals only an entry
+    /// it sees unchanged on two consecutive looks, i.e. whose owner has
+    /// been busy for a poll spacing since the grant. An engine-bound
+    /// owner parks and takes its entry itself long before that; a
+    /// compute-bound one loses it to the idle core, which is the overlap
+    /// `Execution::Parallel` exists for.
+    fn try_take(&self, w: usize, seen: &mut [u64]) -> Option<Pid> {
+        use crate::selfprof::{host_count, HostOp};
+        let unpack = |v: u64| Pid(v as u32 - 1);
+        if self.next[w].load(Ordering::Relaxed) != 0 {
+            let v = self.next[w].swap(0, Ordering::Acquire);
+            if v != 0 {
+                host_count(HostOp::ResumeLocal);
+                return Some(unpack(v));
+            }
+        }
+        if self.resume_len.load(Ordering::Relaxed) != 0 {
+            let mut q = self.lock_resume();
+            let pid = q.pop_front();
+            self.resume_len.store(q.len(), Ordering::Relaxed);
+            if pid.is_some() {
+                host_count(HostOp::ResumeShared);
+                return pid;
+            }
+        }
+        for (v, slot) in self.next.iter().enumerate() {
+            if v == w {
+                continue;
+            }
+            let cur = slot.load(Ordering::Relaxed);
+            if cur != 0
+                && cur == seen[v]
+                && slot
+                    .compare_exchange(cur, 0, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                seen[v] = 0;
+                host_count(HostOp::ResumeSteal);
+                return Some(unpack(cur));
+            }
+            seen[v] = cur;
+        }
+        None
+    }
+
+    /// The next coroutine for worker `w` to resume, or `None` at
+    /// shutdown. With nothing to take, the worker polls: one
+    /// [`Engine::try_take`], one `yield_now` (so that on a host with no
+    /// spare core the worker that has the work gets the time slice), a
+    /// [`POLL_SPACING`] spin, for [`POLL_ROUNDS`] rounds; then it sleeps
+    /// until a notify.
+    fn next_resume(&self, w: usize, seen: &mut [u64]) -> Option<Pid> {
+        // Apart from the poll so that a busy worker leaves `pollers` alone.
+        if let Some(pid) = self.try_take(w, seen) {
+            return Some(pid);
+        }
+        loop {
+            self.pollers.fetch_add(1, Ordering::Relaxed);
+            for _ in 0..POLL_ROUNDS {
+                let found = self.try_take(w, seen);
+                if found.is_some() || self.shutdown.load(Ordering::Acquire) {
+                    self.pollers.fetch_sub(1, Ordering::Relaxed);
+                    return found;
+                }
+                std::thread::yield_now();
+                let t0 = Instant::now();
+                while t0.elapsed() < POLL_SPACING {
+                    std::hint::spin_loop();
+                }
+            }
+            self.pollers.fetch_sub(1, Ordering::Relaxed);
+            let mut q = self.lock_resume();
+            // Under the lock, where a push or a shutdown cannot slip
+            // between the check and the wait. A slot store can: see
+            // `enqueue_resume`.
+            if q.is_empty() && !self.shutdown.load(Ordering::Relaxed) {
+                self.sleepers.fetch_add(1, Ordering::Relaxed);
+                crate::selfprof::host_count(crate::selfprof::HostOp::WorkerSleep);
+                self.resume_cv.wait(&mut q);
+            }
+        }
+    }
+
     /// Grant the commit token to the next runnable process if the
     /// conservative frontier allows it; otherwise detect completion or
     /// deadlock. Caller holds the sched lock. Idempotent: safe to call
-    /// after any state change that might enable a grant.
-    fn try_dispatch(&self, g: &mut Sched) {
+    /// after any state change that might enable a grant. `waker` says
+    /// what the calling thread does after the dispatch.
+    fn try_dispatch(&self, g: &mut Sched, waker: Waker) {
         if g.turn.is_some() || g.deadlocked {
             return;
         }
@@ -486,7 +739,7 @@ impl Engine {
                         p.clock = io.resume_clock;
                         g.inflight.push((cand.pid, io.resume_clock));
                         self.spec_commits.fetch_add(1, Ordering::Relaxed);
-                        self.wake(cand.pid, io.resume_clock, WakeReason::SpecCommit);
+                        self.wake(cand.pid, io.resume_clock, WakeReason::SpecCommit, waker);
                         continue;
                     }
                     // Stale: grant the token so the process can roll back
@@ -499,7 +752,7 @@ impl Engine {
                     crate::selfprof::host_count(crate::selfprof::HostOp::SpecReplay);
                     g.turn = Some(cand.pid);
                     self.spec_rollbacks.fetch_add(1, Ordering::Relaxed);
-                    self.wake(cand.pid, clock, WakeReason::SpecReplay);
+                    self.wake(cand.pid, clock, WakeReason::SpecReplay, waker);
                     return;
                 }
                 _ => continue, // defensive: not grantable
@@ -508,7 +761,7 @@ impl Engine {
             g.turn = Some(cand.pid);
             let clock = p.clock;
             let reason = p.wake_reason;
-            self.wake(cand.pid, clock, reason);
+            self.wake(cand.pid, clock, reason, waker);
             return;
         }
         // Nothing grantable. With compute still in flight this is a
@@ -540,7 +793,7 @@ impl Engine {
                 }
             }
             for (pid, clock) in doomed {
-                self.wake(pid, clock, WakeReason::Deadlock);
+                self.wake(pid, clock, WakeReason::Deadlock, waker);
             }
             // Stash the diagnostic through the panics channel.
             g.panics
@@ -1201,7 +1454,7 @@ impl ProcCtx {
             Some(e) => e.1 = self.clock,
             None => g.inflight.push((me, self.clock)),
         }
-        self.engine.try_dispatch(&mut g);
+        self.engine.try_dispatch(&mut g, Waker::Runs);
         true
     }
 
@@ -1280,7 +1533,7 @@ impl ProcCtx {
                 p.wake_reason = WakeReason::Turn;
             }
             Sched::push(&mut g, me, self.clock);
-            self.engine.try_dispatch(&mut g);
+            self.engine.try_dispatch(&mut g, Waker::Parks);
         }
         let (clock, reason) = self.engine.shards[me.index()].slot.park();
         self.clock = clock;
@@ -1329,7 +1582,7 @@ impl ProcCtx {
         crate::selfprof::host_count(crate::selfprof::HostOp::TokenRelease);
         g.turn = None;
         g.inflight.push((self.pid, self.clock));
-        self.engine.try_dispatch(&mut g);
+        self.engine.try_dispatch(&mut g, Waker::Runs);
     }
 
     /// Run `f` inside this process's next commit window: at a
@@ -1434,7 +1687,7 @@ impl ProcCtx {
             latency: transport.latency,
         });
         g.runnable.push(key);
-        self.engine.try_dispatch(&mut g);
+        self.engine.try_dispatch(&mut g, Waker::Runs);
         Ok(())
     }
 
@@ -1589,7 +1842,7 @@ impl ProcCtx {
                 // No queue entry: only a matching delivery can wake us.
                 g.procs[me.index()].gen += 1;
             }
-            self.engine.try_dispatch(&mut g);
+            self.engine.try_dispatch(&mut g, Waker::Parks);
         }
         let (clock, reason) = self.engine.shards[me.index()].slot.park();
         self.clock = clock;
@@ -1736,7 +1989,7 @@ impl ProcCtx {
             }
             g.inflight.retain(|&(q, _)| q != me);
             Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
+            self.engine.try_dispatch(&mut g, Waker::Parks);
         }
         // Checkpoint, then apply the prediction optimistically. Local
         // state only — the shared cell is untouched until validation.
@@ -1916,7 +2169,7 @@ impl ProcCtx {
             }
             g.inflight.retain(|&(q, _)| q != me);
             Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
+            self.engine.try_dispatch(&mut g, Waker::Parks);
         }
         let ckpt = SpecCheckpoint {
             clock: t,
@@ -2043,7 +2296,7 @@ impl ProcCtx {
             }
             g.inflight.retain(|&(q, _)| q != me);
             Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
+            self.engine.try_dispatch(&mut g, Waker::Parks);
         }
         let ckpt = SpecCheckpoint {
             clock: t,
@@ -2267,6 +2520,11 @@ impl Sim {
             Execution::Parallel { threads } | Execution::Speculative { threads } => threads,
         };
         let speculative = matches!(self.exec, Execution::Speculative { .. });
+        // Worker pool size. The frontier rule caps concurrency at the
+        // token holder plus `threads` in-flight compute segments, so that
+        // is the worker count; sequential mode is the one-worker pool,
+        // run on the calling thread: zero thread spawns per run.
+        let workers = release_cap.saturating_add(1).min(512).min(n);
         let perturb = crate::perturb::current_perturbation();
         let engine = Arc::new(Engine {
             perturb: perturb.clone(),
@@ -2324,12 +2582,13 @@ impl Sim {
             },
             telemetry_interval,
             metric_sink: Mutex::new(Vec::new()),
-            resume: Mutex::new(ResumeQ {
-                q: std::collections::VecDeque::new(),
-                idle: 0,
-                shutdown: false,
-            }),
+            next: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            resume: Mutex::new(VecDeque::new()),
             resume_cv: Condvar::new(),
+            resume_len: AtomicUsize::new(0),
+            pollers: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
         });
 
         type ResultSlots = Vec<Option<Box<dyn Any + Send>>>;
@@ -2337,7 +2596,7 @@ impl Sim {
 
         // One coroutine per process, each running the full process body
         // on its own lazily-paged stack. Bodies start suspended; the
-        // scheduler's first wake enqueues them on the resume queue.
+        // scheduler's first wake enqueues them for a worker.
         let specs: Vec<(String, Box<dyn FnOnce() + Send>)> = self
             .spawns
             .into_iter()
@@ -2403,29 +2662,19 @@ impl Sim {
         let coros = crate::coro::Coroutines::build(specs);
 
         // Enqueue every process at its start time and kick off the first
-        // grant; it lands on the resume queue the workers drain below.
+        // grant; this thread is no worker yet, so it lands on the shared
+        // resume queue the workers drain below.
         {
             let mut g = engine.sched.lock();
             for i in 0..n {
                 let t = g.procs[i].clock;
                 Sched::push(&mut g, Pid(i as u32), t);
             }
-            engine.try_dispatch(&mut g);
+            engine.try_dispatch(&mut g, Waker::Parks);
         }
 
-        // Worker pool. The old engine ran every process on its own OS
-        // thread but the frontier rule capped concurrency at the token
-        // holder plus `threads` in-flight compute segments — so that is
-        // exactly the worker count. Sequential mode runs the single
-        // worker on the calling thread: zero thread spawns per run.
-        let workers = match self.exec {
-            Execution::Sequential => 1,
-            Execution::Parallel { threads } | Execution::Speculative { threads } => {
-                threads.saturating_add(1).min(512).min(n)
-            }
-        };
         if workers <= 1 {
-            worker_loop(&engine, &coros);
+            worker_loop(&engine, &coros, 0);
         } else {
             std::thread::scope(|scope| {
                 for w in 1..workers {
@@ -2433,23 +2682,27 @@ impl Sim {
                     let coros = &coros;
                     let spawned = std::thread::Builder::new()
                         .name(format!("sim-worker-{w}"))
-                        .spawn_scoped(scope, move || worker_loop(engine, coros));
+                        .spawn_scoped(scope, move || worker_loop(engine, coros, w));
                     if let Err(e) = spawned {
                         // Let the already-spawned workers drain and exit
                         // before unwinding, or the scope join would hang.
-                        let mut q = engine.resume.lock();
-                        q.shutdown = true;
-                        engine.resume_cv.notify_all();
-                        drop(q);
+                        engine.shut_down();
                         panic!(
                             "failed to spawn engine worker thread {w} of {workers} \
                              for {n} simulated processes: {e}"
                         );
                     }
                 }
-                worker_loop(&engine, &coros);
+                worker_loop(&engine, &coros, 0);
             });
         }
+        // Every enqueued coroutine was resumed exactly once: a stray entry
+        // would be a second resume of a finished process waiting to happen.
+        assert!(
+            engine.next.iter().all(|s| s.load(Ordering::Relaxed) == 0)
+                && engine.resume.lock().is_empty(),
+            "resume path not drained at shutdown"
+        );
         drop(coros);
 
         // Fault events recorded by dispatcher-side commits of buffered
@@ -2599,34 +2852,20 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
         // drains. This coroutine performs no further visible operation
         // (its results are already stored), so it runs straight to
         // completion and its worker observes the shutdown.
-        let mut q = engine.resume.lock();
-        q.shutdown = true;
-        engine.resume_cv.notify_all();
+        engine.shut_down();
     } else if !g.deadlocked {
-        engine.try_dispatch(&mut g);
+        engine.try_dispatch(&mut g, Waker::Parks);
     }
 }
 
-/// Drain the resume queue, running each popped coroutine until its next
-/// suspension. Runs on the calling thread in sequential mode and on the
-/// fixed worker pool in parallel mode; exits when the queue is empty
-/// after shutdown was signalled.
-fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
-    loop {
-        let pid = {
-            let mut q = engine.resume.lock();
-            loop {
-                if let Some(pid) = q.q.pop_front() {
-                    break pid;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q.idle += 1;
-                engine.resume_cv.wait(&mut q);
-                q.idle -= 1;
-            }
-        };
+/// Worker `w` of the pool: resume coroutines as [`Engine::next_resume`]
+/// hands them out, each until its next suspension. Runs on the calling
+/// thread in sequential mode (the one-worker pool) and on it plus the
+/// spawned workers otherwise; exits at shutdown.
+fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines, w: usize) {
+    let _scope = WorkerScope::enter(engine, w);
+    let mut seen = vec![0u64; engine.next.len()];
+    while let Some(pid) = engine.next_resume(w, &mut seen) {
         crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
         match coros.resume(pid.index()) {
             crate::coro::SwitchOut::Done => {}
@@ -2638,7 +2877,7 @@ fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
                 let mut s = engine.shards[pid.index()].slot.m.lock();
                 if s.value.is_some() {
                     drop(s);
-                    engine.enqueue_resume(pid);
+                    engine.enqueue_resume(pid, Waker::Parks);
                 } else {
                     crate::selfprof::host_count(crate::selfprof::HostOp::Park);
                     s.parked = true;
@@ -2652,18 +2891,14 @@ fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
 mod tests {
     use super::*;
 
-    /// Sequential mode runs its one worker on the calling thread, so no
-    /// thread ever waits on the resume queue and no wake may enter the
-    /// kernel to notify one.
-    #[test]
-    fn sequential_mode_never_notifies_the_resume_queue() {
+    fn ping_pong(rounds: u32) -> Sim {
         let mut sim = Sim::new(Topology::comet(2));
         sim.set_execution(Execution::Sequential);
         let tr = Transport::ipoib_socket();
         for i in 0..2u32 {
             sim.spawn(NodeId(i), format!("p{i}"), move |ctx| {
                 let peer = Pid(1 - i);
-                for round in 0..200u32 {
+                for round in 0..rounds {
                     if round % 2 == i {
                         ctx.send(peer, 7, 64, Payload::Empty, &tr);
                     } else {
@@ -2672,9 +2907,74 @@ mod tests {
                 }
             });
         }
-        let before = RESUME_NOTIFIES.with(|c| c.get());
-        let report = sim.run();
-        assert!(report.makespan() > SimTime::ZERO);
-        assert_eq!(RESUME_NOTIFIES.with(|c| c.get()), before);
+        sim
+    }
+
+    /// Sequential mode is the one-worker pool on the calling thread: every
+    /// grant after the first goes through that worker's run-next slot, so
+    /// the `resume` lock is taken for the first grant (push and pop) and
+    /// for shutdown, however long the run, and nothing is ever notified.
+    #[test]
+    fn sequential_mode_resumes_without_the_lock_or_the_kernel() {
+        let counts = |rounds| {
+            let sim = ping_pong(rounds);
+            let before = (
+                RESUME_LOCKS.with(Cell::get),
+                RESUME_NOTIFIES.with(Cell::get),
+            );
+            assert!(sim.run().makespan() > SimTime::ZERO);
+            (
+                RESUME_LOCKS.with(Cell::get) - before.0,
+                RESUME_NOTIFIES.with(Cell::get) - before.1,
+            )
+        };
+        let (locks, notifies) = counts(200);
+        assert_eq!(notifies, 0);
+        // The thread coroutine backend runs process bodies off the worker
+        // thread, where these thread-local counts do not see them and
+        // every wake takes the shared queue.
+        if crate::coro::use_asm_backend() {
+            assert_eq!(locks, 3);
+            assert_eq!(counts(20), (3, 0));
+        }
+    }
+
+    /// Deadlock teardown wakes every blocked process from one dispatch:
+    /// with more of them than workers, all but the first overflow the
+    /// waker's run-next slot into the shared queue. Each must still be
+    /// resumed exactly once, and the diagnostic must not depend on the
+    /// mode.
+    #[test]
+    fn deadlock_teardown_overflows_the_slot_and_reports_the_same_in_every_mode() {
+        let diagnostic = |exec: Execution| {
+            let mut sim = Sim::new(Topology::comet(2));
+            sim.set_execution(exec);
+            for i in 0..12u32 {
+                sim.spawn(NodeId(i % 2), format!("stuck{i}"), move |ctx| {
+                    ctx.sleep(SimDuration::from_nanos(u64::from(i) * 10));
+                    ctx.recv(MatchSpec::tag(100 + Tag::from(i)));
+                });
+            }
+            let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+                .err()
+                .expect("twelve receives nobody sends to must deadlock");
+            describe_panic(err.as_ref()).0
+        };
+        let locks = RESUME_LOCKS.with(Cell::get);
+        let want = diagnostic(Execution::Sequential);
+        // The last process to block runs the teardown and consumes its
+        // own wake without parking; of the other eleven, one fits the
+        // slot: ten pushes and ten pops on top of the usual three.
+        if crate::coro::use_asm_backend() {
+            assert_eq!(RESUME_LOCKS.with(Cell::get) - locks, 23);
+        }
+        assert!(want.starts_with("deadlock: "), "{want}");
+        assert_eq!(want.matches("blocked at").count(), 12, "{want}");
+        for exec in [
+            Execution::Parallel { threads: 1 },
+            Execution::Speculative { threads: 2 },
+        ] {
+            assert_eq!(diagnostic(exec), want, "under {exec:?}");
+        }
     }
 }

@@ -109,6 +109,13 @@ pub use topology::{DiskSpec, Node, NodeId, NodeSpec, Topology};
 pub use trace::{json_escape, EventKind, Trace, TraceEvent};
 pub use transport::Transport;
 
+/// Serializes the tests of this crate that install process-global
+/// harness state (a planted [`SpecBug`], a [`Perturbation`]) or assert
+/// on speculation outcomes such state changes: `cargo test` runs sibling
+/// tests on parallel threads, and every `Sim::run` resolves both.
+#[cfg(test)]
+pub(crate) static HARNESS_GUARD: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 #[cfg(test)]
 mod engine_tests {
     use super::*;
@@ -255,6 +262,9 @@ mod engine_tests {
     /// benches reuse).
     #[test]
     fn speculative_single_process_device_ops_commit_clean() {
+        // A `ForceReplay` or a perturbation planted by a sibling test
+        // would turn commits counted below into rollbacks.
+        let _g = HARNESS_GUARD.lock();
         let mut sim = two_node_sim();
         sim.set_execution(Execution::Speculative { threads: 1 });
         sim.spawn(NodeId(0), "solo", |ctx| {
@@ -307,6 +317,7 @@ mod engine_tests {
             )
         }
         let seq = run_once(Execution::Sequential);
+        let _g = HARNESS_GUARD.lock();
         set_spec_bug(Some(SpecBug::ForceReplay));
         let spec = run_once(Execution::Speculative { threads: 4 });
         set_spec_bug(None);

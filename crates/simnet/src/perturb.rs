@@ -211,6 +211,7 @@ mod tests {
 
     #[test]
     fn install_and_clear_roundtrip() {
+        let _g = crate::HARNESS_GUARD.lock();
         set_perturbation(Some(Perturbation::from_seed(7)));
         assert_eq!(current_perturbation().unwrap().seed, 7);
         set_perturbation(None);

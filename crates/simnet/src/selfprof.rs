@@ -46,11 +46,23 @@ pub enum HostOp {
     SpecReplay,
     /// Buffered speculative sends committed by the dispatcher.
     SendCommit,
+    /// Resumptions a worker took from its own run-next slot: the grant
+    /// stayed on the worker that made it.
+    ResumeLocal,
+    /// Resumptions popped from the shared resume queue (the overflow
+    /// path: first grant of a run, slot already full, thread backend).
+    ResumeShared,
+    /// Resumptions an idle worker took out of another worker's slot.
+    ResumeSteal,
+    /// Times a worker gave up polling and slept on the condvar.
+    WorkerSleep,
+    /// `notify_one` calls made to end such a sleep.
+    WorkerNotify,
 }
 
 /// Display names, indexed by `HostOp as usize` — also the key order of
 /// the `host_profile` JSON section.
-pub const HOST_OP_NAMES: [&str; 10] = [
+pub const HOST_OP_NAMES: [&str; 15] = [
     "queue_push",
     "queue_pop",
     "coro_resume",
@@ -61,6 +73,11 @@ pub const HOST_OP_NAMES: [&str; 10] = [
     "spec_validate",
     "spec_replay",
     "send_commit",
+    "resume_local",
+    "resume_shared",
+    "resume_steal",
+    "worker_sleep",
+    "worker_notify",
 ];
 
 const N_OPS: usize = HOST_OP_NAMES.len();

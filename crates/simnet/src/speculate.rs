@@ -204,6 +204,7 @@ mod tests {
 
     #[test]
     fn spec_bug_install_and_clear_roundtrip() {
+        let _g = crate::HARNESS_GUARD.lock();
         set_spec_bug(Some(SpecBug::ForceReplay));
         assert_eq!(current_spec_bug(), Some(SpecBug::ForceReplay));
         set_spec_bug(None);

@@ -1,20 +1,24 @@
-//! The resume queue notifies a worker only when one is asleep
-//! (`ResumeQ::idle`). A lost wakeup would leave a worker asleep on a
-//! non-empty queue; the run then finishes only if the enqueuing worker
-//! itself comes back for the entry. These short runs, where workers go
-//! idle and are woken constantly, therefore sit inside a watchdog that
-//! fails the test instead of hanging, and each must reproduce the
-//! sequential makespan.
+//! A grant stays in the run-next slot of the worker that made it; an
+//! idle worker steals it only once it has aged, polls for a bounded
+//! time and then sleeps, and is notified only when nobody is polling.
+//! A lost wakeup would leave a worker asleep on runnable work; the run
+//! then finishes only because the enqueuing worker itself comes back for
+//! the entry. These short runs, where workers go idle and are woken
+//! constantly, therefore sit inside a watchdog that fails the test
+//! instead of hanging, and each must reproduce the sequential makespan.
+//! `Sim::run` itself asserts that every slot and the shared queue are
+//! empty once the pool has shut down, so each run also checks that no
+//! entry was left behind or duplicated.
 //!
-//! One `#[test]` in its own test binary: `set_perturbation` is
-//! process-global.
+//! One `#[test]` in its own test binary: `set_perturbation` and the
+//! self-profiler are process-global.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
 use hpcbd_simnet::{
-    set_perturbation, Execution, MatchSpec, NodeId, Payload, Perturbation, Pid, Sim, Topology,
-    Transport,
+    selfprof_reset, selfprof_snapshot, set_perturbation, set_selfprof, Execution, MatchSpec,
+    NodeId, Payload, Perturbation, Pid, Sim, Topology, Transport,
 };
 
 const TAG: hpcbd_simnet::Tag = 7;
@@ -60,6 +64,31 @@ fn fan_in(exec: Execution, leaves: u32, rounds: u32) -> u64 {
     sim.run().makespan().nanos()
 }
 
+/// Two processes whose host code keeps their worker busy for 2 ms after
+/// every visible operation. The grant a disk write releases sits in the
+/// busy worker's slot; the only way it runs meanwhile is a steal. The
+/// busy time is a sleep, not a spin, so that the idle worker gets to
+/// look twice even on a host with a single core.
+fn busy_between_ops(exec: Execution) -> u64 {
+    let mut sim = Sim::new(Topology::comet(2));
+    sim.set_execution(exec);
+    for i in 0..2u32 {
+        sim.spawn(NodeId(i), format!("busy{i}"), move |ctx| {
+            for _ in 0..10 {
+                ctx.disk_write(4096);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+    }
+    sim.run().makespan().nanos()
+}
+
+fn host_ops(name: &str) -> u64 {
+    let row = selfprof_snapshot().into_iter().find(|r| r.0 == name);
+    row.unwrap_or_else(|| panic!("selfprof has no {name} row"))
+        .1
+}
+
 #[test]
 fn resume_queue_never_sleeps_on_work() {
     let (done, finished) = mpsc::channel();
@@ -75,6 +104,25 @@ fn resume_queue_never_sleeps_on_work() {
             Execution::Speculative { threads: 2 },
             Execution::Speculative { threads: 8 },
         ];
+        set_selfprof(true);
+        selfprof_reset();
+        let want = busy_between_ops(Execution::Sequential);
+        assert_eq!(
+            host_ops("resume_steal"),
+            0,
+            "one worker has nobody to steal from"
+        );
+        let got = busy_between_ops(Execution::Parallel { threads: 1 });
+        assert_eq!(got, want, "stolen grants moved a virtual time");
+        // The thread coroutine backend runs process bodies off the worker
+        // threads: its wakes take the shared queue, not a slot, and there
+        // is nothing to steal.
+        let slots_in_use = host_ops("resume_local") > host_ops("resume_shared");
+        assert!(
+            !slots_in_use || host_ops("resume_steal") > 0,
+            "a worker busy for 2 ms kept every grant"
+        );
+        set_selfprof(false);
         for i in 0..200u64 {
             let exec = modes[i as usize % modes.len()];
             set_perturbation((i % 2 == 1).then(|| Perturbation::from_seed(i)));
