@@ -3,10 +3,9 @@
 //! Complements `paper_benches` (whole-artifact wall clock) with the
 //! individual mechanisms the perf work targets: the calendar ready
 //! queue vs the `BinaryHeap` it replaced, raw message-handoff cost
-//! through the engine in every execution mode, the speculation
-//! machinery's checkpoint-capture and rollback-replay costs, the
-//! tracing overhead of per-process buffering, the memoized collective
-//! selection, and the scheduler's slot-ledger queries and dispatch round.
+//! through the engine in both execution modes, the tracing overhead of
+//! per-process buffering, the memoized collective selection, and the
+//! scheduler's slot-ledger queries and dispatch round.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -132,10 +131,6 @@ fn engine_handoff(c: &mut Criterion) {
     for (name, exec) in [
         ("fan_release_sequential", Execution::Sequential),
         ("fan_release_parallel", Execution::Parallel { threads: 2 }),
-        (
-            "fan_release_speculative",
-            Execution::Speculative { threads: 2 },
-        ),
     ] {
         g.bench_function(name, |b| b.iter(|| black_box(fan_release(exec))));
     }
@@ -144,48 +139,6 @@ fn engine_handoff(c: &mut Criterion) {
     });
     g.bench_function("pingpong_parallel", |b| {
         b.iter(|| black_box(pingpong(Execution::Parallel { threads: 2 }, false)))
-    });
-    g.bench_function("pingpong_speculative", |b| {
-        b.iter(|| black_box(pingpong(Execution::Speculative { threads: 2 }, false)))
-    });
-    set_default_execution(Execution::Sequential);
-    g.finish();
-}
-
-/// A device-heavy single process: every disk/NFS op in speculative mode
-/// captures a checkpoint, snapshots the device cell, applies the
-/// prediction and parks for validation. Uncontended, so every
-/// speculation commits clean — the delta against sequential is pure
-/// checkpoint-capture + validate cost. With `SpecBug::ForceReplay`
-/// planted, every one of those speculations instead rolls back and
-/// replays under the token, pricing the full rollback-replay path.
-fn device_loop(exec: Execution, ops: u64) -> u64 {
-    set_default_execution(exec);
-    let mut sim = Sim::new(Topology::comet(1));
-    sim.spawn(NodeId(0), "dev", move |ctx| {
-        for _ in 0..ops {
-            ctx.disk_write(1 << 16);
-            ctx.nfs_read(1 << 12);
-        }
-        ctx.now().nanos()
-    });
-    black_box(sim.run().makespan().nanos())
-}
-
-fn speculation_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("speculation_overhead");
-    g.sample_size(20);
-    const OPS: u64 = 200;
-    g.bench_function("device_loop_sequential", |b| {
-        b.iter(|| black_box(device_loop(Execution::Sequential, OPS)))
-    });
-    g.bench_function("device_loop_checkpoint_commit", |b| {
-        b.iter(|| black_box(device_loop(Execution::Speculative { threads: 1 }, OPS)))
-    });
-    g.bench_function("device_loop_rollback_replay", |b| {
-        hpcbd_simnet::set_spec_bug(Some(hpcbd_simnet::SpecBug::ForceReplay));
-        b.iter(|| black_box(device_loop(Execution::Speculative { threads: 1 }, OPS)));
-        hpcbd_simnet::set_spec_bug(None);
     });
     set_default_execution(Execution::Sequential);
     g.finish();
@@ -385,7 +338,6 @@ criterion_group!(
     benches,
     queue_churn,
     engine_handoff,
-    speculation_overhead,
     tracing_overhead,
     telemetry_overhead,
     compute_loop,

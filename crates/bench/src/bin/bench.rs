@@ -2,11 +2,9 @@
 //!
 //! Times the fig3 / fig4 / fig6 pipelines (the three artifacts that
 //! stress the engine hardest: many-process collectives, disk-bound
-//! scans, iterative allreduce) at `--quick` and paper scale, under all
-//! three execution modes (sequential, parallel, speculative), and
-//! writes the measurements to `BENCH_simnet.json`. Speculative rows
-//! carry the engine's optimistic commit/rollback counters so the
-//! artifact attributes *why* the mode was (or wasn't) faster.
+//! scans, iterative allreduce) at `--quick` and paper scale, under both
+//! execution modes (sequential, parallel), and writes the measurements
+//! to `BENCH_simnet.json`.
 //! CI runs this and uploads the artifact so every PR leaves a data point
 //! on the simulator's host-performance trajectory (ROADMAP: "as fast as
 //! the hardware allows").
@@ -82,11 +80,6 @@ struct Measurement {
     wall_min_s: f64,
     wall_mean_s: f64,
     table_digest: u64,
-    /// Speculative commits/rollbacks summed across the row's runs.
-    /// Zero in non-speculative modes; wall-clock-schedule-dependent in
-    /// speculative ones (attribution only — never part of a digest).
-    spec_commits: u64,
-    spec_rollbacks: u64,
     /// Extra JSON fields appended to the row (multi-tenant scheduler
     /// counters for the `datacenter` artifact; empty otherwise). Must
     /// start with ", " when non-empty.
@@ -102,7 +95,6 @@ fn measure(
     f: &dyn Fn() -> String,
 ) -> Measurement {
     set_default_execution(exec);
-    let _ = hpcbd_simnet::spec_counters_take();
     let mut times = Vec::with_capacity(runs);
     let mut dig = 0u64;
     for _ in 0..runs {
@@ -111,18 +103,9 @@ fn measure(
         times.push(t0.elapsed().as_secs_f64());
         dig = digest(&table);
     }
-    let (spec_commits, spec_rollbacks) = hpcbd_simnet::spec_counters_take();
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
-    eprintln!(
-        "  {artifact}/{scale}/{mode_name}: min {min:.3}s mean {mean:.3}s (x{runs})\
-         {}",
-        if spec_commits + spec_rollbacks > 0 {
-            format!(" spec: {spec_commits} commit(s), {spec_rollbacks} rollback(s)")
-        } else {
-            String::new()
-        }
-    );
+    eprintln!("  {artifact}/{scale}/{mode_name}: min {min:.3}s mean {mean:.3}s (x{runs})");
     Measurement {
         artifact,
         scale,
@@ -131,8 +114,6 @@ fn measure(
         wall_min_s: min,
         wall_mean_s: mean,
         table_digest: dig,
-        spec_commits,
-        spec_rollbacks,
         extra_json: String::new(),
     }
 }
@@ -261,16 +242,10 @@ fn main() {
             let seq = digest(&f());
             set_default_execution(Execution::Parallel { threads });
             let par = digest(&f());
-            set_default_execution(Execution::Speculative { threads });
-            let spec = digest(&f());
             set_default_execution(Execution::Sequential);
             assert_eq!(
                 seq, par,
                 "{artifact}/{scale}: sequential and parallel tables differ — determinism break"
-            );
-            assert_eq!(
-                seq, spec,
-                "{artifact}/{scale}: sequential and speculative tables differ — determinism break"
             );
             println!("{artifact}/{scale} table_digest={seq:016x}");
         }
@@ -328,25 +303,12 @@ fn main() {
                 *runs,
                 f,
             );
-            let spec = measure(
-                artifact,
-                scale,
-                &format!("speculative:{threads}"),
-                Execution::Speculative { threads },
-                *runs,
-                f,
-            );
             assert_eq!(
                 seq.table_digest, par.table_digest,
                 "{artifact}/{scale}: sequential and parallel tables differ — determinism break"
             );
-            assert_eq!(
-                seq.table_digest, spec.table_digest,
-                "{artifact}/{scale}: sequential and speculative tables differ — determinism break"
-            );
             measurements.push(seq);
             measurements.push(par);
-            measurements.push(spec);
         }
         for (scale, quick, runs, f) in &dc_cases {
             let extra = datacenter_extra(*quick);
@@ -366,23 +328,11 @@ fn main() {
                 *runs,
                 f,
             );
-            let spec = measure(
-                "datacenter",
-                scale,
-                &format!("speculative:{threads}"),
-                Execution::Speculative { threads },
-                *runs,
-                f,
-            );
             assert_eq!(
                 seq.table_digest, par.table_digest,
                 "datacenter/{scale}: sequential and parallel tables differ — determinism break"
             );
-            assert_eq!(
-                seq.table_digest, spec.table_digest,
-                "datacenter/{scale}: sequential and speculative tables differ — determinism break"
-            );
-            for mut m in [seq, par, spec] {
+            for mut m in [seq, par] {
                 m.extra_json = extra.clone();
                 measurements.push(m);
             }
@@ -410,9 +360,15 @@ fn main() {
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"artifact\": \"{}\", \"scale\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"wall_min_s\": {:.6}, \"wall_mean_s\": {:.6}, \"table_digest\": \"{:016x}\", \"spec_commits\": {}, \"spec_rollbacks\": {}{}}}",
-            m.artifact, m.scale, m.mode, m.runs, m.wall_min_s, m.wall_mean_s, m.table_digest,
-            m.spec_commits, m.spec_rollbacks, m.extra_json
+            "    {{\"artifact\": \"{}\", \"scale\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"wall_min_s\": {:.6}, \"wall_mean_s\": {:.6}, \"table_digest\": \"{:016x}\"{}}}",
+            m.artifact,
+            m.scale,
+            m.mode,
+            m.runs,
+            m.wall_min_s,
+            m.wall_mean_s,
+            m.table_digest,
+            m.extra_json
         );
         json.push_str(if i + 1 < measurements.len() {
             ",\n"

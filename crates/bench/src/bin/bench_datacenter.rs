@@ -1,5 +1,5 @@
 //! The "busy datacenter day": all five runtimes' workloads replayed
-//! concurrently through the multi-tenant scheduler (DESIGN.md §16).
+//! concurrently through the multi-tenant scheduler (DESIGN.md §15).
 //!
 //! Three sections run back to back — an idle baseline, the diurnal rush
 //! over the batch backbone, and the same rush with preemption disabled.

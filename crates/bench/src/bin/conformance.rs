@@ -12,22 +12,20 @@
 //!   registry after an intentional behaviour change; the PR diff then
 //!   shows exactly which table rows moved.
 //! * `conformance explore [--seed N] [--schedules N] [--threads N]
-//!   [--speculative] [--pipeline fig3|fig6|fault|all]
-//!   [--repro-out PATH]` — run the schedule-perturbation explorer
-//!   (`hpcbd-check`) over representative pipelines; `--speculative`
-//!   drives the perturbed runs under the Time Warp engine; on
-//!   divergence, write a replayable repro file and fail.
+//!   [--pipeline fig3|fig6|fault|all] [--repro-out PATH]` — run the
+//!   schedule-perturbation explorer (`hpcbd-check`) over representative
+//!   pipelines; on divergence, write a replayable repro file and fail.
 //! * `conformance lint [--pipeline ...]` — run the determinism lint
-//!   matrix (thread sweep, speculative sweep, shuffled polling,
-//!   allocator poisoning) over the same pipelines.
+//!   matrix (thread sweep, shuffled polling, allocator poisoning,
+//!   telemetry identity) over the same pipelines.
 //! * `conformance campaign [--seed N] [--campaigns N] [--plan-out PATH]`
 //!   — run the seeded fault-campaign explorer (`hpcbd-check`): first a
 //!   self-test that plants [`hpcbd_minimpi::RecoveryBug`] and demands
 //!   the harness catch the silent corruption (with a shrunk minimal
 //!   plan), then N adversarial campaigns per runtime (MPI, SHMEM,
-//!   Spark) under every execution mode (sequential, parallel,
-//!   speculative), each of which must end digest-equal to the
-//!   fault-free oracle or in a structured abort.
+//!   Spark) under both execution modes (sequential, parallel), each of
+//!   which must end digest-equal to the fault-free oracle or in a
+//!   structured abort.
 //!
 //! Exit status is the gate verdict: 0 clean, 1 divergence/mismatch,
 //! 2 usage or environment error.
@@ -64,21 +62,19 @@ const BINS: &[(&str, &[&str])] = &[
     ("bench_datacenter", &["--quick"]),
 ];
 
-/// Bins additionally re-run under `HPCBD_EXECUTION=parallel:4` and
-/// `HPCBD_EXECUTION=speculative:4` against the same goldens: a cheap
-/// cross-mode determinism check on the two pipelines that stress the
-/// scheduler hardest (iterative allreduce, fault recovery). The
-/// speculative runs are the gate's Time Warp coverage: optimistic
-/// commits and rollbacks must leave every golden byte untouched.
+/// Bins additionally re-run under `HPCBD_EXECUTION=parallel:4` against
+/// the same goldens: a cheap cross-mode determinism check on the
+/// pipelines that stress the scheduler hardest (iterative allreduce,
+/// fault recovery, the multi-tenant day).
 const CROSS_MODE: &[&str] = &["fig6", "ablation_fault_sweep", "bench_datacenter"];
-const CROSS_MODE_EXECUTIONS: &[&str] = &["parallel:4", "speculative:4"];
+const CROSS_MODE_EXECUTION: &str = "parallel:4";
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: conformance <gate|explore|lint|campaign> [options]\n\
          \n\
          gate     [--bless] [--golden DIR]\n\
-         explore  [--seed N] [--schedules N] [--threads N] [--speculative]\n\
+         explore  [--seed N] [--schedules N] [--threads N]\n\
          \x20        [--pipeline fig3|fig6|fault|all] [--repro-out PATH]\n\
          lint     [--pipeline fig3|fig6|fault|all]\n\
          campaign [--seed N] [--campaigns N] [--plan-out PATH]"
@@ -204,39 +200,36 @@ fn gate(args: &[String]) -> ExitCode {
     // Cross-mode: the same goldens must reproduce under the parallel
     // engine — goldens double as cross-mode determinism oracles.
     if !bless {
+        let exec = CROSS_MODE_EXECUTION;
         for name in CROSS_MODE {
             let extra = BINS
                 .iter()
                 .find(|(n, _)| n == name)
                 .map(|(_, e)| *e)
                 .unwrap();
-            for exec in CROSS_MODE_EXECUTIONS {
-                match run_bin(name, extra, Some(exec)) {
-                    Ok(output) => check(
-                        &registry,
-                        &mut failures,
-                        name,
-                        &output,
-                        &format!("{name} [{exec}]"),
-                    ),
-                    Err(e) => {
-                        failures += 1;
-                        println!("  FAIL {name} [{exec}]: {e}");
-                    }
+            match run_bin(name, extra, Some(exec)) {
+                Ok(output) => check(
+                    &registry,
+                    &mut failures,
+                    name,
+                    &output,
+                    &format!("{name} [{exec}]"),
+                ),
+                Err(e) => {
+                    failures += 1;
+                    println!("  FAIL {name} [{exec}]: {e}");
                 }
             }
         }
 
         // Phase-attributed reports must be byte-identical across modes.
-        for exec in CROSS_MODE_EXECUTIONS {
-            match report_cross_mode(exec) {
-                Ok(()) => println!("  PASS fig6 report [sequential == {exec}]"),
-                Err(e) => {
-                    failures += 1;
-                    println!("  FAIL fig6 report cross-mode [{exec}]:");
-                    for line in e.lines() {
-                        println!("       {line}");
-                    }
+        match report_cross_mode(exec) {
+            Ok(()) => println!("  PASS fig6 report [sequential == {exec}]"),
+            Err(e) => {
+                failures += 1;
+                println!("  FAIL fig6 report cross-mode [{exec}]:");
+                for line in e.lines() {
+                    println!("       {line}");
                 }
             }
         }
@@ -378,7 +371,6 @@ fn explore(args: &[String]) -> ExitCode {
     let threads: usize = flag_value(args, "--threads")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let speculative = args.iter().any(|a| a == "--speculative");
     let filter = flag_value(args, "--pipeline").unwrap_or_else(|| "all".to_string());
     let repro_out = flag_value(args, "--repro-out");
     let pipes = match pipelines(&filter) {
@@ -388,14 +380,12 @@ fn explore(args: &[String]) -> ExitCode {
 
     println!(
         "conformance explore: seed={seed:#x} schedules={schedules} threads={threads} \
-         pipelines={filter}{}",
-        if speculative { " (speculative)" } else { "" }
+         pipelines={filter}"
     );
     for (name, workload) in pipes {
         let report = Explorer::new(seed)
             .schedules(schedules)
             .threads(threads)
-            .speculative(speculative)
             .explore(workload);
         match &report.divergence {
             None => println!(
@@ -413,9 +403,8 @@ fn explore(args: &[String]) -> ExitCode {
                         "hpcbd conformance divergence repro\n\
                          pipeline:  {name}\n\
                          command:   conformance explore --pipeline {name} --seed {seed:#x} \
-                         --schedules {schedules} --threads {threads}{}\n\
+                         --schedules {schedules} --threads {threads}\n\
                          oracle sha256: {}\n\n{}",
-                        if speculative { " --speculative" } else { "" },
                         report.oracle_digest,
                         d.render()
                     );
@@ -699,16 +688,11 @@ fn campaign(args: &[String]) -> ExitCode {
 
     let mut failures = 0u32;
     let mut artifact = String::new();
-    for exec in [
-        Execution::Sequential,
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
+    for exec in [Execution::Sequential, Execution::Parallel { threads: 4 }] {
         set_default_execution(exec);
         let mode = match exec {
             Execution::Sequential => "sequential",
             Execution::Parallel { .. } => "parallel:4",
-            Execution::Speculative { .. } => "speculative:4",
         };
         for subject in campaign_workloads::subjects() {
             let campaigns = generate_campaigns(&subject.space, seed, count);

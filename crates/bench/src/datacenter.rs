@@ -1,6 +1,6 @@
 //! The "busy datacenter day" scenario: every runtime's workloads
 //! replayed concurrently through the multi-tenant scheduler
-//! (DESIGN.md §16, `bench_datacenter`).
+//! (DESIGN.md §15, `bench_datacenter`).
 //!
 //! Three sections run back to back on the same cluster spec:
 //!
@@ -12,8 +12,8 @@
 //!    disabled: the control for what queue-share reclamation buys.
 //!
 //! Everything is virtual-time deterministic, so the rendered table is
-//! byte-identical across sequential/parallel/speculative execution —
-//! CI diffs the three.
+//! byte-identical across sequential and parallel execution — CI diffs
+//! the two.
 
 use hpcbd_sched::{
     factory, quantile_ns, run, QueueSpec, RateProcess, ScenarioOutcome, ScenarioSpec, SourceSpec,

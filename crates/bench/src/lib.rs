@@ -31,7 +31,7 @@
 //! `--report PATH` (phase-attributed JSON run report, DESIGN.md §10),
 //! `--perfetto PATH` (Chrome-tracing export with causal flow arrows)
 //! and `--telemetry` / `--telemetry-out PATH` (live virtual-time
-//! telemetry, DESIGN.md §15) via the shared [`BenchArgs`] parser. Criterion benches
+//! telemetry, DESIGN.md §14) via the shared [`BenchArgs`] parser. Criterion benches
 //! (`cargo bench`) time the *simulator's wall-clock cost* on small
 //! configurations of the same experiments; `bench_hotpath` times the
 //! engine's scheduling/tracing machinery itself.

@@ -272,8 +272,6 @@ mod tests {
             ],
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         }
     }
 
@@ -292,8 +290,6 @@ mod tests {
             labels: "".into(),
             op: hpcbd_simnet::MetricOp::CounterAdd(1),
         });
-        on.spec_commits = 7;
-        on.spec_rollbacks = 2;
         assert_eq!(capture_digest(&[cap()]), capture_digest(&[on.clone()]));
         assert!(compare_runs(&[cap()], &[on]).is_none());
     }

@@ -108,7 +108,6 @@ pub struct Explorer {
     seed: u64,
     schedules: usize,
     threads: usize,
-    speculative: bool,
 }
 
 impl Explorer {
@@ -119,7 +118,6 @@ impl Explorer {
             seed,
             schedules: 8,
             threads: 4,
-            speculative: false,
         }
     }
 
@@ -135,16 +133,6 @@ impl Explorer {
         self
     }
 
-    /// Drive the perturbed runs under [`Execution::Speculative`] instead
-    /// of [`Execution::Parallel`]. The perturbation's speculation knobs
-    /// (defeats, forced replays) only bite in this mode, so a
-    /// speculative exploration stresses the optimistic commit/rollback
-    /// machinery against the same sequential oracle.
-    pub fn speculative(mut self, yes: bool) -> Explorer {
-        self.speculative = yes;
-        self
-    }
-
     /// The perturbation seed used for schedule `i` (stable across
     /// explorer configurations, so a reported seed can be replayed
     /// directly).
@@ -156,6 +144,11 @@ impl Explorer {
     /// must build and run the same simulation(s) from scratch.
     pub fn explore<F: Fn()>(&self, workload: F) -> ExploreReport {
         let _guard = harness_lock();
+        self.explore_locked(workload)
+    }
+
+    /// [`Explorer::explore`] for a caller that holds [`harness_lock`].
+    fn explore_locked<F: Fn()>(&self, workload: F) -> ExploreReport {
         let _restore = RestoreGlobals::capture();
 
         set_perturbation(None);
@@ -183,14 +176,8 @@ impl Explorer {
         for i in 0..self.schedules {
             let seed = self.schedule_seed(i);
             set_perturbation(Some(Perturbation::from_seed(seed)));
-            set_default_execution(if self.speculative {
-                Execution::Speculative {
-                    threads: self.threads,
-                }
-            } else {
-                Execution::Parallel {
-                    threads: self.threads,
-                }
+            set_default_execution(Execution::Parallel {
+                threads: self.threads,
             });
             let run = run_captured(&workload);
             if let Some(mut d) = compare_runs(&oracle, &run) {
@@ -204,9 +191,8 @@ impl Explorer {
                     Classification::HostNondeterminism
                 });
                 d.condition = format!(
-                    "perturbed schedule #{i} seed={seed:#018x} threads={}{}",
-                    self.threads,
-                    if self.speculative { " speculative" } else { "" }
+                    "perturbed schedule #{i} seed={seed:#018x} threads={}",
+                    self.threads
                 );
                 return ExploreReport {
                     schedules_run: i + 1,
@@ -255,8 +241,8 @@ mod tests {
     }
 
     /// Device-contention workload: every process hammers its node's
-    /// scratch disk and the shared NFS server, so validated-class
-    /// speculations frequently find their snapshot stale and replay.
+    /// scratch disk and the shared NFS server, so the order in which
+    /// reservations reach a device cell decides every completion time.
     fn disk_contention_workload() {
         let tr = Transport::ipoib_socket();
         let n = 6u32;
@@ -276,11 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn speculative_exploration_of_contended_devices_is_clean() {
+    fn exploration_of_contended_devices_is_clean() {
         let report = Explorer::new(0x5bec)
             .schedules(6)
             .threads(4)
-            .speculative(true)
             .explore(disk_contention_workload);
         assert_eq!(report.schedules_run, 6);
         report.assert_deterministic();
@@ -296,8 +281,12 @@ mod tests {
 
     #[test]
     fn globals_are_restored_after_explore() {
+        // Sibling tests set the globals under the lock; read them under it.
+        let _guard = harness_lock();
         let before = default_execution();
-        Explorer::new(3).schedules(1).explore(ping_pong_workload);
+        Explorer::new(3)
+            .schedules(1)
+            .explore_locked(ping_pong_workload);
         assert_eq!(default_execution(), before);
         assert!(hpcbd_simnet::current_perturbation().is_none());
     }

@@ -10,14 +10,10 @@
 //!   seeds, iteration over address-keyed maps, wall-clock reads).
 //! * **thread-count sweep** — parallel mode at 1, 2 and 8 threads;
 //!   catches results that depend on how many compute segments overlap.
-//! * **speculative sweep** — speculative (Time Warp) mode at 2 and 4
-//!   threads; catches results that leak which operations committed
-//!   optimistically versus conservatively, or rolled back and replayed.
 //! * **shuffled shard polling** — perturbation seeds that jitter and
 //!   reorder every queue interaction (holds, token keeps, fast-path
-//!   defeats, speculation defeats, forced replays), so processes poll
-//!   shared state in shuffled wall-clock orders; catches "first poller
-//!   wins" races. Runs under both parallel and speculative mode.
+//!   defeats), so processes poll shared state in shuffled wall-clock
+//!   orders; catches "first poller wins" races.
 //! * **allocator-address poisoning** — a seeded set of junk heap
 //!   allocations is held alive across the run, shifting every address
 //!   the workload's own allocations land on; catches any ordering
@@ -25,11 +21,11 @@
 //! * **telemetry digest identity** — the same sequential run with
 //!   telemetry sampling on must produce the *same conformance digest*
 //!   as the telemetry-off oracle: telemetry is excluded from digests
-//!   (like `spec_commits`) and must never perturb the simulation.
+//!   and must never perturb the simulation.
 //! * **telemetry cross-mode identity** — the serialized telemetry
-//!   section itself must be byte-identical across sequential,
-//!   parallel and speculative execution; catches any wall-clock or
-//!   schedule state leaking into a metric series.
+//!   section itself must be byte-identical across sequential and
+//!   parallel execution; catches any wall-clock or schedule state
+//!   leaking into a metric series.
 //!
 //! All conditions compare against the same sequential oracle, so a lint
 //! pass certifies one workload across the whole condition matrix.
@@ -44,8 +40,6 @@ use crate::explore::{harness_lock, run_captured, RestoreGlobals};
 
 /// Thread counts the sweep condition runs at.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-/// Thread counts the speculative sweep runs at.
-const SPEC_SWEEP: [usize; 2] = [2, 4];
 /// Base seeds for the shuffled-polling condition.
 const POLL_SEEDS: [u64; 2] = [0xD00D, 0xFEED];
 /// Rounds of allocator poisoning.
@@ -133,35 +127,15 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
         }
     }
 
-    for t in SPEC_SWEEP {
-        set_default_execution(Execution::Speculative { threads: t });
-        if let Some(d) = check(format!("speculative sweep t={t}"), &mut conditions) {
+    set_default_execution(Execution::Parallel { threads: 4 });
+    for seed in POLL_SEEDS {
+        set_perturbation(Some(Perturbation::from_seed(seed)));
+        let cond = format!("shuffled polling seed={seed:#x}");
+        if let Some(d) = check(cond, &mut conditions) {
             return LintReport {
                 conditions,
                 divergence: Some(d),
             };
-        }
-    }
-
-    for seed in POLL_SEEDS {
-        set_perturbation(Some(Perturbation::from_seed(seed)));
-        for exec in [
-            Execution::Parallel { threads: 4 },
-            Execution::Speculative { threads: 4 },
-        ] {
-            set_default_execution(exec);
-            let mode = if matches!(exec, Execution::Speculative { .. }) {
-                "speculative"
-            } else {
-                "parallel"
-            };
-            let cond = format!("shuffled polling seed={seed:#x} mode={mode}");
-            if let Some(d) = check(cond, &mut conditions) {
-                return LintReport {
-                    conditions,
-                    divergence: Some(d),
-                };
-            }
         }
     }
     set_perturbation(None);
@@ -211,30 +185,18 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
     // Telemetry cross-mode identity: the serialized telemetry section
     // must be byte-identical whichever execution mode produced it.
     let oracle_telemetry = serialize_telemetry(&telemetry_seq);
-    for exec in [
-        Execution::Parallel { threads: 2 },
-        Execution::Speculative { threads: 2 },
-    ] {
-        set_default_execution(exec);
-        let mode = if matches!(exec, Execution::Speculative { .. }) {
-            "speculative"
-        } else {
-            "parallel"
-        };
-        let cond = format!("telemetry cross-mode identity mode={mode}");
-        conditions.push(cond.clone());
-        let run = run_captured(&workload);
-        let got = serialize_telemetry(&run);
-        if oracle_telemetry != got {
-            let d = first_telemetry_divergence(&cond, &oracle_telemetry, &got);
-            set_telemetry_interval(None);
-            return LintReport {
-                conditions,
-                divergence: Some(d),
-            };
-        }
-    }
+    set_default_execution(Execution::Parallel { threads: 2 });
+    let cond = "telemetry cross-mode identity";
+    conditions.push(cond.into());
+    let got = serialize_telemetry(&run_captured(&workload));
     set_telemetry_interval(None);
+    if oracle_telemetry != got {
+        let d = first_telemetry_divergence(cond, &oracle_telemetry, &got);
+        return LintReport {
+            conditions,
+            divergence: Some(d),
+        };
+    }
 
     LintReport {
         conditions,
@@ -320,10 +282,9 @@ mod tests {
     fn clean_workload_passes_the_full_matrix() {
         let report = lint_workload(ring_workload);
         report.assert_clean();
-        // replay + 3 thread counts + 2 speculative counts
-        // + 2 poll seeds x 2 modes + 2 poison rounds
-        // + telemetry digest identity + 2 telemetry cross-mode runs.
-        assert_eq!(report.conditions.len(), 15);
+        // replay + 3 thread counts + 2 poll seeds + 2 poison rounds
+        // + telemetry digest identity + telemetry cross-mode identity.
+        assert_eq!(report.conditions.len(), 10);
     }
 
     #[test]

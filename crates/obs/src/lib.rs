@@ -21,10 +21,9 @@
 //! * [`metrics`] builds live telemetry: a lock-sharded metrics
 //!   registry sampled at virtual-time ticks into windowed time-series
 //!   (queue depth, device utilization, latency quantiles) with SLO
-//!   monitors — the report's optional `telemetry` key.
-//! * [`selfprof`] folds the engine's host-side self-profiler counters
-//!   into the `host_profile` rows (wall-clock-dependent, opt-in via
-//!   `HPCBD_SELFPROF`).
+//!   monitors — the report's optional `telemetry` key, which also
+//!   carries the engine's self-profiler snapshot as `host_profile`
+//!   (wall-clock-dependent, opt-in via `HPCBD_SELFPROF`).
 //!
 //! Everything here is a pure function of the captured run — which is
 //! itself a pure function of virtual-time state — so reports are
@@ -42,7 +41,6 @@ pub mod metrics;
 pub mod perfetto;
 pub mod recovery;
 pub mod report;
-pub mod selfprof;
 
 pub use causal::{match_events, CausalEdge, CausalGraph};
 pub use critical::{critical_path, Category, CriticalPath, Segment};
@@ -55,4 +53,3 @@ pub use metrics::{
 pub use perfetto::{to_perfetto_json, to_perfetto_json_with_telemetry};
 pub use recovery::{recovery_slos, FaultRecovery, RecoverySummary};
 pub use report::{PhaseRow, RunReport, RunSection};
-pub use selfprof::host_profile;

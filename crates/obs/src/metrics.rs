@@ -21,7 +21,7 @@
 //!    (from `Phase` spans — the existing `span_close` hook, no new
 //!    runtime API).
 //!
-//! ## Determinism rule (DESIGN.md §15)
+//! ## Determinism rule (DESIGN.md §14)
 //!
 //! Live engine state (how deep the ready queue actually was at a wall
 //! instant) depends on the execution mode and the host schedule, so it
@@ -29,9 +29,9 @@
 //! byte-identity contract. Every series here is instead a pure function
 //! of virtual-time state: the sorted event stream and the sorted metric
 //! points, both of which are already bit-identical across
-//! `sequential` / `parallel` / `speculative:N`. Telemetry therefore
-//! serializes byte-identically across modes, and is excluded from
-//! conformance digests exactly like `spec_commits`.
+//! `sequential` / `parallel:N`. Telemetry therefore serializes
+//! byte-identically across modes, and is excluded from conformance
+//! digests.
 //!
 //! ## Sampler tick semantics
 //!
@@ -548,7 +548,7 @@ pub struct Telemetry {
     pub slo: Vec<SloOutcome>,
     /// Host self-profiler rows (`(name, count)`), present only when
     /// `HPCBD_SELFPROF` is on. Wall-clock-dependent by design — never
-    /// part of cross-mode comparisons (see [`crate::selfprof`]).
+    /// part of cross-mode comparisons (see [`hpcbd_simnet::selfprof`]).
     pub host_profile: Option<Vec<(String, u64)>>,
 }
 
@@ -838,8 +838,6 @@ mod tests {
             events,
             telemetry_interval: interval,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         }
     }
 

@@ -177,8 +177,6 @@ mod tests {
             dropped_msgs: 0,
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
             events: vec![
                 // Crash back-dated to t=1000; duplicate record later.
                 at(

@@ -227,10 +227,16 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
     top.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (&a.0, a.1).cmp(&(&b.0, b.1))));
     top.truncate(TOP_K);
 
-    // Attach the (wall-clock, opt-in) host profile to the telemetry
+    // Attach the host profile (the engine's self-profiler snapshot:
+    // wall-clock-dependent, only under `HPCBD_SELFPROF`) to the telemetry
     // section; without telemetry there is nowhere to surface it.
     let telemetry = collect_telemetry(cap).map(|mut t| {
-        t.host_profile = crate::selfprof::host_profile(cap);
+        t.host_profile = hpcbd_simnet::selfprof_enabled().then(|| {
+            hpcbd_simnet::selfprof_snapshot()
+                .into_iter()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect()
+        });
         t
     });
 
@@ -590,8 +596,6 @@ mod tests {
             dropped_msgs: 0,
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
             events: vec![
                 ev(
                     0,
@@ -769,6 +773,24 @@ mod tests {
         let txt = on.render_text();
         assert!(txt.contains("telemetry:"), "text: {txt}");
         assert!(txt.contains("slo "), "text: {txt}");
+    }
+
+    #[test]
+    fn host_profile_is_the_selfprof_snapshot_when_the_profiler_is_on() {
+        let mut cap = small_capture();
+        cap.telemetry_interval = Some(10);
+        let profile = |cap: &RunCapture| build_section(0, cap).telemetry.unwrap().host_profile;
+        // The profiler flag is process-global; drive it explicitly and
+        // restore the off state afterwards.
+        hpcbd_simnet::set_selfprof(false);
+        assert!(profile(&cap).is_none());
+        hpcbd_simnet::set_selfprof(true);
+        let rows = profile(&cap).expect("profiler on");
+        hpcbd_simnet::set_selfprof(false);
+        let names: Vec<&str> = rows.iter().map(|r| r.0.as_str()).collect();
+        let mut want = hpcbd_simnet::HOST_OP_NAMES.to_vec();
+        want.extend(["run_wall_ns", "runs"]);
+        assert_eq!(names, want);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `hpcbd-sched` — the multi-tenant cluster scheduler and open-loop
-//! traffic generator (DESIGN.md §16).
+//! traffic generator (DESIGN.md §15).
 //!
 //! Every benchmark before this crate ran one job on an idle cluster. The
 //! paper's HPC-vs-Big-Data comparison, though, is really about shared
@@ -22,9 +22,9 @@
 //! Determinism: arrival traces are computed before `Sim::run`; every
 //! scheduling decision happens inside one scheduler process at virtual
 //! times fixed by the engine's `(time, pid, generation)` total order; no
-//! host state leaks in. Sequential, parallel and speculative execution
-//! therefore produce bit-identical schedules, latencies and counters —
-//! CI byte-compares the three.
+//! host state leaks in. Sequential and parallel execution therefore
+//! produce bit-identical schedules, latencies and counters — CI
+//! byte-compares the two.
 
 #![warn(missing_docs)]
 

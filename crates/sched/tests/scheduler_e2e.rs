@@ -337,8 +337,8 @@ fn digest(out: &ScenarioOutcome) -> String {
 /// take this lock so each really runs under the mode it set.
 static MODE_SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// The tentpole determinism claim: sequential, parallel and speculative
-/// execution produce bit-identical schedules, latencies and counters.
+/// The tentpole determinism claim: sequential and parallel execution
+/// produce bit-identical schedules, latencies and counters.
 #[test]
 fn mixed_scenario_is_identical_across_execution_modes() {
     let _sweep = MODE_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
@@ -346,14 +346,8 @@ fn mixed_scenario_is_identical_across_execution_modes() {
     set_default_execution(Execution::Sequential);
     let base = digest(&run(&spec));
     assert!(base.contains("done="), "sanity: {base}");
-    for exec in [
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
-        set_default_execution(exec);
-        let got = digest(&run(&spec));
-        assert_eq!(base, got, "divergence under {exec:?}");
-    }
+    set_default_execution(Execution::Parallel { threads: 4 });
+    assert_eq!(base, digest(&run(&spec)), "divergence under parallel:4");
     set_default_execution(Execution::Sequential);
 }
 
@@ -426,11 +420,7 @@ fn wide_cluster_completes_leaks_nothing_and_matches_across_modes() {
     let (spec, trace) = wide_cluster_trace();
     let tasks: u64 = trace.iter().map(|(_, j)| j.total_tasks() as u64).sum();
     let mut base: Option<String> = None;
-    for exec in [
-        Execution::Sequential,
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
+    for exec in [Execution::Sequential, Execution::Parallel { threads: 4 }] {
         set_default_execution(exec);
         let out = run_trace(&spec, trace.clone());
         let q = &out.stats.queues;

@@ -184,6 +184,10 @@ pub fn collective_memo_stats() -> (u64, u64) {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that look up the allreduce memo: one asserts
+    /// on deltas of its process-global miss counter.
+    static MEMO_GUARD: Mutex<()> = Mutex::new(());
+
     #[test]
     fn duration_combines_flops_and_bytes() {
         let node = NodeSpec::comet();
@@ -205,6 +209,7 @@ mod tests {
 
     #[test]
     fn allreduce_selection_rule() {
+        let _g = MEMO_GUARD.lock();
         // Small vectors: latency-optimal recursive doubling.
         assert_eq!(allreduce_algo(4, 1024), AllreduceAlgo::RecursiveDoubling);
         assert_eq!(
@@ -222,6 +227,7 @@ mod tests {
 
     #[test]
     fn allreduce_memo_caches_repeat_lookups() {
+        let _g = MEMO_GUARD.lock();
         // An unusual key no other test uses, so the first lookup misses.
         let key = (16u32, 777_777u64);
         let (_, m0) = collective_memo_stats();

@@ -42,15 +42,6 @@
 //!   in-flight `q`. Under that rule every grant decision is identical to
 //!   the sequential schedule, making virtual times, results, and stats
 //!   **bit-identical** across modes (see DESIGN.md §"Parallel engine").
-//! * [`Execution::Speculative`]: parallel, plus anti-message-free
-//!   optimistic execution past the conservative frontier — sends are
-//!   buffered and committed by the dispatcher at their order key while
-//!   the sender keeps computing, and device reservations are predicted
-//!   against a snapshot, validated at the order key, and rolled back +
-//!   replayed when stale. Every shared mutation still lands in exact
-//!   `(virtual time, pid, generation)` order, so results stay
-//!   bit-identical with the other modes (see [`crate::speculate`] and
-//!   DESIGN.md §14).
 //!
 //! # Host-performance structure (DESIGN.md §9)
 //!
@@ -93,10 +84,6 @@ use crate::fs::SimFs;
 use crate::message::{MatchSpec, Message, Payload, Tag};
 use crate::parallel::{default_execution, Execution};
 use crate::queue::{CalendarQueue, OrderKey};
-use crate::speculate::{
-    SpecBug, SpecCell, SpecCheckpoint, SpecIo, SpecSend, SPEC_COOLDOWN_OPS, SPEC_THROTTLE_AFTER,
-    SPEC_WINDOW,
-};
 use crate::stats::ProcStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -160,12 +147,6 @@ enum WakeReason {
     Message,
     Timeout,
     Deadlock,
-    /// A parked speculation validated clean at its order key: resume
-    /// straight into the continuation, no token attached.
-    SpecCommit,
-    /// A parked speculation validated stale: the token is attached;
-    /// roll back to the checkpoint and replay against live state.
-    SpecReplay,
 }
 
 #[derive(Debug)]
@@ -176,9 +157,6 @@ enum Status {
         spec: MatchSpec,
         deadline: Option<SimTime>,
     },
-    /// Parked on an optimistic device reservation awaiting validation
-    /// at its order key (see [`crate::speculate`]).
-    Speculating(SpecIo),
     Done,
 }
 
@@ -230,11 +208,6 @@ struct SchedProc {
     gen: u64,
     status: Status,
     wake_reason: WakeReason,
-    /// Buffered speculative sends, FIFO in issue (= order-key) order.
-    /// Each has a matching ready-queue entry carrying its key; the
-    /// dispatcher pops from the front when that entry reaches the
-    /// global minimum. Bounded by [`SPEC_WINDOW`].
-    spec: std::collections::VecDeque<SpecSend>,
 }
 
 /// Scheduler state: the single lock on the align/dispatch hot path.
@@ -286,6 +259,17 @@ struct Mail {
     stats: ProcStats,
 }
 
+/// A device next-free cell, as [`Engine::reserve_cell`] addresses it.
+#[derive(Clone, Copy)]
+enum DeviceCell {
+    /// A node's NIC.
+    Nic(NodeId),
+    /// A node's scratch disk.
+    Disk(NodeId),
+    /// The shared NFS server.
+    Nfs,
+}
+
 /// Per-node device state: next-free times of the node's NIC and scratch
 /// disk. Touched only by processes on (or transferring from) this node,
 /// inside commit windows.
@@ -312,24 +296,6 @@ struct Engine {
     /// basis of faulty-run bit-determinism. Only advanced when the plan
     /// actually enables drops.
     fault_seq: AtomicU64,
-    /// Fault plan resolved at run start, for the dispatcher-side commit
-    /// of buffered speculative sends (same handle the per-process
-    /// contexts carry).
-    faults: Option<Arc<crate::faults::FaultPlan>>,
-    /// Whether tracing is active this run (dispatcher-side commits must
-    /// record fault events too).
-    tracing: bool,
-    /// Trace events produced by dispatcher-side commits of buffered
-    /// sends. Absorbed into the shared trace after the worker pool
-    /// exits; `Trace::sorted_events` makes the append order irrelevant.
-    commit_trace: Mutex<Vec<TraceEvent>>,
-    /// Speculation outcome counters (see [`crate::speculate`]). Wall-
-    /// clock-schedule-dependent: reported, never digested.
-    spec_commits: AtomicU64,
-    spec_rollbacks: AtomicU64,
-    /// Planted speculation bug (harness self-tests), resolved at run
-    /// start; `None` on normal runs.
-    spec_bug: Option<SpecBug>,
     /// Telemetry sampling interval resolved at run start (`None` off).
     /// Per-process contexts copy it into a `bool`; the report carries it
     /// so the observability layer knows the tick (see
@@ -374,9 +340,9 @@ struct Engine {
 /// grant it leaves in its run-next slot is worth a `futex_wake`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waker {
-    /// Keeps executing its coroutine (token release, speculative sleep
-    /// or send): the entry waits for as long as that compute segment
-    /// lasts unless another worker takes it.
+    /// Keeps executing its coroutine (token release): the entry waits
+    /// for as long as that compute segment lasts unless another worker
+    /// takes it.
     Runs,
     /// Parks or finishes right after: its own worker is free to drain
     /// the slot within nanoseconds.
@@ -659,15 +625,7 @@ impl Engine {
                 None => break,
                 Some(e) => e,
             };
-            // A buffered speculative send carries its own key; its gen is
-            // *behind* the process's current gen counter (later pushes
-            // bumped it), so the spec-queue head must be recognized
-            // before the staleness test can discard it.
-            let is_spec_send = g.procs[cand.pid.index()]
-                .spec
-                .front()
-                .is_some_and(|s| s.key.gen == cand.gen);
-            if !is_spec_send && g.procs[cand.pid.index()].gen != cand.gen {
+            if g.procs[cand.pid.index()].gen != cand.gen {
                 crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
                 g.runnable.pop_min(); // stale entry
                 continue;
@@ -686,31 +644,17 @@ impl Engine {
             // Conservative lookahead frontier: an in-flight process q
             // re-enters the queue at some (t, q) with t >= lb_q. Grant
             // `cand` only if no such future entry could order before it;
-            // otherwise wait for the in-flight set to drain. The
-            // candidate's own in-flight entry is excluded: a process's
-            // future re-entry always orders after its already-queued
-            // entries (clocks are monotone), and a speculating sender is
-            // in flight *while* its buffered keys sit in the queue.
+            // otherwise wait for the in-flight set to drain. (A process
+            // with a live queue entry is never itself in flight: aligning
+            // leaves the set before it pushes.)
             if g.inflight
                 .iter()
-                .any(|&(q, lb)| q != cand.pid && (cand.time, cand.pid) >= (lb, q))
+                .any(|&(q, lb)| (cand.time, cand.pid) >= (lb, q))
             {
                 return;
             }
             crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
             g.runnable.pop_min();
-            if is_spec_send {
-                // Commit the buffered send at its key point and keep
-                // walking: no token changes hands, so an entire run of
-                // ready speculative effects streams out of one dispatch.
-                let s = g.procs[cand.pid.index()]
-                    .spec
-                    .pop_front()
-                    .expect("spec head checked above");
-                self.commit_send(g, s);
-                self.spec_commits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
             let p = &mut g.procs[cand.pid.index()];
             match &p.status {
                 Status::Ready => {
@@ -725,35 +669,6 @@ impl Engine {
                     p.status = Status::Running;
                     p.wake_reason = WakeReason::Timeout;
                     p.clock = p.clock.max(cand.time);
-                }
-                Status::Speculating(io) => {
-                    // Validate the parked speculation at its order key.
-                    let io = *io;
-                    if self.validate_and_apply(&io, cand.pid, cand.gen) {
-                        // Clean: the prediction is now the committed
-                        // truth. Resume the process into its continuation
-                        // as in-flight compute — no token attached — and
-                        // keep walking.
-                        p.status = Status::Running;
-                        p.wake_reason = WakeReason::SpecCommit;
-                        p.clock = io.resume_clock;
-                        g.inflight.push((cand.pid, io.resume_clock));
-                        self.spec_commits.fetch_add(1, Ordering::Relaxed);
-                        self.wake(cand.pid, io.resume_clock, WakeReason::SpecCommit, waker);
-                        continue;
-                    }
-                    // Stale: grant the token so the process can roll back
-                    // and replay against live state. As token holder it
-                    // is the frontier, so the replay cannot lose again.
-                    p.status = Status::Running;
-                    p.wake_reason = WakeReason::SpecReplay;
-                    let clock = p.clock;
-                    crate::selfprof::host_count(crate::selfprof::HostOp::TokenGrant);
-                    crate::selfprof::host_count(crate::selfprof::HostOp::SpecReplay);
-                    g.turn = Some(cand.pid);
-                    self.spec_rollbacks.fetch_add(1, Ordering::Relaxed);
-                    self.wake(cand.pid, clock, WakeReason::SpecReplay, waker);
-                    return;
                 }
                 _ => continue, // defensive: not grantable
             }
@@ -783,10 +698,7 @@ impl Engine {
             }
             let mut doomed = Vec::new();
             for (i, p) in g.procs.iter_mut().enumerate() {
-                // A Speculating process cannot exist here (its queue
-                // entry is always processable once the in-flight set is
-                // empty), but wake it defensively rather than hang.
-                if matches!(p.status, Status::Blocked { .. } | Status::Speculating(_)) {
+                if matches!(p.status, Status::Blocked { .. }) {
                     p.status = Status::Running;
                     p.wake_reason = WakeReason::Deadlock;
                     doomed.push((Pid(i as u32), p.clock));
@@ -826,154 +738,23 @@ impl Engine {
         }
     }
 
-    /// Execute a buffered speculative send's shared effects at its order
-    /// key: NIC reservation, fault decisions (including the drop-hash
-    /// sequence number), delivery. Caller holds the sched lock and the
-    /// key is the global minimum, so every decision lands at exactly the
-    /// point of the global order where the sequential engine would have
-    /// made it. Stats deltas go to the sender's mail shard (merged with
-    /// its context stats at finish); trace events to `commit_trace`.
-    fn commit_send(&self, g: &mut Sched, s: SpecSend) {
-        crate::selfprof::host_count(crate::selfprof::HostOp::SendCommit);
-        let src = s.key.pid;
-        let src_node = self.shards[src.index()].node;
-        let mut arrival = if s.same_node {
-            s.sent_at + s.latency + s.wire
-        } else {
-            let mut nr = self.nodes[src_node.index()].lock();
-            let start = s.sent_at.max(nr.nic_free);
-            nr.nic_free = start + s.wire;
-            start + s.wire + s.latency
-        };
-        if !s.same_node {
-            if let Some(plan) = &self.faults {
-                let evs = send_fault_adjust(
-                    plan,
-                    &self.fault_seq,
-                    src_node,
-                    s.dst_node,
-                    s.dst,
-                    s.sent_at,
-                    s.bytes,
-                    s.wire,
-                    s.latency,
-                    &mut arrival,
-                );
-                if !evs.is_empty() {
-                    {
-                        let mut m = self.shards[src.index()].mail.lock();
-                        for &(_, extra) in &evs {
-                            m.stats.fault_events += 1;
-                            m.stats.fault_delay += extra;
-                        }
-                    }
-                    if self.tracing {
-                        let mut tb = self.commit_trace.lock();
-                        for (ev, _) in evs {
-                            tb.push(TraceEvent {
-                                pid: src,
-                                start: s.sent_at,
-                                end: s.sent_at,
-                                kind: crate::trace::EventKind::Fault(ev),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let msg = Message {
-            src,
-            dst: s.dst,
-            tag: s.tag,
-            bytes: s.bytes,
-            payload: s.payload,
-            sent_at: s.sent_at,
-            arrival,
-            recv_cost: s.recv_cost,
-        };
-        self.deliver(g, s.dst, msg);
-    }
-
-    /// Validate a parked speculation at its order key and, if clean,
-    /// publish the predicted reservation. Sound because device next-free
-    /// times are monotone: value equality with the snapshot implies the
-    /// conservative engine would compute the identical reservation here.
-    fn validate_and_apply(&self, io: &SpecIo, pid: Pid, gen: u64) -> bool {
-        crate::selfprof::host_count(crate::selfprof::HostOp::SpecValidate);
-        match self.spec_bug {
-            // Planted unsound commit check (harness self-test): trust
-            // the prediction — neither validate nor publish.
-            Some(SpecBug::TrustStalePrediction) => return true,
-            // Planted pessimal check: everything is "stale".
-            Some(SpecBug::ForceReplay) => return false,
-            None => {}
-        }
-        // Perturbation (conformance harness): treat a clean validation
-        // as stale. Replay recomputes the identical outcome from live
-        // state, so only the schedule moves, never a result.
-        if let Some(p) = &self.perturb {
-            if p.force_replay(pid.0, gen) {
-                return false;
-            }
-        }
-        match io.cell {
-            SpecCell::Nic(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                if nr.nic_free == io.snap {
-                    nr.nic_free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-            SpecCell::Disk(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                if nr.disk_free == io.snap {
-                    nr.disk_free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-            SpecCell::Nfs => {
-                let mut free = self.nfs_free.lock();
-                if *free == io.snap {
-                    *free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Current value of a device next-free cell (speculation read-set).
-    fn read_cell(&self, cell: SpecCell) -> SimTime {
-        match cell {
-            SpecCell::Nic(n) => self.nodes[n.index()].lock().nic_free,
-            SpecCell::Disk(n) => self.nodes[n.index()].lock().disk_free,
-            SpecCell::Nfs => *self.nfs_free.lock(),
-        }
-    }
-
     /// Reserve `dur` on a device cell starting no earlier than `at`;
-    /// returns the completion time. The conservative reservation shared
-    /// by the classic paths and speculative replays.
-    fn reserve_cell(&self, cell: SpecCell, at: SimTime, dur: SimDuration) -> SimTime {
+    /// returns the completion time. Caller holds the commit token.
+    fn reserve_cell(&self, cell: DeviceCell, at: SimTime, dur: SimDuration) -> SimTime {
         match cell {
-            SpecCell::Nic(n) => {
+            DeviceCell::Nic(n) => {
                 let mut nr = self.nodes[n.index()].lock();
                 let start = at.max(nr.nic_free);
                 nr.nic_free = start + dur;
                 start + dur
             }
-            SpecCell::Disk(n) => {
+            DeviceCell::Disk(n) => {
                 let mut nr = self.nodes[n.index()].lock();
                 let start = at.max(nr.disk_free);
                 nr.disk_free = start + dur;
                 start + dur
             }
-            SpecCell::Nfs => {
+            DeviceCell::Nfs => {
                 let mut free = self.nfs_free.lock();
                 let start = at.max(*free);
                 *free = start + dur;
@@ -981,93 +762,6 @@ impl Engine {
             }
         }
     }
-
-    /// Commit every still-buffered speculative send, in key order, at
-    /// shutdown (`live == 0`). Normal process finish drains its own
-    /// buffer by aligning, but a panicking or deadlock-doomed process
-    /// skips alignment; its sends must still commit so `dropped_msgs`
-    /// matches the sequential engine, which executed them inline.
-    fn drain_spec(&self, g: &mut Sched) {
-        let mut pending: Vec<SpecSend> = Vec::new();
-        for p in g.procs.iter_mut() {
-            pending.extend(p.spec.drain(..));
-        }
-        pending.sort_by_key(|s| s.key);
-        for s in pending {
-            self.commit_send(g, s);
-            self.spec_commits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The order-dependent part of a send's fault handling, shared by the
-/// classic in-window path and the dispatcher-side commit of buffered
-/// speculative sends: link degradation/partition delay and the
-/// drop-hash decision (which consumes a `fault_seq` number). Adjusts
-/// `arrival` in place and returns the fault events to attribute to the
-/// sender, each with its delay for the stats counters.
-#[allow(clippy::too_many_arguments)]
-fn send_fault_adjust(
-    plan: &crate::faults::FaultPlan,
-    fault_seq: &AtomicU64,
-    src_node: NodeId,
-    dst_node: NodeId,
-    dst: Pid,
-    sent_at: SimTime,
-    bytes: u64,
-    wire: SimDuration,
-    latency: SimDuration,
-    arrival: &mut SimTime,
-) -> Vec<(crate::faults::FaultEvent, SimDuration)> {
-    use crate::faults::{FaultEvent, LinkFault};
-    let mut evs = Vec::new();
-    match plan.link_fault(src_node, dst_node, sent_at) {
-        Some((LinkFault::Degrade(f), _)) => {
-            let base = wire + latency;
-            let extra = SimDuration::from_nanos((base.nanos() as f64 * (f - 1.0)).round() as u64);
-            *arrival += extra;
-            evs.push((
-                FaultEvent::LinkDegraded {
-                    dst_node,
-                    bytes,
-                    delay: extra,
-                },
-                extra,
-            ));
-        }
-        Some((LinkFault::Partition, until)) => {
-            let healed = until + plan.retransmit();
-            if healed > *arrival {
-                let extra = healed - *arrival;
-                *arrival = healed;
-                evs.push((
-                    FaultEvent::LinkPartitioned {
-                        dst_node,
-                        bytes,
-                        delay: extra,
-                    },
-                    extra,
-                ));
-            }
-        }
-        None => {}
-    }
-    if plan.has_drops() {
-        let seq = fault_seq.fetch_add(1, Ordering::Relaxed);
-        if plan.should_drop(seq) {
-            let extra = plan.retransmit();
-            *arrival += extra;
-            evs.push((
-                FaultEvent::MessageDropped {
-                    dst,
-                    bytes,
-                    delay: extra,
-                },
-                extra,
-            ));
-        }
-    }
-    evs
 }
 
 /// Per-process context handed to each process closure. All simulation
@@ -1106,14 +800,6 @@ pub struct ProcCtx {
     /// replays the same decision sequence.
     perturb: Option<Arc<crate::perturb::Perturbation>>,
     perturb_ops: u64,
-    /// Whether this run executes speculatively (see [`crate::speculate`]).
-    speculative: bool,
-    /// Consecutive lost speculations; at [`SPEC_THROTTLE_AFTER`] the
-    /// process enters cooldown.
-    spec_fails: u32,
-    /// Remaining operations to run conservatively before speculating
-    /// again (rollback throttle).
-    spec_cooldown: u32,
 }
 
 impl ProcCtx {
@@ -1386,76 +1072,8 @@ impl ProcCtx {
     /// Advance the clock and yield, letting earlier processes run.
     pub fn sleep(&mut self, d: SimDuration) {
         self.clock += d;
-        // A sleep mutates nothing shared; speculatively it needs no
-        // alignment at all — just raise our in-flight lower bound so
-        // the frontier reflects the advanced clock.
-        if self.speculative && self.spec_sleep() {
-            return;
-        }
         self.become_min();
         self.release_turn();
-    }
-
-    /// Whether the next operation may speculate: speculative mode, not
-    /// in rollback cooldown, not perturbed onto the conservative path.
-    fn spec_allowed(&mut self) -> bool {
-        if !self.speculative {
-            return false;
-        }
-        if self.spec_cooldown > 0 {
-            self.spec_cooldown -= 1;
-            return false;
-        }
-        if let Some(p) = &self.perturb {
-            self.perturb_ops += 1;
-            if p.defeat_speculation(self.pid.0, self.perturb_ops) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Record a lost speculation; [`SPEC_THROTTLE_AFTER`] consecutive
-    /// losses trigger a [`SPEC_COOLDOWN_OPS`]-operation conservative
-    /// cooldown. Purely a waste cap: a replay runs under the token and
-    /// always succeeds, so progress never depends on this.
-    fn note_replay(&mut self) {
-        self.spec_fails += 1;
-        if self.spec_fails >= SPEC_THROTTLE_AFTER {
-            self.spec_cooldown = SPEC_COOLDOWN_OPS;
-            self.spec_fails = 0;
-        }
-    }
-
-    /// Restore the per-process state a lost speculation dirtied.
-    fn rollback(&mut self, ckpt: SpecCheckpoint) {
-        self.clock = ckpt.clock;
-        self.stats = ckpt.stats;
-        self.trace_buf.truncate(ckpt.trace_len);
-    }
-
-    /// Speculative sleep: raise this process's in-flight lower bound to
-    /// the advanced clock (enabling grants the stale bound blocked) and
-    /// keep running. Returns `false` when this process holds a kept
-    /// token — then the classic align path must pass it on.
-    fn spec_sleep(&mut self) -> bool {
-        let me = self.pid;
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            drop(g);
-            panic::panic_any(DeadlockNote(format!(
-                "{me} sleeping during deadlock teardown"
-            )));
-        }
-        if g.turn == Some(me) {
-            return false;
-        }
-        match g.inflight.iter_mut().find(|e| e.0 == me) {
-            Some(e) => e.1 = self.clock,
-            None => g.inflight.push((me, self.clock)),
-        }
-        self.engine.try_dispatch(&mut g, Waker::Runs);
-        true
     }
 
     /// Align: enter the ready queue at the current clock and wait for the
@@ -1495,14 +1113,8 @@ impl ProcCtx {
             // the schedule (and every virtual-time result) is unchanged.
             if g.turn.is_none() && !force_slow_path {
                 // Clean stale heads so the comparison sees a live entry.
-                // Buffered speculative sends carry a behind-the-counter
-                // gen on purpose; they are live, never stale (and any of
-                // ours at the head correctly defeats the fast path: they
-                // must commit before we may take the token).
                 while let Some(k) = g.runnable.peek_min() {
-                    let sp = &g.procs[k.pid.index()];
-                    let is_spec = sp.spec.front().is_some_and(|s| s.key.gen == k.gen);
-                    if !is_spec && sp.gen != k.gen {
+                    if g.procs[k.pid.index()].gen != k.gen {
                         g.runnable.pop_min();
                     } else {
                         break;
@@ -1616,79 +1228,8 @@ impl ProcCtx {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes;
         self.trace_push(t0, self.clock, crate::trace::EventKind::Send { dst, bytes });
-        // Buffer-and-go speculation: everything past this point depends
-        // only on state at the send's order key, never on this
-        // process's continuation — so the scheduler can execute it
-        // there while we keep computing.
-        let payload = if self.spec_allowed() {
-            match self.try_buffer_send(dst, tag, bytes, payload, transport) {
-                Ok(()) => return,
-                Err(payload) => payload, // window full / token kept
-            }
-        } else {
-            payload
-        };
         self.become_min();
         self.send_commit(dst, tag, bytes, payload, transport);
-    }
-
-    /// Buffer a send for dispatcher-side commit at its order key.
-    /// Returns the payload when buffering is not possible (speculation
-    /// window full, or this process holds a kept token and is already
-    /// in a commit window) — the caller then sends conservatively,
-    /// which drains the buffer first by aligning.
-    fn try_buffer_send(
-        &mut self,
-        dst: Pid,
-        tag: Tag,
-        bytes: u64,
-        payload: Payload,
-        transport: &Transport,
-    ) -> Result<(), Payload> {
-        let me = self.pid;
-        let sent_at = self.clock;
-        let dst_node = self.proc_nodes[dst.index()];
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            drop(g);
-            panic::panic_any(DeadlockNote(format!(
-                "{me} sending during deadlock teardown"
-            )));
-        }
-        if g.turn == Some(me) || g.procs[me.index()].spec.len() >= SPEC_WINDOW {
-            return Err(payload);
-        }
-        // Our buffered keys protect themselves by sitting in the ready
-        // queue, so the in-flight lower bound only has to cover *future*
-        // entries — raise it to the current clock, which both tightens
-        // the frontier for everyone else and covers this send's key.
-        match g.inflight.iter_mut().find(|e| e.0 == me) {
-            Some(e) => e.1 = sent_at,
-            None => g.inflight.push((me, sent_at)),
-        }
-        let p = &mut g.procs[me.index()];
-        p.gen += 1;
-        let key = OrderKey {
-            time: sent_at,
-            pid: me,
-            gen: p.gen,
-        };
-        p.spec.push_back(SpecSend {
-            key,
-            dst,
-            dst_node,
-            same_node: dst_node == self.node,
-            tag,
-            bytes,
-            payload,
-            sent_at,
-            recv_cost: transport.endpoint_cpu(transport.recv_overhead, bytes),
-            wire: transport.wire_time(bytes),
-            latency: transport.latency,
-        });
-        g.runnable.push(key);
-        self.engine.try_dispatch(&mut g, Waker::Runs);
-        Ok(())
     }
 
     /// The commit-window part of a send (token held): NIC reservation,
@@ -1708,31 +1249,57 @@ impl ProcCtx {
         let mut arrival = if same_node {
             sent_at + transport.latency + wire
         } else {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            let start = sent_at.max(nr.nic_free);
-            nr.nic_free = start + wire;
-            start + wire + transport.latency
+            self.engine
+                .reserve_cell(DeviceCell::Nic(self.node), sent_at, wire)
+                + transport.latency
         };
         // Fault injection, inside the commit window so every decision
         // (and the drop-hash sequence number) lands at a deterministic
         // point of the global order. Intra-node loopback is immune.
         if !same_node {
             if let Some(plan) = self.faults.clone() {
-                for (ev, extra) in send_fault_adjust(
-                    &plan,
-                    &self.engine.fault_seq,
-                    self.node,
-                    dst_node,
-                    dst,
-                    sent_at,
-                    bytes,
-                    wire,
-                    transport.latency,
-                    &mut arrival,
-                ) {
-                    self.stats.fault_events += 1;
-                    self.stats.fault_delay += extra;
-                    self.trace_push(sent_at, sent_at, crate::trace::EventKind::Fault(ev));
+                use crate::faults::{FaultEvent, LinkFault};
+                let delayed = |ctx: &mut ProcCtx, ev: FaultEvent, delay: SimDuration| {
+                    ctx.stats.fault_delay += delay;
+                    ctx.record_fault(ev);
+                };
+                match plan.link_fault(self.node, dst_node, sent_at) {
+                    Some((LinkFault::Degrade(f), _)) => {
+                        let base = wire + transport.latency;
+                        let delay = SimDuration::from_nanos(
+                            (base.nanos() as f64 * (f - 1.0)).round() as u64,
+                        );
+                        arrival += delay;
+                        let ev = FaultEvent::LinkDegraded {
+                            dst_node,
+                            bytes,
+                            delay,
+                        };
+                        delayed(self, ev, delay);
+                    }
+                    Some((LinkFault::Partition, until)) => {
+                        let healed = until + plan.retransmit();
+                        if healed > arrival {
+                            let delay = healed - arrival;
+                            arrival = healed;
+                            let ev = FaultEvent::LinkPartitioned {
+                                dst_node,
+                                bytes,
+                                delay,
+                            };
+                            delayed(self, ev, delay);
+                        }
+                    }
+                    None => {}
+                }
+                if plan.has_drops() {
+                    let seq = self.engine.fault_seq.fetch_add(1, Ordering::Relaxed);
+                    if plan.should_drop(seq) {
+                        let delay = plan.retransmit();
+                        arrival += delay;
+                        let ev = FaultEvent::MessageDropped { dst, bytes, delay };
+                        delayed(self, ev, delay);
+                    }
                 }
             }
         }
@@ -1864,9 +1431,7 @@ impl ProcCtx {
                 "{} blocked on {:?} forever",
                 self.pid, spec
             ))),
-            WakeReason::Turn | WakeReason::SpecCommit | WakeReason::SpecReplay => {
-                unreachable!("blocked process woken with {reason:?}")
-            }
+            WakeReason::Turn => unreachable!("blocked process woken with {reason:?}"),
         }
     }
 
@@ -1906,122 +1471,7 @@ impl ProcCtx {
         transport: &Transport,
         round_trips: u32,
     ) {
-        // Unit effect: the transfer's only shared state is the NIC
-        // next-free cell, so it is validated-class speculatable. (The
-        // `_with` variant runs a caller effect inside the commit window
-        // and stays conservative.)
-        if self.spec_allowed() {
-            let cpu = transport.endpoint_cpu(transport.send_overhead, bytes);
-            let t_op = self.clock;
-            self.clock += cpu;
-            self.stats.compute_time += cpu;
-            self.stats.msgs_sent += 1;
-            self.stats.bytes_sent += bytes;
-            let wire = transport.wire_time(bytes);
-            let lat =
-                SimDuration::from_nanos(transport.latency.nanos() * round_trips.max(1) as u64);
-            if target_node == self.node {
-                // Loopback touches nothing shared: complete locally,
-                // no alignment at all.
-                self.clock += lat + wire;
-                let end = self.clock;
-                self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-                return;
-            }
-            if self.one_sided_speculative(t_op, bytes, wire, lat) {
-                return;
-            }
-            // Holding a kept token: align (passing it on) and commit
-            // against live state.
-            self.become_min();
-            let wire_done = self
-                .engine
-                .reserve_cell(SpecCell::Nic(self.node), self.clock, wire);
-            self.clock = wire_done + lat;
-            let end = self.clock;
-            self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-            self.release_turn();
-            return;
-        }
         self.one_sided_transfer_with(target_node, bytes, transport, round_trips, || ());
-    }
-
-    /// Validated-class speculation for a cross-node one-sided transfer:
-    /// snapshot the NIC cell, predict the completion, park for
-    /// validation at the order key. Returns `false` when this process
-    /// holds a kept token (caller commits conservatively).
-    fn one_sided_speculative(
-        &mut self,
-        t_op: SimTime,
-        bytes: u64,
-        wire: SimDuration,
-        lat: SimDuration,
-    ) -> bool {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = SpecCell::Nic(self.node);
-        let end;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return false;
-            }
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            end = predicted_start + wire + lat;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: wire,
-                resume_clock: end,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g, Waker::Parks);
-        }
-        // Checkpoint, then apply the prediction optimistically. Local
-        // state only — the shared cell is untouched until validation.
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.clock = end;
-        self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, end, "commit resume clock mismatch");
-                self.spec_fails = 0;
-                true
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let wire_done = self.engine.reserve_cell(cell, self.clock, wire);
-                self.clock = wire_done + lat;
-                let end = self.clock;
-                self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-                self.note_replay();
-                self.release_turn();
-                true
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 
     /// [`ProcCtx::one_sided_transfer`] with a data-plane `effect` executed
@@ -2050,10 +1500,10 @@ impl ProcCtx {
         if target_node == self.node {
             self.clock += lat + wire;
         } else {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            let start = self.clock.max(nr.nic_free);
-            nr.nic_free = start + wire;
-            self.clock = start + wire + lat;
+            let wire_done = self
+                .engine
+                .reserve_cell(DeviceCell::Nic(self.node), self.clock, wire);
+            self.clock = wire_done + lat;
         }
         let out = effect();
         let end = self.clock;
@@ -2063,9 +1513,7 @@ impl ProcCtx {
     }
 
     /// Service duration of a device request at the current clock (the
-    /// straggler fault factor is clock-dependent, so both the
-    /// speculative prediction and a rollback replay recompute it at the
-    /// same virtual time and agree by construction).
+    /// straggler fault factor is clock-dependent).
     fn device_io_dur(&self, bytes: u64, is_nfs: bool, is_write: bool) -> SimDuration {
         let spec: crate::topology::DiskSpec = if is_nfs {
             self.world.nfs
@@ -2111,93 +1559,16 @@ impl ProcCtx {
     }
 
     fn device_io(&mut self, bytes: u64, is_nfs: bool, is_write: bool) {
-        if self.spec_allowed() && self.device_io_speculative(bytes, is_nfs, is_write) {
-            return;
-        }
         self.become_min();
         let cell = if is_nfs {
-            SpecCell::Nfs
+            DeviceCell::Nfs
         } else {
-            SpecCell::Disk(self.node)
+            DeviceCell::Disk(self.node)
         };
         let dur = self.device_io_dur(bytes, is_nfs, is_write);
         let finish = self.engine.reserve_cell(cell, self.clock, dur);
         self.apply_device_io(bytes, is_nfs, is_write, finish);
         self.release_turn();
-    }
-
-    /// Validated-class speculation for a blocking device request:
-    /// checkpoint, snapshot the device cell, apply the predicted
-    /// outcome, park for validation at the order key; roll back and
-    /// replay under the token if the cell moved. Returns `false` when
-    /// this process holds a kept token (caller runs conservatively).
-    fn device_io_speculative(&mut self, bytes: u64, is_nfs: bool, is_write: bool) -> bool {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = if is_nfs {
-            SpecCell::Nfs
-        } else {
-            SpecCell::Disk(self.node)
-        };
-        let finish;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return false;
-            }
-            let dur = self.device_io_dur(bytes, is_nfs, is_write);
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            finish = predicted_start + dur;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: dur,
-                resume_clock: finish,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g, Waker::Parks);
-        }
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.apply_device_io(bytes, is_nfs, is_write, finish);
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, finish, "commit resume clock mismatch");
-                self.spec_fails = 0;
-                true
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let dur = self.device_io_dur(bytes, is_nfs, is_write);
-                let finish = self.engine.reserve_cell(cell, self.clock, dur);
-                self.apply_device_io(bytes, is_nfs, is_write, finish);
-                self.note_replay();
-                self.release_turn();
-                true
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 
     /// Read `bytes` from this node's scratch disk (serialized with other
@@ -2237,17 +1608,12 @@ impl ProcCtx {
     /// this process's `disk_time` — it never waited — but the bytes
     /// count toward its write volume.
     pub fn disk_write_background(&mut self, bytes: u64) -> SimTime {
-        if self.spec_allowed() {
-            if let Some(finish) = self.disk_bg_speculative(bytes) {
-                return finish;
-            }
-        }
         self.become_min();
         // Straggling nodes drain slowly too (same rule as `device_io`).
         let dur = self.device_io_dur(bytes, false, true);
         let finish = self
             .engine
-            .reserve_cell(SpecCell::Disk(self.node), self.clock, dur);
+            .reserve_cell(DeviceCell::Disk(self.node), self.clock, dur);
         self.stats.disk_write_bytes += bytes;
         self.trace_push(
             self.clock,
@@ -2256,77 +1622,6 @@ impl ProcCtx {
         );
         self.release_turn();
         finish
-    }
-
-    /// Validated-class speculation for a background disk write: the
-    /// caller's clock never advances (`resume_clock` is the issue
-    /// time); only the predicted device completion is at stake.
-    /// Returns `None` when this process holds a kept token.
-    fn disk_bg_speculative(&mut self, bytes: u64) -> Option<SimTime> {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = SpecCell::Disk(self.node);
-        let finish;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return None;
-            }
-            let dur = self.device_io_dur(bytes, false, true);
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            finish = predicted_start + dur;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: dur,
-                resume_clock: t,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g, Waker::Parks);
-        }
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.stats.disk_write_bytes += bytes;
-        self.trace_push(t, finish, crate::trace::EventKind::DiskWrite { bytes });
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, t, "background write must not advance the clock");
-                self.spec_fails = 0;
-                Some(finish)
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let dur = self.device_io_dur(bytes, false, true);
-                let finish = self.engine.reserve_cell(cell, self.clock, dur);
-                self.stats.disk_write_bytes += bytes;
-                self.trace_push(t, finish, crate::trace::EventKind::DiskWrite { bytes });
-                self.note_replay();
-                self.release_turn();
-                Some(finish)
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 }
 
@@ -2368,14 +1663,6 @@ pub struct SimReport {
     results: Vec<Option<Box<dyn Any + Send>>>,
     /// Messages that were sent to already-finished processes.
     pub dropped_msgs: u64,
-    /// Speculations committed clean this run (buffered sends plus
-    /// validated device reservations). Zero outside
-    /// [`Execution::Speculative`]. Wall-clock-schedule-dependent —
-    /// attribution only, deliberately excluded from digests/captures.
-    pub spec_commits: u64,
-    /// Speculations that validated stale and were rolled back and
-    /// replayed. Same caveats as `spec_commits`.
-    pub spec_rollbacks: u64,
     /// The execution trace, when tracing was enabled.
     pub trace: Option<Arc<crate::trace::Trace>>,
     /// Telemetry sampling interval this run used (`None` off; see
@@ -2517,9 +1804,8 @@ impl Sim {
         let nodes = self.world.topology.len();
         let release_cap = match self.exec {
             Execution::Sequential => 0,
-            Execution::Parallel { threads } | Execution::Speculative { threads } => threads,
+            Execution::Parallel { threads } => threads,
         };
-        let speculative = matches!(self.exec, Execution::Speculative { .. });
         // Worker pool size. The frontier rule caps concurrency at the
         // token holder plus `threads` in-flight compute segments, so that
         // is the worker count; sequential mode is the one-worker pool,
@@ -2535,7 +1821,6 @@ impl Sim {
                         gen: 0,
                         status: Status::Ready,
                         wake_reason: WakeReason::Turn,
-                        spec: std::collections::VecDeque::new(),
                     })
                     .collect(),
                 runnable: CalendarQueue::new(),
@@ -2570,16 +1855,6 @@ impl Sim {
             nfs_free: Mutex::new(SimTime::ZERO),
             dropped_msgs: AtomicU64::new(0),
             fault_seq: AtomicU64::new(0),
-            faults: self.world.faults.get().cloned(),
-            tracing: self.world.trace.get().is_some(),
-            commit_trace: Mutex::new(Vec::new()),
-            spec_commits: AtomicU64::new(0),
-            spec_rollbacks: AtomicU64::new(0),
-            spec_bug: if speculative {
-                crate::speculate::current_spec_bug()
-            } else {
-                None
-            },
             telemetry_interval,
             metric_sink: Mutex::new(Vec::new()),
             next: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -2631,9 +1906,6 @@ impl Sim {
                         release_cap,
                         perturb,
                         perturb_ops: 0,
-                        speculative,
-                        spec_fails: 0,
-                        spec_cooldown: 0,
                     };
                     if reason == WakeReason::Deadlock {
                         // Simulation tore down before we ever ran.
@@ -2705,16 +1977,6 @@ impl Sim {
         );
         drop(coros);
 
-        // Fault events recorded by dispatcher-side commits of buffered
-        // sends; `sorted_events` recovers order, so a late absorb is as
-        // good as an inline one.
-        if let Some(tr) = self.world.trace.get() {
-            let buf = std::mem::take(&mut *engine.commit_trace.lock());
-            if !buf.is_empty() {
-                tr.absorb(buf);
-            }
-        }
-
         let g = engine.sched.lock();
         // Report application panics first; deadlock only if nothing else.
         if let Some((pid, msg, _)) = g
@@ -2751,9 +2013,6 @@ impl Sim {
                 let mut g = arc.lock();
                 g.iter_mut().map(|o| o.take()).collect()
             });
-        let spec_commits = engine.spec_commits.load(Ordering::Relaxed);
-        let spec_rollbacks = engine.spec_rollbacks.load(Ordering::Relaxed);
-        crate::speculate::spec_counters_add(spec_commits, spec_rollbacks);
         let mut metric_points = std::mem::take(&mut *engine.metric_sink.lock());
         crate::telemetry::sort_points(&mut metric_points);
         if let Some(t0) = selfprof_t0 {
@@ -2763,8 +2022,6 @@ impl Sim {
             procs,
             results,
             dropped_msgs: dropped,
-            spec_commits,
-            spec_rollbacks,
             trace: self.world.trace.get().cloned(),
             telemetry_interval: engine.telemetry_interval,
             metric_points,
@@ -2823,10 +2080,7 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     {
         let mut m = engine.shards[pid.index()].mail.lock();
         m.finish = Some(ctx.clock);
-        // Merge, don't overwrite: dispatcher-side commits of buffered
-        // speculative sends attribute fault stats to this shard.
-        let taken = std::mem::take(&mut ctx.stats);
-        m.stats.merge(&taken);
+        m.stats = std::mem::take(&mut ctx.stats);
     }
     let mut g = engine.sched.lock();
     if g.turn == Some(pid) {
@@ -2844,10 +2098,6 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     }
     g.live -= 1;
     if g.live == 0 {
-        // Commit any sends still buffered by panicked/doomed processes
-        // so `dropped_msgs` matches the sequential engine (which sent
-        // them inline before unwinding).
-        engine.drain_spec(&mut g);
         // Last process: signal the worker pool to exit once the queue
         // drains. This coroutine performs no further visible operation
         // (its results are already stored), so it runs straight to
@@ -2972,7 +2222,7 @@ mod tests {
         assert_eq!(want.matches("blocked at").count(), 12, "{want}");
         for exec in [
             Execution::Parallel { threads: 1 },
-            Execution::Speculative { threads: 2 },
+            Execution::Parallel { threads: 2 },
         ] {
             assert_eq!(diagnostic(exec), want, "under {exec:?}");
         }

@@ -22,8 +22,7 @@
 //! Everything here is deterministic: a tag is a pure function of
 //! `(job, wave, lane)`, and the launch environment is assembled by the
 //! scheduler at a well-defined virtual time. No wall-clock state leaks
-//! in, so sequential, parallel and speculative execution modes see
-//! bit-identical job schedules.
+//! in, so both execution modes see bit-identical job schedules.
 
 use std::sync::Arc;
 

@@ -68,7 +68,6 @@ pub mod parallel;
 pub mod perturb;
 pub mod queue;
 pub mod selfprof;
-pub mod speculate;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -98,7 +97,6 @@ pub use selfprof::{
     selfprof_enabled, selfprof_from_env, selfprof_reset, selfprof_snapshot, set_selfprof, HostOp,
     HOST_OP_NAMES,
 };
-pub use speculate::{current_spec_bug, set_spec_bug, spec_counters_take, SpecBug};
 pub use stats::ProcStats;
 pub use telemetry::{
     parse_telemetry_interval, set_telemetry_interval, telemetry_from_env_value, telemetry_interval,
@@ -109,12 +107,12 @@ pub use topology::{DiskSpec, Node, NodeId, NodeSpec, Topology};
 pub use trace::{json_escape, EventKind, Trace, TraceEvent};
 pub use transport::Transport;
 
-/// Serializes the tests of this crate that install process-global
-/// harness state (a planted [`SpecBug`], a [`Perturbation`]) or assert
-/// on speculation outcomes such state changes: `cargo test` runs sibling
-/// tests on parallel threads, and every `Sim::run` resolves both.
-#[cfg(test)]
-pub(crate) static HARNESS_GUARD: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+/// Shim: the `(commits, rollbacks)` totals of the removed speculative
+/// mode, which `benchmark/src/cell.rs` still reads. Goes once the
+/// benchmark drops its `simnet.speculate.*` rows (ROADMAP item 2).
+pub fn spec_counters_take() -> (u64, u64) {
+    (0, 0)
+}
 
 #[cfg(test)]
 mod engine_tests {
@@ -246,82 +244,6 @@ mod engine_tests {
                 "parallel({threads}) diverged from sequential"
             );
         }
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run_once(Execution::Speculative { threads }),
-                seq,
-                "speculative({threads}) diverged from sequential"
-            );
-        }
-    }
-
-    /// A single process on an idle machine speculates its device
-    /// reservations deterministically: the snapshot can never go stale,
-    /// so every one commits clean and the counters prove the optimistic
-    /// path actually ran (this is the workload the criterion overhead
-    /// benches reuse).
-    #[test]
-    fn speculative_single_process_device_ops_commit_clean() {
-        // A `ForceReplay` or a perturbation planted by a sibling test
-        // would turn commits counted below into rollbacks.
-        let _g = HARNESS_GUARD.lock();
-        let mut sim = two_node_sim();
-        sim.set_execution(Execution::Speculative { threads: 1 });
-        sim.spawn(NodeId(0), "solo", |ctx| {
-            for _ in 0..8 {
-                ctx.disk_write(1 << 20);
-                ctx.disk_read(1 << 20);
-                ctx.nfs_write(1 << 16);
-            }
-        });
-        let report = sim.run();
-        assert!(
-            report.spec_commits >= 24,
-            "expected every device op to commit speculatively, got {}",
-            report.spec_commits
-        );
-        assert_eq!(
-            report.spec_rollbacks, 0,
-            "uncontended cells cannot go stale"
-        );
-    }
-
-    /// `SpecBug::ForceReplay` drives every validated-class speculation
-    /// down the rollback-and-replay path; results must still be
-    /// bit-identical because a replay recomputes from live state under
-    /// the token. This is the soundness half of the planted-bug pair
-    /// (the unsound half, `TrustStalePrediction`, is proven *caught* by
-    /// the schedule-explorer self-test).
-    #[test]
-    fn speculative_forced_replay_is_bit_identical() {
-        fn run_once(exec: Execution) -> (u64, Vec<u64>) {
-            let mut sim = Sim::new(Topology::comet(2));
-            sim.set_execution(exec);
-            let tr = Transport::ipoib_socket();
-            for i in 0..4u32 {
-                sim.spawn(NodeId(i % 2), format!("w{i}"), move |ctx| {
-                    let next = Pid((i + 1) % 4);
-                    for _ in 0..3u64 {
-                        ctx.compute(Work::flops(5.0e4 * (i as f64 + 1.0)), 1.0);
-                        ctx.send(next, 3, 1 << 12, Payload::Empty, &tr);
-                        let m = ctx.recv(MatchSpec::tag(3));
-                        ctx.disk_write(m.bytes);
-                        ctx.disk_write_background(1 << 18);
-                    }
-                });
-            }
-            let report = sim.run();
-            (
-                report.makespan().nanos(),
-                report.procs.iter().map(|p| p.finish.nanos()).collect(),
-            )
-        }
-        let seq = run_once(Execution::Sequential);
-        let _g = HARNESS_GUARD.lock();
-        set_spec_bug(Some(SpecBug::ForceReplay));
-        let spec = run_once(Execution::Speculative { threads: 4 });
-        set_spec_bug(None);
-        assert_eq!(spec, seq, "forced replays changed a virtual-time result");
     }
 
     #[test]

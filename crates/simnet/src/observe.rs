@@ -49,7 +49,7 @@ pub struct RunCapture {
     /// The full event stream in the deterministic export order.
     pub events: Vec<TraceEvent>,
     /// Telemetry sampling interval the run used (`None` off; see
-    /// [`crate::telemetry`]). Like the fields below, excluded from
+    /// [`crate::telemetry`]). Like the points below, excluded from
     /// conformance digests — `hpcbd-check` hashes capture fields
     /// explicitly.
     pub telemetry_interval: Option<u64>,
@@ -58,12 +58,6 @@ pub struct RunCapture {
     /// time state only) but digest-excluded alongside the interval: a
     /// telemetry-on run must digest identically to a telemetry-off run.
     pub metric_points: Vec<crate::telemetry::MetricPoint>,
-    /// Speculations committed clean. Wall-clock-schedule-dependent —
-    /// surfaced only in the report's `host_profile` section, never
-    /// digested or compared across modes.
-    pub spec_commits: u64,
-    /// Speculations rolled back and replayed. Same caveats.
-    pub spec_rollbacks: u64,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -112,8 +106,6 @@ pub(crate) fn record_run(report: &SimReport, cluster_nodes: usize) {
         events,
         telemetry_interval: report.telemetry_interval,
         metric_points: report.metric_points.clone(),
-        spec_commits: report.spec_commits,
-        spec_rollbacks: report.spec_rollbacks,
     };
     CAPTURES.lock().push(cap);
 }

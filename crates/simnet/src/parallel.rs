@@ -17,24 +17,16 @@
 //!   sequence — and therefore every virtual time, result and statistic —
 //!   is bit-identical to the sequential schedule.
 //!
-//! * [`Execution::Speculative`] — everything parallel mode does, plus
-//!   optimistic execution past the conservative frontier: sends are
-//!   buffered and committed by the scheduler at their order key, and
-//!   device reservations are speculated against a snapshot, validated
-//!   at the commit point, and rolled back + replayed when stale (see
-//!   [`crate::speculate`] and DESIGN.md §14). Still bit-identical.
-//!
 //! The mode can be set per run ([`crate::Sim::set_execution`]),
 //! process-wide ([`set_default_execution`]), or from the environment via
-//! `HPCBD_EXECUTION=sequential|parallel[:N]|speculative[:N]`.
+//! `HPCBD_EXECUTION=sequential|parallel[:N]`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the engine schedules the real Rust compute between visible
-/// operations. All modes produce bit-identical virtual-time results;
+/// operations. Both modes produce bit-identical virtual-time results;
 /// parallel mode trades scheduler overhead for wall-clock overlap of
-/// compute segments, and speculative mode additionally overlaps the
-/// visible operations themselves on multi-core hosts.
+/// compute segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Execution {
     /// Classic baton passing: one process at a time (default).
@@ -47,43 +39,34 @@ pub enum Execution {
         /// Concurrency cap for released compute segments.
         threads: usize,
     },
-    /// Parallel mode plus optimistic (Time Warp-style) speculation past
-    /// the conservative frontier: buffered sends, snapshot-validated
-    /// device reservations, rollback + replay of stale speculations.
-    Speculative {
-        /// Concurrency cap for released compute segments.
-        threads: usize,
-    },
 }
 
 /// Encoded process-wide default execution mode; `u64::MAX` means "not
 /// yet initialized, consult the environment".
 static DEFAULT_EXEC: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// High bit of the encoding marks speculative mode; thread counts live
-/// in the low 62 bits so no encoding can collide with the `u64::MAX`
-/// "uninitialized" sentinel (which has every bit set).
-const SPEC_BIT: u64 = 1 << 63;
-const THREADS_MASK: u64 = (1 << 62) - 1;
+/// What [`Execution::from_env`] has to say on stderr about the value it
+/// read.
+#[derive(Debug, PartialEq, Eq)]
+enum EnvNote {
+    /// Malformed value: sequential runs instead.
+    Rejected(String),
+    /// A name of the removed speculative mode: parallel runs instead.
+    Removed(String),
+}
 
 impl Execution {
     fn encode(self) -> u64 {
         match self {
             Execution::Sequential => 0,
-            Execution::Parallel { threads } => (threads.max(1) as u64) & THREADS_MASK,
-            Execution::Speculative { threads } => {
-                SPEC_BIT | ((threads.max(1) as u64) & THREADS_MASK)
-            }
+            // Clamped below the "uninitialized" sentinel.
+            Execution::Parallel { threads } => (threads.max(1) as u64).min(u64::MAX - 1),
         }
     }
 
     fn decode(v: u64) -> Execution {
         if v == 0 {
             Execution::Sequential
-        } else if v & SPEC_BIT != 0 {
-            Execution::Speculative {
-                threads: (v & THREADS_MASK) as usize,
-            }
         } else {
             Execution::Parallel {
                 threads: v as usize,
@@ -104,81 +87,69 @@ impl Execution {
         }
     }
 
-    /// Speculative mode sized to the host's available cores.
-    pub fn speculative_auto() -> Execution {
-        Execution::Speculative {
-            threads: Execution::auto_threads(),
-        }
-    }
-
     /// Parse the `HPCBD_EXECUTION` environment variable: `sequential`
-    /// (default), `parallel` / `speculative` (auto-sized), or
-    /// `parallel:N` / `speculative:N`.
+    /// (default), `parallel` (auto-sized), or `parallel:N`.
     ///
     /// A malformed value falls back to [`Execution::Sequential`], but not
     /// silently: a one-time stderr warning names the rejected value, so a
     /// typo like `paralell:4` cannot quietly benchmark the wrong mode.
     pub fn from_env() -> Execution {
-        let (exec, rejected) = Execution::from_env_value(std::env::var("HPCBD_EXECUTION").ok());
-        if let Some(bad) = rejected {
+        let (exec, note) = Execution::from_env_value(std::env::var("HPCBD_EXECUTION").ok());
+        if let Some(note) = note {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
+            WARN_ONCE.call_once(|| match note {
+                EnvNote::Rejected(bad) => eprintln!(
                     "warning: unrecognized HPCBD_EXECUTION value {bad:?} \
-                     (expected `sequential`, `parallel[:N]`, or `speculative[:N]`); \
+                     (expected `sequential` or `parallel[:N]`); \
                      falling back to sequential execution"
-                );
+                ),
+                EnvNote::Removed(old) => eprintln!(
+                    "note: HPCBD_EXECUTION={old:?} names the removed speculative \
+                     mode; running {exec:?} instead"
+                ),
             });
         }
         exec
     }
 
-    /// Resolve an `HPCBD_EXECUTION` value (or its absence) to a mode plus,
-    /// when the value was malformed, the value to warn about. Split from
-    /// [`Execution::from_env`] so the fallback is testable without
-    /// touching the process environment or capturing stderr.
-    fn from_env_value(v: Option<String>) -> (Execution, Option<String>) {
+    /// Resolve an `HPCBD_EXECUTION` value (or its absence) to a mode plus
+    /// what to tell the user about it. Split from [`Execution::from_env`]
+    /// so the fallback is testable without touching the process
+    /// environment or capturing stderr.
+    fn from_env_value(v: Option<String>) -> (Execution, Option<EnvNote>) {
         match v {
             Some(v) => match Execution::parse(&v) {
+                Some(e) if v.trim_start().starts_with("spec") => (e, Some(EnvNote::Removed(v))),
                 Some(e) => (e, None),
-                None => (Execution::Sequential, Some(v)),
+                None => (Execution::Sequential, Some(EnvNote::Rejected(v))),
             },
             None => (Execution::Sequential, None),
         }
     }
 
-    /// Parse `sequential` / `seq`, `parallel` / `par`,
-    /// `speculative` / `spec`, or the `:N`-suffixed forms with `N >= 1`
-    /// (a zero-thread pool is meaningless and rejected, as is any
-    /// non-numeric suffix; whitespace around the mode or the thread
-    /// count is tolerated).
+    /// Parse `sequential` / `seq`, `parallel` / `par`, or `parallel:N` /
+    /// `par:N` with `N >= 1` (a zero-thread pool is meaningless and
+    /// rejected, as is any non-numeric suffix; whitespace around the mode
+    /// or the thread count is tolerated).
+    ///
+    /// Shim: `speculative[:N]` / `spec[:N]`, the names of the removed
+    /// Time Warp mode, parse as `parallel[:N]`, because `benchmark/` still
+    /// launches a cell under that name. Goes, with `EnvNote::Removed`,
+    /// once the benchmark drops `wall_spec_s` (ROADMAP item 2).
     pub fn parse(s: &str) -> Option<Execution> {
         let s = s.trim();
         match s {
             "sequential" | "seq" => Some(Execution::Sequential),
-            "parallel" | "par" => Some(Execution::parallel_auto()),
-            "speculative" | "spec" => Some(Execution::speculative_auto()),
+            "parallel" | "par" | "speculative" | "spec" => Some(Execution::parallel_auto()),
             _ => {
-                let (rest, speculative) = if let Some(r) = s.strip_prefix("parallel:") {
-                    (r, false)
-                } else if let Some(r) = s.strip_prefix("par:") {
-                    (r, false)
-                } else if let Some(r) = s.strip_prefix("speculative:") {
-                    (r, true)
-                } else if let Some(r) = s.strip_prefix("spec:") {
-                    (r, true)
-                } else {
-                    return None;
-                };
+                let rest = ["parallel:", "par:", "speculative:", "spec:"]
+                    .iter()
+                    .find_map(|prefix| s.strip_prefix(prefix))?;
                 let threads = rest.trim().parse::<usize>().ok()?;
                 if threads == 0 {
                     return None;
                 }
-                Some(if speculative {
-                    Execution::Speculative { threads }
-                } else {
-                    Execution::Parallel { threads }
-                })
+                Some(Execution::Parallel { threads })
             }
         }
     }
@@ -217,26 +188,19 @@ mod tests {
             Execution::parse("parallel:4"),
             Some(Execution::Parallel { threads: 4 })
         );
-        assert!(matches!(
-            Execution::parse("parallel"),
-            Some(Execution::Parallel { .. })
-        ));
+        assert_eq!(Execution::parse("par"), Some(Execution::parallel_auto()));
+        // The removed mode's names run the surviving threaded engine.
         assert_eq!(
             Execution::parse("speculative:4"),
-            Some(Execution::Speculative { threads: 4 })
+            Some(Execution::Parallel { threads: 4 })
         );
         assert_eq!(
             Execution::parse("spec:2"),
-            Some(Execution::Speculative { threads: 2 })
+            Some(Execution::Parallel { threads: 2 })
         );
-        assert!(matches!(
-            Execution::parse("speculative"),
-            Some(Execution::Speculative { .. })
-        ));
-        assert!(matches!(
-            Execution::parse("spec"),
-            Some(Execution::Speculative { .. })
-        ));
+        for auto in ["parallel", "speculative", "\tspec "] {
+            assert_eq!(Execution::parse(auto), Some(Execution::parallel_auto()));
+        }
         assert_eq!(Execution::parse("bogus"), None);
     }
 
@@ -247,7 +211,6 @@ mod tests {
         assert_eq!(Execution::parse(" parallel:0 "), None);
         assert_eq!(Execution::parse("speculative:0"), None);
         assert_eq!(Execution::parse("spec:0"), None);
-        assert_eq!(Execution::parse(" speculative:0 "), None);
     }
 
     #[test]
@@ -277,65 +240,42 @@ mod tests {
         assert_eq!(Execution::parse("parallel:-1"), None);
         assert_eq!(Execution::parse("parallel:"), None);
         assert_eq!(Execution::parse("parallel:4x"), None);
-        assert_eq!(Execution::parse("speculative:18446744073709551616"), None);
-        assert_eq!(Execution::parse("speculative:-1"), None);
-        assert_eq!(Execution::parse("speculative:"), None);
         assert_eq!(Execution::parse("speculative:4x"), None);
         assert_eq!(Execution::parse("spec:2 4"), None);
     }
 
     #[test]
-    fn speculative_whitespace_tolerated_like_parallel() {
-        assert_eq!(
-            Execution::parse("  speculative:8\n"),
-            Some(Execution::Speculative { threads: 8 })
-        );
-        assert_eq!(
-            Execution::parse("speculative: 8"),
-            Some(Execution::Speculative { threads: 8 })
-        );
-        assert_eq!(
-            Execution::parse("\tspec "),
-            Some(Execution::speculative_auto())
-        );
-    }
-
-    #[test]
     fn env_fallback_reports_the_malformed_value() {
+        let resolve = |v: &str| Execution::from_env_value(Some(v.into()));
+        let rejected = |v: &str| (Execution::Sequential, Some(EnvNote::Rejected(v.into())));
         // Well-formed values pass through without a warning.
-        let (e, warn) = Execution::from_env_value(Some("parallel:4".into()));
-        assert_eq!(e, Execution::Parallel { threads: 4 });
-        assert_eq!(warn, None);
+        assert_eq!(
+            resolve("parallel:4"),
+            (Execution::Parallel { threads: 4 }, None)
+        );
         // Absent variable: sequential, nothing to warn about.
         assert_eq!(
             Execution::from_env_value(None),
             (Execution::Sequential, None)
         );
         // The classic typo falls back to sequential but surfaces the
-        // offending value for the one-time warning.
-        let (e, warn) = Execution::from_env_value(Some("paralell:4".into()));
-        assert_eq!(e, Execution::Sequential);
-        assert_eq!(warn.as_deref(), Some("paralell:4"));
-        // So does a zero thread count.
-        let (e, warn) = Execution::from_env_value(Some("parallel:0".into()));
-        assert_eq!(e, Execution::Sequential);
-        assert_eq!(warn.as_deref(), Some("parallel:0"));
-        // Speculative values resolve too.
-        let (e, warn) = Execution::from_env_value(Some("speculative:4".into()));
-        assert_eq!(e, Execution::Speculative { threads: 4 });
-        assert_eq!(warn, None);
-        // Malformed speculative values take the same warn-and-fall-back
-        // path as malformed parallel ones: zero threads...
-        let (e, warn) = Execution::from_env_value(Some("speculative:0".into()));
-        assert_eq!(e, Execution::Sequential);
-        assert_eq!(warn.as_deref(), Some("speculative:0"));
-        // ...and garbage suffixes.
-        let (e, warn) = Execution::from_env_value(Some("speculative:4x".into()));
-        assert_eq!(e, Execution::Sequential);
-        assert_eq!(warn.as_deref(), Some("speculative:4x"));
-        let (e, warn) = Execution::from_env_value(Some("spec ulative:4".into()));
-        assert_eq!(e, Execution::Sequential);
-        assert_eq!(warn.as_deref(), Some("spec ulative:4"));
+        // offending value for the one-time warning. So does a zero
+        // thread count.
+        assert_eq!(resolve("paralell:4"), rejected("paralell:4"));
+        assert_eq!(resolve("parallel:0"), rejected("parallel:0"));
+        // The removed mode resolves to parallel with the removal note,
+        // not the malformed-value warning...
+        assert_eq!(
+            resolve("speculative:4"),
+            (
+                Execution::Parallel { threads: 4 },
+                Some(EnvNote::Removed("speculative:4".into()))
+            )
+        );
+        // ...unless it is malformed as well.
+        assert_eq!(resolve("speculative:0"), rejected("speculative:0"));
+        assert_eq!(resolve("speculative:4x"), rejected("speculative:4x"));
+        assert_eq!(resolve("spec ulative:4"), rejected("spec ulative:4"));
     }
 
     #[test]
@@ -344,16 +284,13 @@ mod tests {
             Execution::Sequential,
             Execution::Parallel { threads: 1 },
             Execution::Parallel { threads: 7 },
-            Execution::Speculative { threads: 1 },
-            Execution::Speculative { threads: 4 },
-            Execution::Speculative { threads: 509 },
+            Execution::Parallel { threads: 509 },
         ] {
             assert_eq!(Execution::decode(e.encode()), e);
         }
-        // The speculative encoding never collides with the
-        // "uninitialized" sentinel.
+        // No thread count collides with the "uninitialized" sentinel.
         assert_ne!(
-            Execution::Speculative {
+            Execution::Parallel {
                 threads: usize::MAX
             }
             .encode(),

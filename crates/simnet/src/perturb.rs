@@ -32,15 +32,6 @@
 //! * **Wall-clock jitter** (`spin_max`): seeded spin/yield before an
 //!   alignment randomizes which racing process reaches the scheduler
 //!   lock first — the tie the frontier rule must absorb.
-//! * **Speculation defeats** (`defeat_speculation_one_in`): a
-//!   speculation-eligible operation takes the conservative path
-//!   instead, interleaving classic and speculative commits under
-//!   [`crate::Execution::Speculative`]. Both paths commit the same
-//!   effects at the same order key, so only the schedule moves.
-//! * **Forced replays** (`force_replay_one_in`): a clean speculation
-//!   validation is treated as stale, driving the rollback-and-replay
-//!   path. A replay recomputes the identical outcome from live state
-//!   under the token — result-equivalent by construction.
 //!
 //! Every decision is a pure function of the perturbation seed and
 //! deterministic per-process state (pid, visible-op counter), so a
@@ -71,12 +62,6 @@ pub struct Perturbation {
     /// Upper bound on seeded spin iterations injected before alignments
     /// (0 disables jitter).
     pub spin_max: u32,
-    /// Send a speculation-eligible operation down the conservative path
-    /// 1-in-N times (0 disables; only observable in speculative mode).
-    pub defeat_speculation_one_in: u32,
-    /// Treat a clean speculation validation as stale 1-in-N times,
-    /// forcing rollback + replay (0 disables; speculative mode only).
-    pub force_replay_one_in: u32,
 }
 
 impl Perturbation {
@@ -91,8 +76,6 @@ impl Perturbation {
             keep_one_in: 2 + ((h >> 8) % 5) as u32, // 2..=6
             defeat_fast_path_one_in: 1 + ((h >> 16) % 3) as u32, // 1..=3
             spin_max: 16 + ((h >> 24) % 241) as u32, // 16..=256
-            defeat_speculation_one_in: 2 + ((h >> 32) % 5) as u32, // 2..=6
-            force_replay_one_in: 2 + ((h >> 40) % 7) as u32, // 2..=8
         }
     }
 
@@ -120,20 +103,6 @@ impl Perturbation {
     #[inline]
     pub(crate) fn defeat_fast_path(&self, pid: u32, op: u64) -> bool {
         self.decide(0xC3, pid as u64, op, self.defeat_fast_path_one_in)
-    }
-
-    /// Whether a speculation-eligible operation should take the
-    /// conservative path this time.
-    #[inline]
-    pub(crate) fn defeat_speculation(&self, pid: u32, op: u64) -> bool {
-        self.decide(0xE5, pid as u64, op, self.defeat_speculation_one_in)
-    }
-
-    /// Whether a clean speculation validation should be treated as
-    /// stale (rollback + replay) this time.
-    #[inline]
-    pub(crate) fn force_replay(&self, pid: u32, gen: u64) -> bool {
-        self.decide(0xF6, pid as u64, gen, self.force_replay_one_in)
     }
 
     /// Burn a seeded, bounded amount of wall-clock before an alignment
@@ -204,14 +173,11 @@ mod tests {
             assert!((2..=6).contains(&p.keep_one_in));
             assert!((1..=3).contains(&p.defeat_fast_path_one_in));
             assert!((16..=256).contains(&p.spin_max));
-            assert!((2..=6).contains(&p.defeat_speculation_one_in));
-            assert!((2..=8).contains(&p.force_replay_one_in));
         }
     }
 
     #[test]
     fn install_and_clear_roundtrip() {
-        let _g = crate::HARNESS_GUARD.lock();
         set_perturbation(Some(Perturbation::from_seed(7)));
         assert_eq!(current_perturbation().unwrap().seed, 7);
         set_perturbation(None);

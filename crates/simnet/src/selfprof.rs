@@ -1,17 +1,16 @@
 //! Host-side self-profiler: cheap wall-clock accounting of the
 //! simulator's own subsystems, so a BENCH row that moved can be
 //! explained by the *mix of engine work* that produced it (queue ops,
-//! coroutine switches, token protocol, speculation validate/replay)
-//! rather than guessed at.
+//! coroutine switches, token protocol, resume path) rather than guessed
+//! at.
 //!
 //! This is the one deliberately *non*-deterministic corner of the
 //! telemetry subsystem: the counters tally what the host actually did,
 //! which depends on the wall-clock schedule (a parallel run parks and
-//! wakes where a sequential run self-grants; a speculative run
-//! validates and replays). They are therefore emitted only inside the
-//! report's `host_profile` section — gated behind `HPCBD_SELFPROF` —
-//! and never compared across execution modes or folded into digests,
-//! exactly like `spec_commits`.
+//! wakes where a sequential run self-grants). They are therefore
+//! emitted only inside the report's `host_profile` section — gated
+//! behind `HPCBD_SELFPROF` — and never compared across execution modes
+//! or folded into digests.
 //!
 //! Cost contract: **zero-cost when off** up to one relaxed atomic load
 //! per counted operation (the same budget `observe::capture_active`
@@ -40,12 +39,6 @@ pub enum HostOp {
     TokenGrant,
     /// Token releases into parallel in-flight execution.
     TokenRelease,
-    /// Speculative device reservations validated at their order key.
-    SpecValidate,
-    /// Speculations that validated stale and were rolled back/replayed.
-    SpecReplay,
-    /// Buffered speculative sends committed by the dispatcher.
-    SendCommit,
     /// Resumptions a worker took from its own run-next slot: the grant
     /// stayed on the worker that made it.
     ResumeLocal,
@@ -62,7 +55,7 @@ pub enum HostOp {
 
 /// Display names, indexed by `HostOp as usize` — also the key order of
 /// the `host_profile` JSON section.
-pub const HOST_OP_NAMES: [&str; 15] = [
+pub const HOST_OP_NAMES: [&str; 12] = [
     "queue_push",
     "queue_pop",
     "coro_resume",
@@ -70,9 +63,6 @@ pub const HOST_OP_NAMES: [&str; 15] = [
     "wake",
     "token_grant",
     "token_release",
-    "spec_validate",
-    "spec_replay",
-    "send_commit",
     "resume_local",
     "resume_shared",
     "resume_steal",
@@ -173,11 +163,11 @@ mod tests {
         set_selfprof(true);
         host_count(HostOp::QueuePush);
         host_count(HostOp::QueuePush);
-        host_count(HostOp::SpecReplay);
+        host_count(HostOp::WorkerNotify);
         set_selfprof(false);
         let snap = selfprof_snapshot();
         assert_eq!(snap[HostOp::QueuePush as usize], ("queue_push", 2));
-        assert_eq!(snap[HostOp::SpecReplay as usize], ("spec_replay", 1));
+        assert_eq!(snap[HostOp::WorkerNotify as usize], ("worker_notify", 1));
         selfprof_reset();
         assert!(selfprof_snapshot().iter().all(|&(_, v)| v == 0));
     }

@@ -19,9 +19,8 @@
 //! `(time, name, labels, pid, seq)` at run end. Everything about the
 //! stream is a pure function of the virtual-time schedule, so telemetry
 //! serializes byte-identically across
-//! [`crate::Execution::Sequential`] / [`crate::Execution::Parallel`] /
-//! [`crate::Execution::Speculative`]. Like `spec_commits`, metric
-//! points are deliberately excluded from conformance digests
+//! [`crate::Execution::Sequential`] and [`crate::Execution::Parallel`].
+//! Metric points are deliberately excluded from conformance digests
 //! (`hpcbd-check` hashes capture fields explicitly).
 //!
 //! Cost when off: one `bool` test per `metric_*` call (the flag is

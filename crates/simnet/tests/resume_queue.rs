@@ -101,8 +101,6 @@ fn resume_queue_never_sleeps_on_work() {
             Execution::Parallel { threads: 1 },
             Execution::Parallel { threads: 2 },
             Execution::Parallel { threads: 8 },
-            Execution::Speculative { threads: 2 },
-            Execution::Speculative { threads: 8 },
         ];
         set_selfprof(true);
         selfprof_reset();

@@ -23,18 +23,16 @@ use hpcbd::simnet::{
 /// Serializes tests that flip the process-global execution default.
 static EXEC_GUARD: Mutex<()> = Mutex::new(());
 
-/// Run `f` twice under each mode (Sequential, Parallel, Speculative),
-/// returning the six outputs in order [seq, seq, par, par, spec, spec].
-fn six_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
+/// Run `f` twice under each mode (Sequential, Parallel), returning the
+/// four outputs in order [seq, seq, par, par].
+fn four_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
     let _g = EXEC_GUARD.lock().unwrap();
-    let mut out = Vec::with_capacity(6);
+    let mut out = Vec::with_capacity(4);
     for exec in [
         Execution::Sequential,
         Execution::Sequential,
         Execution::Parallel { threads: 4 },
         Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-        Execution::Speculative { threads: 4 },
     ] {
         set_default_execution(exec);
         out.push(f());
@@ -46,23 +44,19 @@ fn six_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
 #[test]
 fn fig3_pipeline_is_bit_identical_across_modes() {
     let tables =
-        six_runs(|| bench_reduce::figure3(Placement::new(2, 4), &[1usize, 4096], 3).to_csv());
+        four_runs(|| bench_reduce::figure3(Placement::new(2, 4), &[1usize, 4096], 3).to_csv());
     assert_eq!(tables[0], tables[1], "sequential runs differ");
     assert_eq!(tables[0], tables[2], "parallel differs from sequential");
     assert_eq!(tables[2], tables[3], "parallel runs differ");
-    assert_eq!(tables[0], tables[4], "speculative differs from sequential");
-    assert_eq!(tables[4], tables[5], "speculative runs differ");
 }
 
 #[test]
 fn fig6_pipeline_is_bit_identical_across_modes() {
     let input = bench_pagerank::PagerankInput::small();
-    let tables = six_runs(|| bench_pagerank::figure6(&input, &[1u32, 2], 4).to_csv());
+    let tables = four_runs(|| bench_pagerank::figure6(&input, &[1u32, 2], 4).to_csv());
     assert_eq!(tables[0], tables[1], "sequential runs differ");
     assert_eq!(tables[0], tables[2], "parallel differs from sequential");
     assert_eq!(tables[2], tables[3], "parallel runs differ");
-    assert_eq!(tables[0], tables[4], "speculative differs from sequential");
-    assert_eq!(tables[4], tables[5], "speculative runs differ");
 }
 
 /// An adversarial mixed workload exercising every visible-operation
@@ -141,12 +135,10 @@ fn engine_reports_are_bit_identical_across_modes() {
         }
     }
 
-    let runs = six_runs(run_once);
+    let runs = four_runs(run_once);
     assert_eq!(runs[0], runs[1], "sequential runs differ");
     assert_eq!(runs[0], runs[2], "parallel differs from sequential");
     assert_eq!(runs[2], runs[3], "parallel runs differ");
-    assert_eq!(runs[0], runs[4], "speculative differs from sequential");
-    assert_eq!(runs[4], runs[5], "speculative runs differ");
 }
 
 /// Faulty runs must be exactly as deterministic as clean ones: the same
@@ -236,7 +228,7 @@ fn faulty_runs_are_bit_identical_across_modes() {
         }
     }
 
-    let runs = six_runs(run_once);
+    let runs = four_runs(run_once);
     assert!(
         runs[0].stats.iter().any(|s| s.fault_events > 0),
         "fault statistics must be populated"
@@ -244,8 +236,6 @@ fn faulty_runs_are_bit_identical_across_modes() {
     assert_eq!(runs[0], runs[1], "sequential runs differ");
     assert_eq!(runs[0], runs[2], "parallel differs from sequential");
     assert_eq!(runs[2], runs[3], "parallel runs differ");
-    assert_eq!(runs[0], runs[4], "speculative differs from sequential");
-    assert_eq!(runs[4], runs[5], "speculative runs differ");
 }
 
 /// The observability layer must not disturb determinism, and its own
@@ -267,18 +257,13 @@ fn run_reports_are_byte_identical_across_modes() {
         hpcbd::obs::RunReport::from_captures("fig6", true, &captures).to_json()
     }
 
-    let reports = six_runs(run_once);
+    let reports = four_runs(run_once);
     assert_eq!(reports[0], reports[1], "sequential reports differ");
     assert_eq!(
         reports[0], reports[2],
         "parallel report differs from sequential"
     );
     assert_eq!(reports[2], reports[3], "parallel reports differ");
-    assert_eq!(
-        reports[0], reports[4],
-        "speculative report differs from sequential"
-    );
-    assert_eq!(reports[4], reports[5], "speculative reports differ");
     // The report must actually contain phase attribution, not an empty
     // shell: PageRank iterations and runtime collectives are annotated.
     assert!(

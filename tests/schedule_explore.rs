@@ -4,34 +4,23 @@
 //! break (or mask) determinism.
 //!
 //! Each proptest case runs a full exploration (sequential oracle +
-//! sequential replay + perturbed parallel or speculative schedules)
-//! under a different seed and additionally pins the oracle digest
-//! across cases: every exploration of the same workload must see the
-//! same oracle, whatever seed drives the perturbations and whichever
-//! engine runs the perturbed schedules.
+//! sequential replay + perturbed parallel schedules) under a different
+//! seed and additionally pins the oracle digest across cases: every
+//! exploration of the same workload must see the same oracle, whatever
+//! seed drives the perturbations.
 //!
-//! The speculative (Time Warp) engine additionally gets a planted-bug
-//! self-test, mirroring the fault-campaign harness's `RecoveryBug`
-//! check: with [`SpecBug::TrustStalePrediction`] installed — commit
-//! trusts the speculated device reservation without validating or
-//! publishing it — the explorer must *find* the divergence and classify
-//! it as schedule-dependent. A safety net that cannot catch a known
-//! unsound engine proves nothing about a sound one.
+//! The explorer itself gets a "would it notice?" self-test: a workload
+//! whose own code leaks the schedule seed into a message size must be
+//! *found* and classified as schedule-dependent. A safety net that
+//! cannot catch a known unsound run proves nothing about a sound one.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use hpcbd::check::{Classification, Explorer};
 use hpcbd::cluster::Placement;
 use hpcbd::minimpi::{mpirun, ReduceOp};
 use hpcbd::minspark::{SparkCluster, SparkConfig};
-use hpcbd::simnet::{set_spec_bug, SpecBug};
 use proptest::prelude::*;
-
-/// Serializes every test that runs speculative-mode explorations: the
-/// planted [`SpecBug`] is process-global, and only speculative runs
-/// resolve it, so speculative explorations must not overlap the bug
-/// test.
-static SPEC_GUARD: Mutex<()> = Mutex::new(());
 
 /// An MPI collective job followed by a Spark shuffle job — the two
 /// paradigms the paper compares, back to back in one capture window.
@@ -69,94 +58,49 @@ proptest! {
             "oracle digest changed between explorations"
         );
     }
-
-    #[test]
-    fn speculative_schedules_reproduce_the_oracle_for_any_seed(
-        seed in 0u64..u64::MAX,
-        t_idx in 0usize..2,
-    ) {
-        let threads = [2usize, 4][t_idx];
-        let _g = SPEC_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let report = Explorer::new(seed)
-            .schedules(4)
-            .threads(threads)
-            .speculative(true)
-            .explore(mixed_workload);
-        if let Some(d) = &report.divergence {
-            prop_assert!(
-                false,
-                "speculative divergence under seed {seed:#x} threads={threads}:\n{}",
-                d.render()
-            );
-        }
-        prop_assert_eq!(report.schedules_run, 4);
-        // Same workload, same sequential oracle — whichever engine ran
-        // the perturbed schedules.
-        let pinned = ORACLE.get_or_init(|| report.oracle_digest.clone());
-        prop_assert_eq!(
-            &report.oracle_digest, pinned,
-            "oracle digest changed between explorations"
-        );
-    }
 }
 
-/// Device-reuse workload for the planted-bug self-test: one process
-/// queues bursts of *background* disk writes, then a foreground write
-/// that must serialize behind them. A single process keeps the engine's
-/// speculation decisions a pure function of the perturbation seed (no
-/// cross-thread races over the commit token). Background writes are the
-/// ops whose outcome hangs on the device cell: they never advance the
-/// caller's clock, so the queue position of each next write — and the
-/// foreground write's finish time — comes entirely from the cell's
-/// next-free value. One trusted-but-unpublished reservation collapses
-/// the queue and the captures diverge from the oracle deterministically.
-/// (A purely *blocking* writer would mask the bug: its clock always
-/// trails its own reservation, so a stale cell never wins the
-/// `max(op time, next-free)` race.)
-fn disk_reuse_workload() {
-    use hpcbd::simnet::{NodeId, Sim, Topology, Work};
-    let mut sim = Sim::new(Topology::comet(1));
-    sim.spawn(NodeId(0), "d0", |ctx| {
-        for _ in 0..4 {
-            ctx.compute(Work::flops(1.0e5), 1.0);
-            for _ in 0..4 {
-                ctx.disk_write_background(256 << 10);
-            }
-            ctx.disk_write(1 << 10);
-        }
+/// The bug is the workload's own: its message size reads the schedule
+/// perturbation in force. There is none on the oracle run and its
+/// replay and a seeded one on every perturbed run, so what the workload
+/// does is a pure function of the schedule seed, with no race to lose.
+fn seed_leaking_workload() {
+    use hpcbd::simnet::{
+        current_perturbation, MatchSpec, NodeId, Payload, Pid, Sim, Topology, Transport,
+    };
+    let bytes = 64 + current_perturbation().map_or(0, |p| 1 + p.seed % 1024);
+    let tr = Transport::rdma_verbs();
+    let mut sim = Sim::new(Topology::comet(2));
+    sim.spawn(NodeId(0), "sender", move |ctx| {
+        ctx.send(Pid(1), 1, bytes, Payload::Empty, &tr);
+    });
+    sim.spawn(NodeId(1), "receiver", |ctx| {
+        ctx.recv(MatchSpec::tag(1));
     });
     sim.run();
 }
 
 #[test]
-fn explorer_catches_a_planted_misvalidation_bug() {
-    let _g = SPEC_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-
-    // Sanity: without the bug the same exploration is clean, so the
-    // divergence below is attributable to the planted bug alone.
-    Explorer::new(0xBAD)
-        .schedules(4)
-        .threads(4)
-        .speculative(true)
-        .explore(disk_reuse_workload)
-        .assert_deterministic();
-
-    set_spec_bug(Some(SpecBug::TrustStalePrediction));
+fn explorer_catches_a_schedule_dependent_workload() {
     let report = Explorer::new(0xBAD)
         .schedules(4)
         .threads(4)
-        .speculative(true)
-        .explore(disk_reuse_workload);
-    set_spec_bug(None);
-
+        .explore(seed_leaking_workload);
     let d = report
         .divergence
-        .expect("explorer failed to catch TrustStalePrediction — the safety net is dead");
+        .expect("explorer failed to catch a seed-dependent message size: the safety net is dead");
+    assert_eq!(report.schedules_run, 1, "every perturbed run diverges");
     assert_eq!(
         d.classification,
         Some(Classification::ScheduleDependent),
-        "a mis-validation reproduces under its own seed, so it must \
-         classify as schedule-dependent: {}",
+        "the run reproduces under its own seed, so it must classify as \
+         schedule-dependent: {}",
         d.render()
     );
+    // The first differing record is the sender's send, first in the
+    // export order.
+    assert_eq!((d.field.as_str(), d.event_index), ("events", Some(0)));
+    assert_eq!(d.pids, vec![0]);
+    assert!(d.expected.contains("bytes: 64"), "{}", d.render());
+    assert!(!d.got.contains("bytes: 64"), "{}", d.render());
 }
