@@ -39,8 +39,7 @@ use hpcbd_core::bench_pagerank::{figure6, PagerankInput};
 use hpcbd_core::bench_reduce;
 
 /// Every bench bin the golden registry pins, with the argument set that
-/// makes its output deterministic. `bench` needs `--digests` because its
-/// normal output is wall-clock timings.
+/// makes its output deterministic.
 const BINS: &[(&str, &[&str])] = &[
     ("table1", &["--quick"]),
     ("fig3", &["--quick"]),
@@ -58,15 +57,21 @@ const BINS: &[(&str, &[&str])] = &[
     ("ablation_offload", &["--quick"]),
     ("ablation_queries", &["--quick"]),
     ("ablation_seismic", &["--quick"]),
-    ("bench", &["--quick", "--digests"]),
     ("bench_datacenter", &["--quick"]),
 ];
 
 /// Bins additionally re-run under `HPCBD_EXECUTION=parallel:4` against
 /// the same goldens: a cheap cross-mode determinism check on the
-/// pipelines that stress the scheduler hardest (iterative allreduce,
-/// fault recovery, the multi-tenant day).
-const CROSS_MODE: &[&str] = &["fig6", "ablation_fault_sweep", "bench_datacenter"];
+/// pipelines that stress the scheduler hardest (many-rank collectives,
+/// disk-bound scans, iterative allreduce, fault recovery, the
+/// multi-tenant day).
+const CROSS_MODE: &[&str] = &[
+    "fig3",
+    "fig4",
+    "fig6",
+    "ablation_fault_sweep",
+    "bench_datacenter",
+];
 const CROSS_MODE_EXECUTION: &str = "parallel:4";
 
 fn usage() -> ExitCode {

@@ -20,7 +20,6 @@
 //! | `ablation_offload` | A6 — RDMA offload factor |
 //! | `ablation_queries` | A7 — query-shape sweep |
 //! | `ablation_seismic` | A8 — seismic survey workload |
-//! | `bench` | host wall-clock trajectory (`BENCH_simnet.json`) |
 //!
 //! All binaries accept `--quick` to run a scaled-down configuration
 //! (fewer nodes, smaller sweep) for fast smoke runs; the default is the
@@ -31,21 +30,13 @@
 //! `--report PATH` (phase-attributed JSON run report, DESIGN.md §10),
 //! `--perfetto PATH` (Chrome-tracing export with causal flow arrows)
 //! and `--telemetry` / `--telemetry-out PATH` (live virtual-time
-//! telemetry, DESIGN.md §14) via the shared [`BenchArgs`] parser. Criterion benches
-//! (`cargo bench`) time the *simulator's wall-clock cost* on small
-//! configurations of the same experiments; `bench_hotpath` times the
-//! engine's scheduling/tracing machinery itself.
+//! telemetry, DESIGN.md §14) via the shared [`BenchArgs`] parser.
 
 #![warn(missing_docs)]
 
 pub mod datacenter;
 
 use std::path::PathBuf;
-
-/// True when `--quick` is among the CLI arguments.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
 
 /// The CLI flags every harness binary shares.
 ///
@@ -65,7 +56,9 @@ pub fn quick_mode() -> bool {
 /// Unknown arguments are an error: the parser prints a usage line
 /// naming the offending flag and exits with status 2, so a typo like
 /// `--telemtry-out` fails loudly instead of silently running without
-/// telemetry. Binaries with their own flags (e.g. `bench --out PATH`)
+/// telemetry. A flag that takes a value never swallows the next flag:
+/// `--report --quick` is an error naming `--report`, not a report file
+/// called `--quick`. Binaries with their own flags (e.g. `fig6 --comet`)
 /// declare them via [`BenchArgs::parse_allowing`] and read the values
 /// from `std::env::args` themselves.
 #[derive(Debug, Clone, Default)]
@@ -108,37 +101,45 @@ impl BenchArgs {
     }
 
     /// Parse from an explicit argument list. `extra` declares flags the
-    /// caller handles itself; anything else unknown is an `Err` naming
-    /// the offending argument.
+    /// caller handles itself; anything else unknown, or a value-taking
+    /// flag followed by another flag, is an `Err` naming the offending
+    /// argument. A value-taking flag at the very end yields no value.
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         extra: &[ExtraFlag],
     ) -> Result<BenchArgs, String> {
         let mut parsed = BenchArgs::default();
-        let mut it = args.into_iter();
+        let mut it = args.into_iter().peekable();
         while let Some(a) = it.next() {
+            let mut value = || match it.peek() {
+                Some(next) if next.starts_with("--") => Err(Self::usage(
+                    &format!("'{a}' needs a value, got '{next}'"),
+                    extra,
+                )),
+                _ => Ok(it.next().map(PathBuf::from)),
+            };
             match a.as_str() {
                 "--quick" => parsed.quick = true,
-                "--report" => parsed.report = it.next().map(PathBuf::from),
-                "--perfetto" => parsed.perfetto = it.next().map(PathBuf::from),
+                "--report" => parsed.report = value()?,
+                "--perfetto" => parsed.perfetto = value()?,
                 "--telemetry" => parsed.telemetry = true,
                 "--telemetry-out" => {
-                    parsed.telemetry_out = it.next().map(PathBuf::from);
+                    parsed.telemetry_out = value()?;
                     parsed.telemetry = parsed.telemetry || parsed.telemetry_out.is_some();
                 }
                 other => match extra.iter().find(|(name, _)| *name == other) {
                     Some((_, true)) => {
-                        it.next();
+                        value()?;
                     }
                     Some((_, false)) => {}
-                    None => return Err(Self::usage(other, extra)),
+                    None => return Err(Self::usage(&format!("unknown argument '{other}'"), extra)),
                 },
             }
         }
         Ok(parsed)
     }
 
-    fn usage(bad: &str, extra: &[ExtraFlag]) -> String {
+    fn usage(error: &str, extra: &[ExtraFlag]) -> String {
         let mut flags = String::from(
             "[--quick] [--report PATH] [--perfetto PATH] [--telemetry] [--telemetry-out PATH]",
         );
@@ -148,7 +149,7 @@ impl BenchArgs {
                 if *takes_value { " VALUE" } else { "" }
             ));
         }
-        format!("error: unknown argument '{bad}'\nusage: {flags}")
+        format!("error: {error}\nusage: {flags}")
     }
 }
 
@@ -249,28 +250,29 @@ mod tests {
 
     #[test]
     fn declared_extra_flags_are_skipped_with_their_values() {
+        // fig6's `--comet` takes no value; `--seed` stands in for an
+        // extra that does.
+        let extra: &[ExtraFlag] = &[("--comet", false), ("--seed", true)];
         let a = BenchArgs::parse_from(
-            [
-                "--out",
-                "BENCH_simnet.json",
-                "--digests",
-                "--perfetto",
-                "t.json",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-            &[("--out", true), ("--digests", false)],
+            ["--comet", "--seed", "7", "--quick", "--perfetto", "t.json"]
+                .iter()
+                .map(|s| s.to_string()),
+            extra,
         )
         .expect("declared extras are accepted");
-        assert!(!a.quick);
+        assert!(a.quick);
         assert!(a.report.is_none());
         assert_eq!(a.perfetto.as_deref(), Some(std::path::Path::new("t.json")));
+        // A value-taking extra does not swallow the next flag either.
+        let err = BenchArgs::parse_from(["--seed", "--comet"].iter().map(|s| s.to_string()), extra)
+            .expect_err("missing extra value");
+        assert!(err.contains("'--seed' needs a value"), "{err}");
         // An undeclared extra still errors, and the usage line lists the
         // declared ones.
-        let err = BenchArgs::parse_from(["--nope".to_string()], &[("--out", true)])
-            .expect_err("undeclared flag");
+        let err =
+            BenchArgs::parse_from(["--nope".to_string()], extra).expect_err("undeclared flag");
         assert!(
-            err.contains("--nope") && err.contains("[--out VALUE]"),
+            err.contains("--nope") && err.contains("[--comet] [--seed VALUE]"),
             "{err}"
         );
     }
@@ -279,6 +281,22 @@ mod tests {
     fn missing_value_yields_none() {
         let a = parse(&["--report"]);
         assert!(a.report.is_none());
+    }
+
+    #[test]
+    fn value_flag_does_not_swallow_the_next_flag() {
+        let err = BenchArgs::parse_from(["--report".to_string(), "--quick".to_string()], &[])
+            .expect_err("--quick is not a report path");
+        assert!(
+            err.contains("'--report' needs a value, got '--quick'"),
+            "{err}"
+        );
+        assert!(err.contains("usage:"), "{err}");
+        for flag in ["--perfetto", "--telemetry-out"] {
+            let err = BenchArgs::parse_from([flag.to_string(), "--quick".to_string()], &[])
+                .expect_err("missing value");
+            assert!(err.contains(&format!("'{flag}' needs a value")), "{err}");
+        }
     }
 
     #[test]

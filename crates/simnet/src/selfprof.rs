@@ -1,5 +1,5 @@
 //! Host-side self-profiler: cheap wall-clock accounting of the
-//! simulator's own subsystems, so a BENCH row that moved can be
+//! simulator's own subsystems, so a benchmark row that moved can be
 //! explained by the *mix of engine work* that produced it (queue ops,
 //! coroutine switches, token protocol, resume path) rather than guessed
 //! at.
@@ -17,7 +17,6 @@
 //! already spends per run). When on, each count is one relaxed
 //! `fetch_add` — no locks, no allocation, no wall-clock reads on the
 //! hot path (run wall time is measured once per `Sim::run`).
-//! `bench_hotpath`'s `telemetry_overhead` group prices both states.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
