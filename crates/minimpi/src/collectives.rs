@@ -186,7 +186,7 @@ impl MpiRank<'_> {
             self.send_arc(me + pof2, tag + 2, Arc::new(acc.clone()));
         } else if me >= pof2 {
             let (v, _) = self.recv::<T>(Some(me - pof2), tag + 2);
-            acc = (*v).clone();
+            acc = Arc::unwrap_or_clone(v);
         }
         // Reserve the tags used by the sub-phases.
         self.skip_coll_tags(2);
@@ -256,7 +256,7 @@ impl MpiRank<'_> {
             mine
         } else {
             let (v, _) = self.recv::<T>(Some(root), tag);
-            (*v).clone()
+            Arc::unwrap_or_clone(v)
         };
         self.ctx.span_close();
         out
@@ -275,7 +275,7 @@ impl MpiRank<'_> {
             for _ in 0..n - 1 {
                 let spec_any = None;
                 let (v, src) = self.recv::<T>(spec_any, tag);
-                parts[src as usize] = (*v).clone();
+                parts[src as usize] = Arc::unwrap_or_clone(v);
             }
             Some(parts.concat())
         } else {
@@ -302,7 +302,7 @@ impl MpiRank<'_> {
             let recv_idx = (me + n - step - 1) % n;
             self.send_arc(right, tag, std::sync::Arc::new(parts[send_idx].clone()));
             let (v, _) = self.recv::<T>(Some(left), tag);
-            parts[recv_idx] = (*v).clone();
+            parts[recv_idx] = Arc::unwrap_or_clone(v);
         }
         self.ctx.span_close();
         parts.concat()
@@ -310,23 +310,24 @@ impl MpiRank<'_> {
 
     /// MPI_Alltoall: pairwise exchange; `chunks[r]` goes to rank `r`, the
     /// result's slot `r` holds what rank `r` sent us.
-    pub fn alltoall<T: MpiScalar>(&mut self, chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    pub fn alltoall<T: MpiScalar>(&mut self, mut chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
         assert_eq!(chunks.len(), n as usize, "one chunk per destination");
         self.ctx.span_open("mpi/alltoall");
         let mut out: Vec<Vec<T>> = vec![Vec::new(); n as usize];
-        out[me as usize] = chunks[me as usize].clone();
+        out[me as usize] = std::mem::take(&mut chunks[me as usize]);
         // Rotated pairwise exchange: in step s we send to me+s and receive
         // from me-s. Sends are eager, so the send/recv order cannot
         // deadlock for any communicator size.
         for step in 1..n {
             let dst = (me + step) % n;
             let src = (me + n - step) % n;
-            self.send_arc(dst, tag, std::sync::Arc::new(chunks[dst as usize].clone()));
+            let chunk = std::mem::take(&mut chunks[dst as usize]);
+            self.send_arc(dst, tag, Arc::new(chunk));
             let (v, _) = self.recv::<T>(Some(src), tag);
-            out[src as usize] = (*v).clone();
+            out[src as usize] = Arc::unwrap_or_clone(v);
         }
         self.ctx.span_close();
         out
@@ -395,12 +396,12 @@ impl MpiRank<'_> {
             let msg = self.ctx.recv(spec);
             let received = msg.expect_value::<Vec<(u32, u32, Vec<T>)>>();
             let mut elems = 0usize;
-            for (src, dst, v) in received.iter() {
+            for (src, dst, v) in Arc::unwrap_or_clone(received) {
                 elems += v.len();
-                if *dst == me {
-                    mine.push((*src, v.clone()));
+                if dst == me {
+                    mine.push((src, v));
                 } else {
-                    held.push((*src, *dst, v.clone()));
+                    held.push((src, dst, v));
                 }
             }
             // Repacking cost of the received batch.
@@ -459,7 +460,7 @@ impl MpiRank<'_> {
         let mut acc = data.to_vec();
         if me > 0 {
             let (prefix, _) = self.recv::<T>(Some(me - 1), tag);
-            let mut combined = (*prefix).clone();
+            let mut combined = Arc::unwrap_or_clone(prefix);
             op.combine_into(&mut combined, &acc);
             self.charge_elementwise::<T>(acc.len());
             acc = combined;

@@ -467,8 +467,10 @@ impl<'a> SparkDriver<'a> {
 
     fn block_owner(&self, rdd: RddId, part: u32) -> Option<ExecId> {
         // The block store tracks one owner per (rdd, part).
-        (0..self.alive.len() as u32)
-            .find(|e| self.alive[*e as usize] && self.app.blocks.get(rdd, part, *e).is_some())
+        self.app
+            .blocks
+            .owner(rdd, part)
+            .filter(|e| self.alive.get(*e as usize) == Some(&true))
     }
 
     fn run_wave(&mut self, tasks: Vec<TaskSpec>) -> WaveOutcome {

@@ -15,8 +15,28 @@ pub(crate) const EXEC_TAG: Tag = (1 << 46) + 1;
 pub(crate) const DRIVER_TAG: Tag = (1 << 46) + 2;
 pub(crate) const PONG_TAG: Tag = (1 << 46) + 3;
 pub(crate) const SERVICE_TAG: Tag = (1 << 46) + 4;
-// Fetch replies: SERVICE_REPLY | (shuffle << 20) | (map << 8) | reduce.
+// Fetch replies: SERVICE_REPLY | (shuffle << 24) | (node << 12) | reduce
+// partition, built at both ends by `fetch_reply_tag`.
 pub(crate) const SERVICE_REPLY: Tag = 1 << 47;
+
+/// The tag of a shuffle service's reply to one fetch. A field that
+/// overflowed its bits would let one fetch match another's reply.
+fn fetch_reply_tag(shuffle: u64, node: NodeId, part: u32) -> Tag {
+    assert!(
+        shuffle < 1 << 23,
+        "fetch reply tag: shuffle {shuffle} does not fit in 23 bits"
+    );
+    assert!(
+        node.0 < 1 << 12,
+        "fetch reply tag: node {} does not fit in 12 bits",
+        node.0
+    );
+    assert!(
+        part < 1 << 12,
+        "fetch reply tag: reduce partition {part} does not fit in 12 bits"
+    );
+    SERVICE_REPLY | (shuffle << 24) | ((node.0 as u64) << 12) | part as u64
+}
 
 /// State shared by driver, executors and shuffle services.
 pub(crate) struct AppShared {
@@ -364,6 +384,7 @@ fn fetch_shuffle(
         if bytes == 0 {
             continue;
         }
+        let tag = fetch_reply_tag(shuffle as u64, node, part);
         crate::metrics::SparkMetrics::add(&app.metrics.shuffle_bytes_remote, bytes);
         let service = app.service_pids.read()[node.index()];
         ctx.send(
@@ -373,7 +394,6 @@ fn fetch_shuffle(
             Payload::value((shuffle as u64, part, bytes, ctx.pid())),
             &data_tr,
         );
-        let tag = SERVICE_REPLY | ((shuffle as u64) << 24) | ((node.0 as u64) << 12) | part as u64;
         // A healthy service answers within the transfer time; a crashed
         // node never does. Give the stream generous slack, then surface
         // the silence as a fetch failure for the driver to resolve.
@@ -417,7 +437,7 @@ pub(crate) fn shuffle_service_loop(ctx: &mut ProcCtx, app: Arc<AppShared>) {
         if bytes > 0 {
             ctx.compute(Work::mem_bytes(bytes as f64), 1.0);
         }
-        let tag = SERVICE_REPLY | (shuffle << 24) | ((my_node.0 as u64) << 12) | reduce_part as u64;
+        let tag = fetch_reply_tag(shuffle, my_node, reduce_part);
         ctx.send(reply_to, tag, bytes.max(1), Payload::Empty, &data_tr);
     }
 }
@@ -425,4 +445,31 @@ pub(crate) fn shuffle_service_loop(ctx: &mut ProcCtx, app: Arc<AppShared>) {
 /// Executor-side helper shared with the driver for sizing result waits.
 pub(crate) fn reply_slack() -> SimDuration {
     SimDuration::from_secs(5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fetch_reply_tags_keep_their_fields_apart() {
+        let top = fetch_reply_tag((1 << 23) - 1, NodeId(4095), 4095);
+        assert_eq!(top, SERVICE_REPLY | ((1 << 47) - 1));
+        assert_ne!(
+            fetch_reply_tag(0, NodeId(1), 0),
+            fetch_reply_tag(0, NodeId(0), 4095)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce partition 4096 does not fit")]
+    fn fetch_reply_tag_rejects_a_partition_past_its_field() {
+        fetch_reply_tag(0, NodeId(0), 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4096 does not fit")]
+    fn fetch_reply_tag_rejects_a_node_past_its_field() {
+        fetch_reply_tag(0, NodeId(4096), 0);
+    }
 }

@@ -11,7 +11,7 @@ use hpcbd_simnet::{partition_of, Work};
 
 use crate::driver::SparkDriver;
 use crate::plan::{Compute, PartValue, RddNode};
-use crate::rdd::{Data, Key, Rdd};
+use crate::rdd::{key_split, Data, Key, Rdd};
 
 /// Result element of [`Rdd::cogroup`]: the two sides' value groups.
 pub type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
@@ -156,29 +156,15 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
     pub fn cogroup<W: Data>(&self, other: &Rdd<(K, W)>, parts: u32) -> Rdd<CoGrouped<K, V, W>> {
         let left = self.plan.node(self.id);
         let right = self.plan.node(other.id);
-        let lsplit = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, V)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
-        let rsplit = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, W)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, W)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
         let ls = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: left.id,
             partitions: parts,
-            split: lsplit,
+            split: key_split::<K, V>(),
         });
         let rs = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: right.id,
             partitions: parts,
-            split: rsplit,
+            split: key_split::<K, W>(),
         });
         let combine = Arc::new(|lb: Vec<PartValue>, rb: Vec<PartValue>| {
             let mut groups: std::collections::BTreeMap<K, (Vec<V>, Vec<W>)> =

@@ -16,7 +16,7 @@ use hpcbd_minhdfs::Hdfs;
 use hpcbd_simnet::{partition_of, Work};
 
 use crate::config::StorageLevel;
-use crate::plan::{Compute, PartValue, Plan, RddNode};
+use crate::plan::{Compute, PartValue, Plan, RddNode, SplitFn};
 
 /// Element bound for RDD contents.
 pub trait Data: Clone + Send + Sync + 'static {}
@@ -202,26 +202,10 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         let parent = self.node();
         let f = Arc::new(f);
         let f_split = f.clone();
-        // Map-side combine + hash split.
         let split = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<std::collections::HashMap<K, V>> =
-                (0..n).map(|_| std::collections::HashMap::new()).collect();
-            for (k, v) in pv.as_vec::<(K, V)>() {
-                let b = partition_of(k, n) as usize;
-                match buckets[b].get_mut(k) {
-                    Some(acc) => *acc = f_split(acc, v),
-                    None => {
-                        buckets[b].insert(k.clone(), v.clone());
-                    }
-                }
-            }
-            buckets
+            combine_by_key(pv.as_vec::<(K, V)>(), n, &*f_split)
                 .into_iter()
-                .map(|m| {
-                    let mut v: Vec<(K, V)> = m.into_iter().collect();
-                    v.sort_by(|a, b| a.0.cmp(&b.0));
-                    PartValue::of(v)
-                })
+                .map(PartValue::of)
                 .collect::<Vec<_>>()
         });
         let shuffle = self.plan.add_shuffle(crate::plan::ShuffleDep {
@@ -229,22 +213,8 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             partitions: parts,
             split,
         });
-        let f_combine = f.clone();
         let combine = Arc::new(move |buckets: Vec<PartValue>| {
-            let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
-            for b in &buckets {
-                for (k, v) in b.as_vec::<(K, V)>() {
-                    match acc.get_mut(k) {
-                        Some(a) => *a = f_combine(a, v),
-                        None => {
-                            acc.insert(k.clone(), v.clone());
-                        }
-                    }
-                }
-            }
-            let mut out: Vec<(K, V)> = acc.into_iter().collect();
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            PartValue::of(out)
+            PartValue::of(reduce_buckets(&typed::<(K, V)>(&buckets), &*f))
         });
         let node = self.plan.add_node(RddNode {
             id: 0,
@@ -266,28 +236,13 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
     /// combine (the shuffle-heavy pattern of the HiBench PageRank).
     pub fn group_by_key(&self, parts: u32) -> Rdd<(K, Vec<V>)> {
         let parent = self.node();
-        let split = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, V)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
         let shuffle = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: parent.id,
             partitions: parts,
-            split,
+            split: key_split::<K, V>(),
         });
-        let combine = Arc::new(move |buckets: Vec<PartValue>| {
-            let mut acc: std::collections::HashMap<K, Vec<V>> = std::collections::HashMap::new();
-            for b in &buckets {
-                for (k, v) in b.as_vec::<(K, V)>() {
-                    acc.entry(k.clone()).or_default().push(v.clone());
-                }
-            }
-            let mut out: Vec<(K, Vec<V>)> = acc.into_iter().collect();
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            PartValue::of(out)
+        let combine = Arc::new(|buckets: Vec<PartValue>| {
+            PartValue::of(group_buckets(&typed::<(K, V)>(&buckets)))
         });
         let node = self.plan.add_node(RddNode {
             id: 0,
@@ -308,23 +263,13 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
     /// `partitionBy(parts)`: hash-repartition by key.
     pub fn partition_by(&self, parts: u32) -> Rdd<(K, V)> {
         let parent = self.node();
-        let split = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, V)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
         let shuffle = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: parent.id,
             partitions: parts,
-            split,
+            split: key_split::<K, V>(),
         });
-        let combine = Arc::new(move |buckets: Vec<PartValue>| {
-            let mut out: Vec<(K, V)> = Vec::new();
-            for b in &buckets {
-                out.extend(b.as_vec::<(K, V)>().iter().cloned());
-            }
+        let combine = Arc::new(|buckets: Vec<PartValue>| {
+            let mut out = typed::<(K, V)>(&buckets).concat();
             out.sort_by(|a, b| a.0.cmp(&b.0));
             PartValue::of(out)
         });
@@ -357,9 +302,9 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             && right.partitions == parts;
         if co_partitioned {
             let f = Arc::new(|l: &PartValue, r: &PartValue| {
-                PartValue::of(hash_join::<K, V, W>(
-                    l.as_vec::<(K, V)>(),
-                    r.as_vec::<(K, W)>(),
+                PartValue::of(merge_join::<K, V, W>(
+                    l.as_vec::<(K, V)>().iter().collect(),
+                    r.as_vec::<(K, W)>().iter().collect(),
                 ))
             });
             let node = self.plan.add_node(RddNode {
@@ -382,40 +327,21 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             return Rdd::from_node(self.plan.clone(), node);
         }
         // Wide join: shuffle both parents.
-        let lsplit = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, V)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
-        let rsplit = Arc::new(move |pv: &PartValue, n: u32| {
-            let mut buckets: Vec<Vec<(K, W)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in pv.as_vec::<(K, W)>() {
-                buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
-            }
-            buckets.into_iter().map(PartValue::of).collect::<Vec<_>>()
-        });
         let ls = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: left.id,
             partitions: parts,
-            split: lsplit,
+            split: key_split::<K, V>(),
         });
         let rs = self.plan.add_shuffle(crate::plan::ShuffleDep {
             parent: right.id,
             partitions: parts,
-            split: rsplit,
+            split: key_split::<K, W>(),
         });
         let combine = Arc::new(|lbuckets: Vec<PartValue>, rbuckets: Vec<PartValue>| {
-            let mut l: Vec<(K, V)> = Vec::new();
-            for b in &lbuckets {
-                l.extend(b.as_vec::<(K, V)>().iter().cloned());
-            }
-            let mut r: Vec<(K, W)> = Vec::new();
-            for b in &rbuckets {
-                r.extend(b.as_vec::<(K, W)>().iter().cloned());
-            }
-            PartValue::of(hash_join::<K, V, W>(&l, &r))
+            PartValue::of(merge_join::<K, V, W>(
+                lbuckets.iter().flat_map(|b| b.as_vec::<(K, V)>()).collect(),
+                rbuckets.iter().flat_map(|b| b.as_vec::<(K, W)>()).collect(),
+            ))
         });
         let node = self.plan.add_node(RddNode {
             id: 0,
@@ -438,22 +364,126 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
     }
 }
 
-/// Deterministic inner hash join (sorted output).
-fn hash_join<K: Key, V: Data, W: Data>(l: &[(K, V)], r: &[(K, W)]) -> Vec<(K, (V, W))> {
-    let mut rmap: std::collections::HashMap<&K, Vec<&W>> = std::collections::HashMap::new();
-    for (k, w) in r {
-        rmap.entry(k).or_default().push(w);
+// The shuffle data path. Every grouping by key below is a stable sort
+// followed by one pass over the runs of equal keys. A stable sort keeps
+// equal keys in input order, so each fold sees the same operands in the
+// same order an insertion-order hash-map fold would: the result is
+// deterministic by construction, with no hashing beyond `partition_of`
+// and no map iteration order to undo.
+
+/// The map side of a plain hash shuffle: [`split_by_key`] behind a
+/// type-erased [`SplitFn`].
+pub(crate) fn key_split<K: Key, V: Data>() -> SplitFn {
+    Arc::new(|pv: &PartValue, n: u32| {
+        split_by_key(pv.as_vec::<(K, V)>(), n)
+            .into_iter()
+            .map(PartValue::of)
+            .collect()
+    })
+}
+
+/// Split `items` into `n` buckets by `partition_of`, keeping input order
+/// within each. One hash per item; a counting pass sizes every bucket.
+fn split_by_key<K: Key, V: Data>(items: &[(K, V)], n: u32) -> Vec<Vec<(K, V)>> {
+    let dest: Vec<u32> = items.iter().map(|(k, _)| partition_of(k, n)).collect();
+    let mut sizes = vec![0usize; n as usize];
+    for &b in &dest {
+        sizes[b as usize] += 1;
     }
-    let mut out: Vec<(K, (V, W))> = Vec::new();
-    for (k, v) in l {
-        if let Some(ws) = rmap.get(k) {
-            for w in ws {
-                out.push((k.clone(), (v.clone(), (*w).clone())));
+    let mut buckets: Vec<Vec<(K, V)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (&b, kv) in dest.iter().zip(items) {
+        buckets[b as usize].push(kv.clone());
+    }
+    buckets
+}
+
+/// Stable-sort `items` by key, then fold each run of equal keys with `f`
+/// from left to right.
+fn fold_runs<K: Key, V: Data>(mut items: Vec<(K, V)>, f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)> {
+    items.sort_by(|a, b| a.0.cmp(&b.0));
+    // `dedup_by` passes (later, kept) and drops `later` on `true`.
+    items.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = f(&kept.1, &later.1);
+        }
+        same
+    });
+    items
+}
+
+/// Map side of `reduce_by_key`: [`split_by_key`], then fold each bucket.
+/// Each bucket is shrunk to its length because the shuffle store keeps
+/// every map output until the job ends.
+fn combine_by_key<K: Key, V: Data>(
+    items: &[(K, V)],
+    n: u32,
+    f: &impl Fn(&V, &V) -> V,
+) -> Vec<Vec<(K, V)>> {
+    split_by_key(items, n)
+        .into_iter()
+        .map(|bucket| {
+            let mut bucket = fold_runs(bucket, f);
+            bucket.shrink_to_fit();
+            bucket
+        })
+        .collect()
+}
+
+/// Reduce side of `reduce_by_key`: the fetched buckets concatenated in
+/// bucket order, folded by key.
+fn reduce_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]], f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)> {
+    fold_runs(buckets.concat(), f)
+}
+
+/// Reduce side of `group_by_key`: the fetched buckets concatenated in
+/// bucket order, each key's values collected in that order.
+fn group_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]]) -> Vec<(K, Vec<V>)> {
+    let mut items = buckets.concat();
+    items.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out: Vec<(K, Vec<V>)> = Vec::new();
+    for (k, v) in items {
+        match out.last_mut() {
+            Some((last, vs)) if *last == k => vs.push(v),
+            _ => out.push((k, vec![v])),
+        }
+    }
+    out
+}
+
+/// Inner merge join, sorted by key. Within a key the pairs come in left
+/// input order, then right input order.
+fn merge_join<K: Key, V: Data, W: Data>(
+    mut l: Vec<&(K, V)>,
+    mut r: Vec<&(K, W)>,
+) -> Vec<(K, (V, W))> {
+    l.sort_by(|a, b| a.0.cmp(&b.0));
+    r.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < l.len() && j < r.len() {
+        match l[i].0.cmp(&r[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let k = &l[i].0;
+                let i_end = i + l[i..].iter().take_while(|x| x.0 == *k).count();
+                let j_end = j + r[j..].iter().take_while(|x| x.0 == *k).count();
+                for (_, v) in &l[i..i_end] {
+                    for (_, w) in &r[j..j_end] {
+                        out.push((k.clone(), (v.clone(), w.clone())));
+                    }
+                }
+                (i, j) = (i_end, j_end);
             }
         }
     }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
     out
+}
+
+/// The typed contents of fetched buckets, in bucket order.
+fn typed<T: Send + Sync + 'static>(buckets: &[PartValue]) -> Vec<&[T]> {
+    buckets.iter().map(|b| b.as_vec::<T>().as_slice()).collect()
 }
 
 /// Source constructors, callable with just a plan handle (the driver
@@ -585,5 +615,178 @@ pub(crate) mod sources {
             prefs: Vec::new(),
         });
         Rdd::from_node(plan.clone(), node)
+    }
+}
+
+/// The hash-map bodies the sort-based shuffle replaced, kept as they
+/// were (typed slices in place of `PartValue`s) as the reference the
+/// tests below compare the data path against.
+#[cfg(test)]
+mod oracle {
+    use super::{Data, Key};
+    use hpcbd_simnet::partition_of;
+
+    pub fn split_by_key<K: Key, V: Data>(items: &[(K, V)], n: u32) -> Vec<Vec<(K, V)>> {
+        let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+        for (k, v) in items {
+            buckets[partition_of(k, n) as usize].push((k.clone(), v.clone()));
+        }
+        buckets
+    }
+
+    pub fn combine_by_key<K: Key, V: Data>(
+        items: &[(K, V)],
+        n: u32,
+        f: &impl Fn(&V, &V) -> V,
+    ) -> Vec<Vec<(K, V)>> {
+        let mut buckets: Vec<std::collections::HashMap<K, V>> =
+            (0..n).map(|_| std::collections::HashMap::new()).collect();
+        for (k, v) in items {
+            let b = partition_of(k, n) as usize;
+            match buckets[b].get_mut(k) {
+                Some(acc) => *acc = f(acc, v),
+                None => {
+                    buckets[b].insert(k.clone(), v.clone());
+                }
+            }
+        }
+        buckets
+            .into_iter()
+            .map(|m| {
+                let mut v: Vec<(K, V)> = m.into_iter().collect();
+                v.sort_by(|a, b| a.0.cmp(&b.0));
+                v
+            })
+            .collect::<Vec<_>>()
+    }
+
+    pub fn reduce_buckets<K: Key, V: Data>(
+        buckets: &[&[(K, V)]],
+        f: &impl Fn(&V, &V) -> V,
+    ) -> Vec<(K, V)> {
+        let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
+        for b in buckets {
+            for (k, v) in *b {
+                match acc.get_mut(k) {
+                    Some(a) => *a = f(a, v),
+                    None => {
+                        acc.insert(k.clone(), v.clone());
+                    }
+                }
+            }
+        }
+        let mut out: Vec<(K, V)> = acc.into_iter().collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    pub fn group_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]]) -> Vec<(K, Vec<V>)> {
+        let mut acc: std::collections::HashMap<K, Vec<V>> = std::collections::HashMap::new();
+        for b in buckets {
+            for (k, v) in *b {
+                acc.entry(k.clone()).or_default().push(v.clone());
+            }
+        }
+        let mut out: Vec<(K, Vec<V>)> = acc.into_iter().collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    pub fn hash_join<K: Key, V: Data, W: Data>(l: &[(K, V)], r: &[(K, W)]) -> Vec<(K, (V, W))> {
+        let mut rmap: std::collections::HashMap<&K, Vec<&W>> = std::collections::HashMap::new();
+        for (k, w) in r {
+            rmap.entry(k).or_default().push(w);
+        }
+        let mut out: Vec<(K, (V, W))> = Vec::new();
+        for (k, v) in l {
+            if let Some(ws) = rmap.get(k) {
+                for w in ws {
+                    out.push((k.clone(), (v.clone(), (*w).clone())));
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Bucket counts every case runs: one, a few, and more buckets than
+    /// items (most of them empty).
+    const NS: [u32; 5] = [1, 2, 7, 64, 1000];
+
+    /// Neither commutative nor associative: a changed fold order or
+    /// operand order changes the result.
+    fn mix(a: &u64, b: &u64) -> u64 {
+        a.wrapping_mul(31).wrapping_add(*b)
+    }
+
+    /// Rounding makes `f64` sums order-sensitive; compare them by bits.
+    fn sum(a: &f64, b: &f64) -> f64 {
+        a + b
+    }
+
+    fn bits(v: Vec<(u32, f64)>) -> Vec<(u32, u64)> {
+        v.into_iter().map(|(k, x)| (k, x.to_bits())).collect()
+    }
+
+    fn slices<T>(buckets: &[Vec<T>]) -> Vec<&[T]> {
+        buckets.iter().map(Vec::as_slice).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn map_side_matches_the_hash_map_oracle_bucket_by_bucket(
+            items in collection::vec((0u32..12, any::<u64>()), 0..400),
+            reals in collection::vec((0u32..12, -1.0e6f64..1.0e6), 0..400),
+        ) {
+            for n in NS {
+                prop_assert_eq!(split_by_key(&items, n), oracle::split_by_key(&items, n));
+                prop_assert_eq!(
+                    combine_by_key(&items, n, &mix),
+                    oracle::combine_by_key(&items, n, &mix),
+                    "n = {}", n
+                );
+                let got: Vec<_> = combine_by_key(&reals, n, &sum).into_iter().map(bits).collect();
+                let want: Vec<_> =
+                    oracle::combine_by_key(&reals, n, &sum).into_iter().map(bits).collect();
+                prop_assert_eq!(got, want, "n = {}", n);
+            }
+        }
+
+        #[test]
+        fn reduce_side_matches_the_hash_map_oracle(
+            buckets in collection::vec(collection::vec((0u32..12, any::<u64>()), 0..80), 0..10),
+            reals in collection::vec(collection::vec((0u32..12, -1.0e6f64..1.0e6), 0..80), 0..10),
+        ) {
+            let (b, r) = (slices(&buckets), slices(&reals));
+            prop_assert_eq!(reduce_buckets(&b, &mix), oracle::reduce_buckets(&b, &mix));
+            prop_assert_eq!(bits(reduce_buckets(&r, &sum)), bits(oracle::reduce_buckets(&r, &sum)));
+            prop_assert_eq!(group_buckets(&b), oracle::group_buckets(&b));
+        }
+
+        #[test]
+        fn merge_join_matches_the_hash_join_oracle(
+            l in collection::vec((0u32..8, any::<u64>()), 0..150),
+            r in collection::vec((0u32..8, any::<u32>()), 0..150),
+        ) {
+            // Narrow: both sides as they are.
+            prop_assert_eq!(merge_join(l.iter().collect(), r.iter().collect()), oracle::hash_join(&l, &r));
+            // Wide: both sides split, then read bucket by bucket.
+            for n in NS {
+                let (lb, rb) = (split_by_key(&l, n), split_by_key(&r, n));
+                prop_assert_eq!(
+                    merge_join(lb.iter().flatten().collect(), rb.iter().flatten().collect()),
+                    oracle::hash_join(&lb.concat(), &rb.concat()),
+                    "n = {}", n
+                );
+            }
+        }
     }
 }

@@ -74,6 +74,11 @@ impl BlockStore {
         Some((b.value.clone(), b.bytes, b.on_disk))
     }
 
+    /// The executor holding a cached partition (driver-side locality).
+    pub fn owner(&self, rdd: RddId, part: u32) -> Option<ExecId> {
+        self.blocks.read().get(&(rdd, part)).map(|b| b.owner)
+    }
+
     /// Whether any live copy exists (driver-side planning).
     pub fn contains(&self, rdd: RddId, part: u32) -> bool {
         self.blocks.read().contains_key(&(rdd, part))
@@ -266,6 +271,18 @@ mod tests {
         assert!(bs.get(1, 0, 3).is_some());
         assert!(bs.get(1, 0, 4).is_none(), "other executors miss");
         assert!(bs.contains(1, 0));
+    }
+
+    #[test]
+    fn owner_is_the_one_executor_get_serves() {
+        let bs = BlockStore::new(1 << 20);
+        assert_eq!(bs.owner(1, 0), None);
+        bs.put(1, 0, 3, pv(10), 100, StorageLevel::MemoryAndDisk);
+        assert_eq!(bs.owner(1, 0), Some(3));
+        assert_eq!((0..8).find(|e| bs.get(1, 0, *e).is_some()), Some(3));
+        assert_eq!(bs.owner(1, 1), None, "other partitions have no owner");
+        bs.invalidate_executor(3);
+        assert_eq!(bs.owner(1, 0), None);
     }
 
     #[test]
