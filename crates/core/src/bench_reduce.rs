@@ -9,6 +9,8 @@
 //! because a `reduce` action shuffles nothing; the driver's coordination
 //! (always on Java sockets) dominates.
 
+use std::sync::Arc;
+
 use hpcbd_cluster::Placement;
 use hpcbd_minimpi::{mpirun, ReduceOp};
 use hpcbd_minspark::{ShuffleEngine, SparkCluster, SparkConfig};
@@ -28,14 +30,14 @@ pub struct ReducePoint {
 /// averaged over `iters` operations after one warmup.
 // TABLE3-BEGIN: reduce-mpi
 pub fn mpi_reduce_latency(placement: Placement, elements: usize, iters: u32) -> ReducePoint {
+    let data = Arc::new(vec![1.0f32; elements]);
     let out = mpirun(placement, move |rank| {
-        let data = vec![1.0f32; elements];
         // Warmup: route establishment, algorithm warm caches.
-        rank.reduce(0, ReduceOp::Sum, &data);
+        rank.reduce(0, ReduceOp::Sum, data.clone());
         rank.barrier();
         let t0 = rank.now();
         for _ in 0..iters {
-            rank.reduce(0, ReduceOp::Sum, &data);
+            rank.reduce(0, ReduceOp::Sum, data.clone());
         }
         rank.barrier();
         (rank.now() - t0).as_secs_f64()

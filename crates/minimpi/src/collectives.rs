@@ -86,20 +86,31 @@ impl MpiRank<'_> {
     /// MPI_Reduce: binomial tree combining towards `root`. Every rank
     /// passes its contribution; the root returns the combined vector,
     /// non-roots return `None`.
-    pub fn reduce<T: MpiScalar>(&mut self, root: u32, op: ReduceOp, data: &[T]) -> Option<Vec<T>> {
+    ///
+    /// `data` is shared, not copied: a leaf forwards it as is, and an
+    /// inner node combines it with its first child into one fresh buffer
+    /// (or in place, when it holds the only reference), then folds later
+    /// children into that buffer in place. A buffer someone else still
+    /// holds is never written.
+    pub fn reduce<T: MpiScalar>(
+        &mut self,
+        root: u32,
+        op: ReduceOp,
+        data: Arc<Vec<T>>,
+    ) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
         self.ctx.span_open("mpi/reduce");
         let vrank = (me + n - root) % n;
-        let mut acc: Vec<T> = data.to_vec();
+        let mut acc = data;
         let mut bit = 1u32;
-        loop {
+        while bit < n {
             if vrank & bit != 0 {
                 // Send to parent and stop.
                 let parent_v = vrank ^ bit;
                 let parent = (parent_v + root) % n;
-                self.send_arc(parent, tag, Arc::new(acc));
+                self.send_arc(parent, tag, acc);
                 self.ctx.span_close();
                 return None;
             }
@@ -107,22 +118,17 @@ impl MpiRank<'_> {
             if child_v < n {
                 let child = (child_v + root) % n;
                 let (v, _) = self.recv::<T>(Some(child), tag);
-                op.combine_into(&mut acc, &v);
+                match Arc::get_mut(&mut acc) {
+                    Some(mine) => op.combine_into(mine, &v),
+                    None => acc = Arc::new(op.combine_new(&acc, &v)),
+                }
                 // Local combine cost: one op + one load per element.
                 self.charge_elementwise::<T>(acc.len());
             }
             bit <<= 1;
-            if bit >= n {
-                break;
-            }
         }
         self.ctx.span_close();
-        if me == root {
-            Some(acc)
-        } else {
-            // Only reachable when vrank==0 but me!=root, impossible.
-            unreachable!("non-root finished reduce without sending")
-        }
+        Some(Arc::unwrap_or_clone(acc))
     }
 
     /// MPI_Allreduce with size-dependent algorithm selection.
@@ -484,6 +490,7 @@ mod tests {
     use crate::launch::mpirun;
     use crate::{MpiScalar, ReduceOp};
     use hpcbd_cluster::Placement;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn per_rank_vec(rank: u32, len: usize) -> Vec<f64> {
@@ -535,13 +542,145 @@ mod tests {
             for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
                 let out = mpirun(Placement::new(1, n), move |rank| {
                     let data = per_rank_vec(rank.rank(), 16);
-                    rank.reduce(0, op, &data)
+                    rank.reduce(0, op, Arc::new(data))
                 });
                 let root_result = out.results[0].clone().expect("root gets the result");
                 assert_eq!(root_result, oracle_reduce(n, 16, op));
                 for r in &out.results[1..] {
                     assert!(r.is_none());
                 }
+            }
+        }
+    }
+
+    /// The copying `reduce` the shared-buffer one replaced, kept as it
+    /// was (its dead `unreachable!` arm now an assertion): copy the
+    /// input, then fold each child in tree order.
+    impl crate::rank::MpiRank<'_> {
+        fn reduce_copying<T: MpiScalar>(
+            &mut self,
+            root: u32,
+            op: ReduceOp,
+            data: &[T],
+        ) -> Option<Vec<T>> {
+            let tag = self.next_coll_tag();
+            let n = self.size();
+            let me = self.rank();
+            self.ctx.span_open("mpi/reduce");
+            let vrank = (me + n - root) % n;
+            let mut acc: Vec<T> = data.to_vec();
+            let mut bit = 1u32;
+            loop {
+                if vrank & bit != 0 {
+                    let parent_v = vrank ^ bit;
+                    let parent = (parent_v + root) % n;
+                    self.send_arc(parent, tag, Arc::new(acc));
+                    self.ctx.span_close();
+                    return None;
+                }
+                let child_v = vrank | bit;
+                if child_v < n {
+                    let child = (child_v + root) % n;
+                    let (v, _) = self.recv::<T>(Some(child), tag);
+                    op.combine_into(&mut acc, &v);
+                    self.charge_elementwise::<T>(acc.len());
+                }
+                bit <<= 1;
+                if bit >= n {
+                    break;
+                }
+            }
+            self.ctx.span_close();
+            assert_eq!(me, root, "non-root finished reduce without sending");
+            Some(acc)
+        }
+    }
+
+    const OPS: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
+
+    // Inputs that expose a changed operand or association order: both
+    // zeros, NaN, and magnitudes far enough apart that rounding depends
+    // on the grouping. No infinities and no product of 12 can overflow,
+    // so no operation creates a NaN: every NaN in a result is the
+    // input's, and `to_bits` compares reliably.
+    const F64S: [f64; 8] = [0.0, -0.0, f64::NAN, 1.0, -1.0, 1e16, -3e16, 2.5e-300];
+    const F32S: [f32; 8] = [0.0, -0.0, f32::NAN, 1.0, -1.0, 300.0, -250.0, 1e-5];
+
+    fn palette_vec<T: Copy>(palette: &[T], seed: u64, rank: u32, len: usize) -> Vec<T> {
+        (0..len)
+            .map(|i| {
+                palette[(hpcbd_simnet::det_hash(&(seed, rank, i)) % palette.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    /// Rank `me`'s reduce of `data` to every root under every op, by the
+    /// copying body and by the shared-buffer one, given a shared and a
+    /// sole reference (which it may combine into in place):
+    /// `(root, op, [shared, sole], want)` as bits wherever `me` is the root.
+    type Outcomes = Vec<(u32, ReduceOp, [Vec<u64>; 2], Vec<u64>)>;
+    fn reduce_all_ways<T: MpiScalar>(
+        rank: &mut crate::rank::MpiRank<'_>,
+        data: &Arc<Vec<T>>,
+        bits: impl Fn(&T) -> u64,
+    ) -> Outcomes {
+        let bits = |v: Vec<T>| v.iter().map(&bits).collect::<Vec<u64>>();
+        let mut out = Vec::new();
+        for root in 0..rank.size() {
+            for op in OPS {
+                let shared = rank.reduce(root, op, data.clone());
+                let sole = rank.reduce(root, op, Arc::new(data.to_vec()));
+                let want = rank.reduce_copying(root, op, data);
+                assert_eq!(shared.is_some(), want.is_some());
+                assert_eq!(sole.is_some(), want.is_some());
+                if let (Some(shared), Some(sole), Some(want)) = (shared, sole, want) {
+                    out.push((root, op, [bits(shared), bits(sole)], bits(want)));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn reduce_equals_the_copying_body_bit_for_bit(
+            short in 0usize..71,
+            seed in any::<u64>(),
+        ) {
+            // A short vector, and one past 1,024 elements: the vectorised
+            // loop body and its tail.
+            for (n, len) in (1u32..=12).flat_map(|n| [(n, short), (n, 1031)]) {
+                let out = mpirun(Placement::new(1, n), move |rank| {
+                    let me = rank.rank();
+                    let xs = Arc::new(palette_vec(&F64S, seed, me, len));
+                    let ys = Arc::new(palette_vec(&F32S, seed, me, len));
+                    let (x0, y0): (Vec<u64>, Vec<u32>) = (
+                        xs.iter().map(|x| x.to_bits()).collect(),
+                        ys.iter().map(|y| y.to_bits()).collect(),
+                    );
+                    let mut outcomes = reduce_all_ways(rank, &xs, |x| x.to_bits());
+                    outcomes.extend(reduce_all_ways(rank, &ys, |y| y.to_bits() as u64));
+                    rank.barrier();
+                    let untouched = xs.iter().map(|x| x.to_bits()).eq(x0)
+                        && ys.iter().map(|y| y.to_bits()).eq(y0);
+                    let counts = (Arc::strong_count(&xs), Arc::strong_count(&ys));
+                    (outcomes, untouched, counts)
+                });
+                let mut roots = 0;
+                for (me, (outcomes, untouched, counts)) in out.results.into_iter().enumerate() {
+                    prop_assert!(untouched, "n={n} rank {me}: input changed");
+                    prop_assert_eq!(counts, (1, 1), "n={n} rank {me}: input still shared");
+                    for (root, op, [shared, sole], want) in outcomes {
+                        prop_assert_eq!(root, me as u32);
+                        prop_assert_eq!(&shared, &want, "n={n} root={root} op={op:?} shared");
+                        prop_assert_eq!(&sole, &want, "n={n} root={root} op={op:?} sole");
+                        roots += 1;
+                    }
+                }
+                // Every root, every op, both element types.
+                prop_assert_eq!(roots, n as usize * OPS.len() * 2);
             }
         }
     }

@@ -145,7 +145,7 @@ impl<'a> SparkDriver<'a> {
         let f = Arc::new(f);
         let f2 = f.clone();
         let action: ActionFn = Arc::new(move |ctx, scale, pv| {
-            let v = pv.as_vec::<T>();
+            let v = pv.as_slice::<T>();
             // One combine per logical element.
             ctx.compute(
                 Work::new(4.0, 32.0).scaled(v.len() as f64 * scale),
@@ -161,7 +161,7 @@ impl<'a> SparkDriver<'a> {
         let mut acc: Option<T> = None;
         for (_, pv) in partials {
             if let Some(pv) = pv {
-                for x in pv.as_vec::<T>() {
+                for x in pv.as_slice::<T>() {
                     acc = Some(match acc {
                         Some(a) => f(&a, x),
                         None => x.clone(),
@@ -186,7 +186,7 @@ impl<'a> SparkDriver<'a> {
         partials
             .into_iter()
             .filter_map(|(_, pv)| pv)
-            .map(|pv| pv.as_vec::<u64>().iter().sum::<u64>())
+            .map(|pv| pv.as_slice::<u64>().iter().sum::<u64>())
             .sum()
     }
 
@@ -197,7 +197,7 @@ impl<'a> SparkDriver<'a> {
         let mut out = Vec::new();
         for (_, pv) in partials {
             if let Some(pv) = pv {
-                out.extend(pv.as_vec::<T>().iter().cloned());
+                out.extend(pv.as_slice::<T>().iter().cloned());
             }
         }
         out

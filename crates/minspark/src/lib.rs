@@ -273,6 +273,59 @@ mod tests {
     }
 
     #[test]
+    fn parallelize_views_serve_the_input_in_partition_order() {
+        for (n, parts) in [(0usize, 4u32), (3, 8), (10, 3), (1024, 64)] {
+            let input: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
+            let data = input.clone();
+            let r = SparkCluster::new(2, SparkConfig::default()).run(move |sc| {
+                let xs = sc.parallelize(data, parts);
+                let lens = sc.collect(&xs.map_partitions(|v| vec![v.len()]));
+                (sc.collect(&xs), lens, sc.count(&xs))
+            });
+            let (got, lens, count) = r.value;
+            assert_eq!(got, input, "n={n} parts={parts}");
+            assert_eq!(count, n as u64);
+            // The slicing the views replaced: partition p held
+            // data[p*n/parts .. (p+1)*n/parts].
+            let expect: Vec<usize> = (0..parts as usize)
+                .map(|p| (p + 1) * n / parts as usize - p * n / parts as usize)
+                .collect();
+            assert_eq!(lens, expect, "n={n} parts={parts}");
+        }
+    }
+
+    #[test]
+    fn lost_executor_mid_reduce_recomputes_parallelize_views() {
+        use hpcbd_simnet::{FaultPlan, NodeId};
+        fn run(crash_at: Option<SimTime>) -> ((u64, SimTime, SimTime), u64) {
+            let config = SparkConfig {
+                executors_per_node: 2,
+                task_timeout: SimDuration::from_secs(8),
+                ..Default::default()
+            };
+            let mut cluster = SparkCluster::new(3, config);
+            if let Some(at) = crash_at {
+                cluster = cluster.faults(FaultPlan::new(11).crash_node(NodeId(1), at));
+            }
+            let r = cluster.run(|sc| {
+                let xs = sc.parallelize((0..4_000u64).map(|i| i * i).collect(), 12);
+                // Long tasks keep a wave in flight when the node dies.
+                let heavy = xs.map_with_cost(Work::new(400_000.0, 64.0), 8, |x| x ^ 0x5a5a);
+                let t0 = sc.now();
+                let v = sc.reduce(&heavy, |a, b| a.wrapping_mul(31).wrapping_add(*b));
+                (v.expect("non-empty"), t0, sc.now())
+            });
+            (r.value, r.metrics.executors_lost)
+        }
+        let ((clean, t0, t1), lost) = run(None);
+        assert_eq!(lost, 0);
+        let mid = SimTime(t0.nanos() + (t1.nanos() - t0.nanos()) / 2);
+        let ((faulty, ..), lost) = run(Some(mid));
+        assert_eq!(lost, 2, "both executors on the crashed node are lost");
+        assert_eq!(faulty, clean, "recomputed views give the fault-free result");
+    }
+
+    #[test]
     fn permanently_crashed_majority_aborts_with_structured_error() {
         use hpcbd_simnet::{FaultPlan, NodeId};
         let config = SparkConfig {

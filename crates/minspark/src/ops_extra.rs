@@ -57,7 +57,7 @@ impl<T: Data> Rdd<T> {
         let parent = self.plan.node(self.id);
         let split = Arc::new(move |pv: &PartValue, n: u32| {
             let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-            for x in pv.as_vec::<T>() {
+            for x in pv.as_slice::<T>() {
                 buckets[partition_of(x, n) as usize].push(x.clone());
             }
             // Pre-deduplicate map-side (like a combiner).
@@ -78,7 +78,7 @@ impl<T: Data> Rdd<T> {
         let combine = Arc::new(|buckets: Vec<PartValue>| {
             let mut all: Vec<T> = Vec::new();
             for b in &buckets {
-                all.extend(b.as_vec::<T>().iter().cloned());
+                all.extend(b.as_slice::<T>().iter().cloned());
             }
             all.sort();
             all.dedup();
@@ -114,7 +114,7 @@ impl<T: Data> Rdd<T> {
             Work::new(2.0, 16.0),
             self.plan.node(self.id).item_bytes,
             true,
-            move |v: &Vec<T>| {
+            move |v: &[T]| {
                 v.iter()
                     .filter(|x| (hpcbd_simnet::det_hash(&(seed, *x)) >> 32) as u32 <= threshold)
                     .cloned()
@@ -127,7 +127,7 @@ impl<T: Data> Rdd<T> {
 impl<K: Key, V: Data> Rdd<(K, V)> {
     /// `keys()`.
     pub fn keys(&self) -> Rdd<K> {
-        self.narrow("keys", Work::new(1.0, 16.0), 8, false, |v: &Vec<(K, V)>| {
+        self.narrow("keys", Work::new(1.0, 16.0), 8, false, |v: &[(K, V)]| {
             v.iter().map(|(k, _)| k.clone()).collect()
         })
     }
@@ -143,8 +143,8 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             Work::new(20.0, 96.0),
             self.plan.node(self.id).item_bytes,
             true,
-            |v: &Vec<(K, V)>| {
-                let mut out = v.clone();
+            |v: &[(K, V)]| {
+                let mut out = v.to_vec();
                 out.sort_by(|a, b| a.0.cmp(&b.0));
                 out
             },
@@ -170,12 +170,12 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             let mut groups: std::collections::BTreeMap<K, (Vec<V>, Vec<W>)> =
                 std::collections::BTreeMap::new();
             for b in &lb {
-                for (k, v) in b.as_vec::<(K, V)>() {
+                for (k, v) in b.as_slice::<(K, V)>() {
                     groups.entry(k.clone()).or_default().0.push(v.clone());
                 }
             }
             for b in &rb {
-                for (k, w) in b.as_vec::<(K, W)>() {
+                for (k, w) in b.as_slice::<(K, W)>() {
                     groups.entry(k.clone()).or_default().1.push(w.clone());
                 }
             }
@@ -208,7 +208,7 @@ impl<T: Data> Rdd<T> {
     /// or per-split parsers).
     pub fn map_partitions<U: Data>(
         &self,
-        f: impl Fn(&Vec<T>) -> Vec<U> + Send + Sync + 'static,
+        f: impl Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
         self.narrow(
             "mapPartitions",
@@ -235,7 +235,7 @@ impl<T: Data> Rdd<T> {
         let merge = Arc::new(|parts: Vec<PartValue>| {
             let mut out: Vec<T> = Vec::new();
             for pv in &parts {
-                out.extend(pv.as_vec::<T>().iter().cloned());
+                out.extend(pv.as_slice::<T>().iter().cloned());
             }
             PartValue::of(out)
         });
@@ -334,7 +334,7 @@ impl SparkDriver<'_> {
         partials
             .into_iter()
             .filter_map(|(_, pv)| pv)
-            .map(|pv| pv.as_vec::<u64>().iter().sum::<u64>())
+            .map(|pv| pv.as_slice::<u64>().iter().sum::<u64>())
             .sum()
     }
 }
@@ -433,7 +433,7 @@ mod tests {
         let r = SparkCluster::new(1, SparkConfig::default()).run(|sc| {
             let xs = sc.parallelize((0..100u64).collect(), 4);
             // Per-partition running sum: only meaningful partition-wise.
-            let sums = xs.map_partitions(|v: &Vec<u64>| vec![v.iter().sum::<u64>()]);
+            let sums = xs.map_partitions(|v: &[u64]| vec![v.iter().sum::<u64>()]);
             sc.collect(&sums)
         });
         assert_eq!(r.value.len(), 4);

@@ -7,6 +7,7 @@
 //! count, which drives all cost accounting.
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -36,13 +37,22 @@ pub type CombineFn = Arc<dyn Fn(Vec<PartValue>) -> PartValue + Send + Sync>;
 pub type JoinCombineFn = Arc<dyn Fn(Vec<PartValue>, Vec<PartValue>) -> PartValue + Send + Sync>;
 
 /// One partition's materialized data: a `Vec<T>` behind `Any`, plus the
-/// sample item count.
+/// sample item count. A `parallelize` partition is a [`PartValue::view`]
+/// of the driver's collection instead, so serving it copies nothing.
 #[derive(Clone)]
 pub struct PartValue {
-    /// The data (always an `Arc<Vec<T>>` for the node's element type).
-    pub data: Arc<dyn Any + Send + Sync>,
+    /// The data: an `Arc<Vec<T>>`, or an `Arc<View<T>>` for a view.
+    data: Arc<dyn Any + Send + Sync>,
     /// Sample items in this partition.
     pub items: usize,
+}
+
+/// The range `start..start + items` of a shared vector. Kept behind the
+/// `Any` rather than as a `PartValue` field, so the shuffle and block
+/// stores, which hold every bucket of a job, do not pay for it.
+struct View<T> {
+    all: Arc<Vec<T>>,
+    start: usize,
 }
 
 impl PartValue {
@@ -54,11 +64,28 @@ impl PartValue {
         }
     }
 
-    /// Borrow the typed vector.
-    pub fn as_vec<T: Send + Sync + 'static>(&self) -> &Vec<T> {
-        self.data
-            .downcast_ref::<Vec<T>>()
-            .expect("partition element type mismatch")
+    /// A view of `range` of a shared vector; no element is copied.
+    pub fn view<T: Send + Sync + 'static>(all: Arc<Vec<T>>, range: Range<usize>) -> PartValue {
+        let items = all[range.clone()].len();
+        PartValue {
+            data: Arc::new(View {
+                all,
+                start: range.start,
+            }),
+            items,
+        }
+    }
+
+    /// Borrow the typed items.
+    pub fn as_slice<T: Send + Sync + 'static>(&self) -> &[T] {
+        if let Some(v) = self.data.downcast_ref::<Vec<T>>() {
+            return v;
+        }
+        let v = self
+            .data
+            .downcast_ref::<View<T>>()
+            .expect("partition element type mismatch");
+        &v.all[v.start..v.start + self.items]
     }
 }
 
@@ -283,14 +310,35 @@ mod tests {
     fn part_value_roundtrip() {
         let pv = PartValue::of(vec![1u32, 2, 3]);
         assert_eq!(pv.items, 3);
-        assert_eq!(pv.as_vec::<u32>(), &vec![1, 2, 3]);
+        assert_eq!(pv.as_slice::<u32>(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn part_value_view_shares_the_vector() {
+        let data = Arc::new(vec![10u32, 11, 12, 13, 14, 15]);
+        let pv = PartValue::view(data.clone(), 2..5);
+        assert_eq!(pv.items, 3);
+        assert_eq!(pv.as_slice::<u32>(), &[12, 13, 14]);
+        let empty = PartValue::view(data.clone(), 6..6);
+        assert_eq!((empty.items, empty.as_slice::<u32>()), (0, &[] as &[u32]));
+        assert_eq!(
+            Arc::strong_count(&data),
+            3,
+            "views hold the vector, not copies"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn part_value_view_past_the_end_panics() {
+        PartValue::view(Arc::new(vec![1u8, 2]), 1..3);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn part_value_type_mismatch_panics() {
         let pv = PartValue::of(vec![1u32]);
-        pv.as_vec::<u64>();
+        pv.as_slice::<u64>();
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl<T: Data> Rdd<T> {
         work_per_item: Work,
         item_bytes: u64,
         keep_partitioner: bool,
-        f: impl Fn(&Vec<T>) -> Vec<U> + Send + Sync + 'static,
+        f: impl Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
         let parent = self.node();
         let node = self.plan.add_node(RddNode {
@@ -81,7 +81,7 @@ impl<T: Data> Rdd<T> {
             partitions: parent.partitions,
             compute: Compute::Narrow {
                 parent: parent.id,
-                f: Arc::new(move |pv| PartValue::of(f(pv.as_vec::<T>()))),
+                f: Arc::new(move |pv| PartValue::of(f(pv.as_slice::<T>()))),
             },
             work_per_item,
             scale: parent.scale,
@@ -203,7 +203,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         let f = Arc::new(f);
         let f_split = f.clone();
         let split = Arc::new(move |pv: &PartValue, n: u32| {
-            combine_by_key(pv.as_vec::<(K, V)>(), n, &*f_split)
+            combine_by_key(pv.as_slice::<(K, V)>(), n, &*f_split)
                 .into_iter()
                 .map(PartValue::of)
                 .collect::<Vec<_>>()
@@ -303,8 +303,8 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         if co_partitioned {
             let f = Arc::new(|l: &PartValue, r: &PartValue| {
                 PartValue::of(merge_join::<K, V, W>(
-                    l.as_vec::<(K, V)>().iter().collect(),
-                    r.as_vec::<(K, W)>().iter().collect(),
+                    l.as_slice::<(K, V)>().iter().collect(),
+                    r.as_slice::<(K, W)>().iter().collect(),
                 ))
             });
             let node = self.plan.add_node(RddNode {
@@ -339,8 +339,14 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         });
         let combine = Arc::new(|lbuckets: Vec<PartValue>, rbuckets: Vec<PartValue>| {
             PartValue::of(merge_join::<K, V, W>(
-                lbuckets.iter().flat_map(|b| b.as_vec::<(K, V)>()).collect(),
-                rbuckets.iter().flat_map(|b| b.as_vec::<(K, W)>()).collect(),
+                lbuckets
+                    .iter()
+                    .flat_map(|b| b.as_slice::<(K, V)>())
+                    .collect(),
+                rbuckets
+                    .iter()
+                    .flat_map(|b| b.as_slice::<(K, W)>())
+                    .collect(),
             ))
         });
         let node = self.plan.add_node(RddNode {
@@ -375,7 +381,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
 /// type-erased [`SplitFn`].
 pub(crate) fn key_split<K: Key, V: Data>() -> SplitFn {
     Arc::new(|pv: &PartValue, n: u32| {
-        split_by_key(pv.as_vec::<(K, V)>(), n)
+        split_by_key(pv.as_slice::<(K, V)>(), n)
             .into_iter()
             .map(PartValue::of)
             .collect()
@@ -483,7 +489,7 @@ fn merge_join<K: Key, V: Data, W: Data>(
 
 /// The typed contents of fetched buckets, in bucket order.
 fn typed<T: Send + Sync + 'static>(buckets: &[PartValue]) -> Vec<&[T]> {
-    buckets.iter().map(|b| b.as_vec::<T>().as_slice()).collect()
+    buckets.iter().map(|b| b.as_slice::<T>()).collect()
 }
 
 /// Source constructors, callable with just a plan handle (the driver
@@ -493,7 +499,9 @@ pub(crate) mod sources {
     use hpcbd_simnet::InputFormat;
 
     /// `sc.parallelize(data, parts)`: slice a driver-side collection.
-    /// The slices ship with the tasks (dispatch cost ∝ slice bytes).
+    /// The slices ship with the tasks (dispatch cost ∝ slice bytes). A
+    /// partition is a view of the shared collection, not a copy, so a
+    /// lineage recompute reads the same data.
     pub fn parallelize<T: Data>(
         plan: &Arc<Plan>,
         data: Vec<T>,
@@ -504,7 +512,6 @@ pub(crate) mod sources {
         let n = data.len();
         let parts = parts.max(1);
         let per_part_bytes = (n as u64 * item_bytes) / parts as u64;
-        let data2 = data.clone();
         let node = plan.add_node(RddNode {
             id: 0,
             op_name: "parallelize",
@@ -512,7 +519,7 @@ pub(crate) mod sources {
             compute: Compute::Source(Arc::new(move |_ctx, p| {
                 let start = p as usize * n / parts as usize;
                 let end = (p as usize + 1) * n / parts as usize;
-                PartValue::of(data2[start..end].to_vec())
+                PartValue::view(data.clone(), start..end)
             })),
             work_per_item: Work::new(2.0, 16.0),
             scale: 1.0,
