@@ -16,11 +16,15 @@
 //!
 //! Determinism: input order is the deterministic trace export order,
 //! per-stream ordering is by `(end, start, index)` — no wall-clock
-//! state anywhere.
+//! state anywhere. The per-stream maps use the fixed-seed
+//! [`DetHasher`] and hold `u32` event indices; [`CausalGraph::edges`]
+//! is sorted by recv index and each recv appears in it at most once, so
+//! [`CausalGraph::matched_send`] is a binary search over the edges.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use hpcbd_simnet::{EventKind, TraceEvent};
+use hpcbd_simnet::{DetHasher, EventKind, TraceEvent};
 
 /// One matched message: indices into the captured event slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +40,6 @@ pub struct CausalEdge {
 pub struct CausalGraph {
     /// Matched send→recv pairs, ordered by recv event index.
     pub edges: Vec<CausalEdge>,
-    /// For each event index, the matched send's index if the event is a
-    /// matched `Recv`.
-    send_of_recv: HashMap<usize, usize>,
     /// `Recv` events with no causally valid matching send.
     pub unmatched_recvs: u64,
 }
@@ -46,7 +47,10 @@ pub struct CausalGraph {
 impl CausalGraph {
     /// The matched `Send` event index for recv event `recv_idx`, if any.
     pub fn matched_send(&self, recv_idx: usize) -> Option<usize> {
-        self.send_of_recv.get(&recv_idx).copied()
+        self.edges
+            .binary_search_by_key(&recv_idx, |e| e.recv)
+            .ok()
+            .map(|k| self.edges[k].send)
     }
 }
 
@@ -55,46 +59,57 @@ impl CausalGraph {
 pub fn match_events(events: &[TraceEvent]) -> CausalGraph {
     // Stream key: (src pid, dst pid, logical bytes).
     type Key = (u32, u32, u64);
-    let mut sends: HashMap<Key, Vec<usize>> = HashMap::new();
-    let mut recvs: HashMap<Key, Vec<usize>> = HashMap::new();
+    type Streams = HashMap<Key, Vec<u32>, BuildHasherDefault<DetHasher>>;
+    assert!(
+        events.len() <= u32::MAX as usize,
+        "a capture holds fewer than 2^32 events"
+    );
+    let mut sends = Streams::default();
+    let mut recvs = Streams::default();
     for (i, e) in events.iter().enumerate() {
         match e.kind {
             EventKind::Send { dst, bytes } => {
-                sends.entry((e.pid.0, dst.0, bytes)).or_default().push(i);
+                sends
+                    .entry((e.pid.0, dst.0, bytes))
+                    .or_default()
+                    .push(i as u32);
             }
             EventKind::Recv { src, bytes } => {
-                recvs.entry((src.0, e.pid.0, bytes)).or_default().push(i);
+                recvs
+                    .entry((src.0, e.pid.0, bytes))
+                    .or_default()
+                    .push(i as u32);
             }
             _ => {}
         }
     }
+    let at = |i: u32| &events[i as usize];
     let mut graph = CausalGraph::default();
     // Deterministic stream visit order (HashMap iteration order is not).
-    let mut keys: Vec<Key> = recvs.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let mut rs = recvs.remove(&key).unwrap_or_default();
+    let mut streams: Vec<(Key, Vec<u32>)> = recvs.into_iter().collect();
+    streams.sort_unstable_by_key(|s| s.0);
+    for (key, mut rs) in streams {
         let mut ss = sends.remove(&key).unwrap_or_default();
         // Sends fire in start order (already the export order); recvs
         // complete in end order — the mailbox hands out earliest
         // arrivals first, so completion order is the FIFO order.
-        ss.sort_by_key(|&i| (events[i].start, events[i].end, i));
-        rs.sort_by_key(|&i| (events[i].end, events[i].start, i));
+        ss.sort_unstable_by_key(|&i| (at(i).start, at(i).end, i));
+        rs.sort_unstable_by_key(|&i| (at(i).end, at(i).start, i));
         let mut si = ss.into_iter();
         for r in rs {
             match si.next() {
                 // A send that finishes after the recv completes cannot
                 // have caused it; drop the pair rather than invent a
                 // backwards edge.
-                Some(s) if events[s].end <= events[r].end => {
-                    graph.edges.push(CausalEdge { send: s, recv: r });
-                    graph.send_of_recv.insert(r, s);
-                }
+                Some(s) if at(s).end <= at(r).end => graph.edges.push(CausalEdge {
+                    send: s as usize,
+                    recv: r as usize,
+                }),
                 _ => graph.unmatched_recvs += 1,
             }
         }
     }
-    graph.edges.sort_unstable_by_key(|e| (e.recv, e.send));
+    graph.edges.sort_unstable_by_key(|e| e.recv);
     graph
 }
 

@@ -10,7 +10,7 @@
 //! `serialize(parse(s))` is byte-stable, which is what the golden
 //! round-trip test asserts.
 
-use hpcbd_simnet::json_escape;
+use hpcbd_simnet::json_escape_into;
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +78,7 @@ impl JsonValue {
             JsonValue::Num(s) => out.push_str(s),
             JsonValue::Str(s) => {
                 out.push('"');
-                out.push_str(&json_escape(s));
+                json_escape_into(out, s);
                 out.push('"');
             }
             JsonValue::Arr(items) => {
@@ -98,7 +98,7 @@ impl JsonValue {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&json_escape(k));
+                    json_escape_into(out, k);
                     out.push_str("\":");
                     v.write(out);
                 }

@@ -10,15 +10,13 @@
 //! pass through [`json_escape`] exactly like event names — a metric
 //! label containing a quote must not corrupt the document.
 
+use std::fmt::Write as _;
+
 use hpcbd_simnet::observe::RunCapture;
-use hpcbd_simnet::{json_escape, EventKind};
+use hpcbd_simnet::{json_escape, json_escape_into, EventKind, Micros};
 
 use crate::causal::CausalGraph;
 use crate::metrics::{Points, Telemetry};
-
-fn us(nanos: u64) -> String {
-    format!("{:.3}", nanos as f64 / 1e3)
-}
 
 /// Render a captured run (events + causal edges) as a Chrome tracing
 /// JSON array loadable in Perfetto.
@@ -27,7 +25,8 @@ pub fn to_perfetto_json(cap: &RunCapture, graph: &CausalGraph) -> String {
 }
 
 /// [`to_perfetto_json`], plus counter tracks and SLO-breach instants
-/// for a sampled [`Telemetry`] section.
+/// for a sampled [`Telemetry`] section. Every record is written straight
+/// into the one output `String`.
 pub fn to_perfetto_json_with_telemetry(
     cap: &RunCapture,
     graph: &CausalGraph,
@@ -35,11 +34,11 @@ pub fn to_perfetto_json_with_telemetry(
 ) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
-    let mut push = |line: String, out: &mut String| {
+    // Separator before every record but the first.
+    let mut next = |out: &mut String| {
         if !std::mem::take(&mut first) {
             out.push_str(",\n");
         }
-        out.push_str(&line);
     };
     for e in &cap.events {
         let name: &str = match &e.kind {
@@ -51,37 +50,36 @@ pub fn to_perfetto_json_with_telemetry(
             .get(e.pid.index())
             .map(|s| s.as_str())
             .unwrap_or("?");
-        push(
-            format!(
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"{}\"}}}}",
-                json_escape(name),
-                e.kind.label(),
-                us(e.start.nanos()),
-                us(e.end.nanos().saturating_sub(e.start.nanos())),
-                e.pid.0,
-                json_escape(proc),
-            ),
-            &mut out,
+        next(&mut out);
+        out.push_str("  {\"name\": \"");
+        json_escape_into(&mut out, name);
+        let _ = write!(
+            out,
+            "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"",
+            e.kind.label(),
+            Micros(e.start.nanos()),
+            Micros(e.end.nanos().saturating_sub(e.start.nanos())),
+            e.pid.0,
         );
+        json_escape_into(&mut out, proc);
+        out.push_str("\"}}");
     }
     for (i, edge) in graph.edges.iter().enumerate() {
         let s = &cap.events[edge.send];
         let r = &cap.events[edge.recv];
-        push(
-            format!(
-                "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"s\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
-                us(s.end.nanos()),
-                s.pid.0,
-            ),
-            &mut out,
+        next(&mut out);
+        let _ = write!(
+            out,
+            "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"s\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
+            Micros(s.end.nanos()),
+            s.pid.0,
         );
-        push(
-            format!(
-                "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
-                us(r.end.nanos()),
-                r.pid.0,
-            ),
-            &mut out,
+        next(&mut out);
+        let _ = write!(
+            out,
+            "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
+            Micros(r.end.nanos()),
+            r.pid.0,
         );
     }
     if let Some(t) = telemetry {
@@ -103,26 +101,25 @@ pub fn to_perfetto_json_with_telemetry(
                 Points::Histogram(v) => v.iter().map(|p| (p[0], p[3])).collect(),
             };
             for (t_ns, value) in rows {
-                push(
-                    format!(
-                        "  {{\"name\": \"{title}\", \"cat\": \"telemetry\", \"ph\": \"C\", \"ts\": {}, \"pid\": 0, \"args\": {{\"value\": {value}}}}}",
-                        us(t_ns),
-                    ),
-                    &mut out,
+                next(&mut out);
+                let _ = write!(
+                    out,
+                    "  {{\"name\": \"{title}\", \"cat\": \"telemetry\", \"ph\": \"C\", \"ts\": {}, \"pid\": 0, \"args\": {{\"value\": {value}}}}}",
+                    Micros(t_ns),
                 );
             }
         }
         for o in &t.slo {
             for b in &o.breaches {
-                let name = json_escape(&format!("slo_breach {}", o.monitor.metric));
-                push(
-                    format!(
-                        "  {{\"name\": \"{name}\", \"cat\": \"slo\", \"ph\": \"i\", \"s\": \"g\", \"ts\": {}, \"pid\": 0, \"tid\": 0, \"args\": {{\"observed_p99\": {}, \"threshold\": {}}}}}",
-                        us(b.t_ns),
-                        b.observed_p99,
-                        b.threshold,
-                    ),
-                    &mut out,
+                next(&mut out);
+                out.push_str("  {\"name\": \"slo_breach ");
+                json_escape_into(&mut out, &o.monitor.metric);
+                let _ = write!(
+                    out,
+                    "\", \"cat\": \"slo\", \"ph\": \"i\", \"s\": \"g\", \"ts\": {}, \"pid\": 0, \"tid\": 0, \"args\": {{\"observed_p99\": {}, \"threshold\": {}}}}}",
+                    Micros(b.t_ns),
+                    b.observed_p99,
+                    b.threshold,
                 );
             }
         }

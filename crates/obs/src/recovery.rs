@@ -90,7 +90,10 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
     // earliest record per node.
     let mut crash_by_node: BTreeMap<u32, SimTime> = BTreeMap::new();
     for e in &cap.events {
-        if let EventKind::Fault(FaultEvent::NodeCrash { node }) = &e.kind {
+        let EventKind::Fault(ev) = &e.kind else {
+            continue;
+        };
+        if let FaultEvent::NodeCrash { node } = **ev {
             let t = crash_by_node.entry(node.0).or_insert(e.start);
             if e.start < *t {
                 *t = e.start;
@@ -111,7 +114,10 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
     faults.sort_by_key(|f| (f.crash, f.node));
 
     for e in &cap.events {
-        let EventKind::Fault(FaultEvent::Recovery { action, detail, .. }) = &e.kind else {
+        let EventKind::Fault(ev) = &e.kind else {
+            continue;
+        };
+        let FaultEvent::Recovery { action, detail, .. } = &**ev else {
             continue;
         };
         let t = e.start;
@@ -160,11 +166,11 @@ mod tests {
         let rec = |t: u64, action: &'static str, detail: u64| {
             at(
                 t,
-                EventKind::Fault(FaultEvent::Recovery {
+                EventKind::Fault(Box::new(FaultEvent::Recovery {
                     runtime: "mpi",
                     action,
                     detail,
-                }),
+                })),
             )
         };
         RunCapture {
@@ -181,11 +187,11 @@ mod tests {
                 // Crash back-dated to t=1000; duplicate record later.
                 at(
                     1_000,
-                    EventKind::Fault(FaultEvent::NodeCrash { node: NodeId(1) }),
+                    EventKind::Fault(Box::new(FaultEvent::NodeCrash { node: NodeId(1) })),
                 ),
                 at(
                     1_400,
-                    EventKind::Fault(FaultEvent::NodeCrash { node: NodeId(1) }),
+                    EventKind::Fault(Box::new(FaultEvent::NodeCrash { node: NodeId(1) })),
                 ),
                 rec(1_500, "rank_failure_detected", 1),
                 rec(2_000, "checkpoint_restart", 3),
@@ -220,11 +226,11 @@ mod tests {
                 pid: Pid(0),
                 start: SimTime(10),
                 end: SimTime(10),
-                kind: EventKind::Fault(FaultEvent::Recovery {
+                kind: EventKind::Fault(Box::new(FaultEvent::Recovery {
                     runtime: "spark",
                     action: "speculative_task",
                     detail: 4,
-                }),
+                })),
             },
         );
         let s = recovery_slos(&cap);

@@ -716,7 +716,7 @@ mod tests {
             pid: Pid(0),
             start: SimTime(t),
             end: SimTime(t),
-            kind: EventKind::Fault(ev),
+            kind: EventKind::Fault(Box::new(ev)),
         };
         cap.events
             .push(fault(10, FaultEvent::NodeCrash { node: NodeId(1) }));

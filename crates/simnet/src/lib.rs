@@ -104,7 +104,7 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{DiskSpec, Node, NodeId, NodeSpec, Topology};
-pub use trace::{json_escape, EventKind, Trace, TraceEvent};
+pub use trace::{json_escape, json_escape_into, EventKind, Micros, Trace, TraceEvent};
 pub use transport::Transport;
 
 /// Shim: the `(commits, rollbacks)` totals of the removed speculative

@@ -7,6 +7,7 @@
 //! format (`chrome://tracing`, Perfetto) for visual inspection of, say,
 //! a Spark stage's dispatch wave or an alltoall's NIC serialization.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -54,8 +55,10 @@ pub enum EventKind {
         bytes: u64,
     },
     /// An injected fault or a runtime recovery action (zero-length
-    /// instant; the payload carries the virtual-time cost).
-    Fault(crate::faults::FaultEvent),
+    /// instant; the payload carries the virtual-time cost). Boxed:
+    /// faults are rare, and inline they would make every event 24 B
+    /// larger.
+    Fault(Box<crate::faults::FaultEvent>),
     /// A structured phase span opened with [`crate::ProcCtx::span_open`]:
     /// a nestable, runtime-level label ("pagerank/iter/3/shuffle",
     /// "mpi/allreduce") covering the primitive events it encloses.
@@ -90,6 +93,13 @@ impl EventKind {
 /// backslashes and control characters become their escape sequences.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// [`json_escape`], appended to `out` instead of returned: the exporters
+/// write every event straight into one document `String`.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -97,11 +107,22 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Virtual nanoseconds rendered as the trace formats' microseconds with
+/// three decimals (`{:.3}`), written in place by `write!`.
+pub struct Micros(pub u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.3}", self.0 as f64 / 1e3)
+    }
 }
 
 /// One timeline span.
@@ -159,6 +180,13 @@ impl Trace {
     /// The key `(start, pid, end, kind)` is a total order up to fully
     /// identical (hence interchangeable) events, making trace exports
     /// bit-identical across runs and execution modes.
+    ///
+    /// The result equals a stable sort by that key, computed in two
+    /// passes so the expensive part of the key is rarely built: an
+    /// unstable sort of packed `u128` keys `(start, pid, append index)`,
+    /// then a sort of each run of equal `(start, pid)` by
+    /// `(end, kind, append index)`. The append index breaks every tie,
+    /// which is what makes both passes agree with the stable sort.
     pub fn sorted_events(&self) -> Vec<TraceEvent> {
         fn kind_key(k: &EventKind) -> (u8, u64, u32) {
             match *k {
@@ -170,7 +198,8 @@ impl Trace {
                 EventKind::Nfs { bytes } => (5, bytes, 0),
                 EventKind::OneSided { bytes } => (6, bytes, 0),
                 // Distinct fault events must sort apart; identical ones
-                // are interchangeable, so a content hash is a valid key.
+                // are interchangeable, so a content hash is a valid key
+                // (`Box<T>` hashes as `T`).
                 EventKind::Fault(ref ev) => (7, crate::hash::det_hash(ev), 0),
                 // Same argument for phases: the label hash separates
                 // distinct spans, `depth` orders a parent after the child
@@ -180,9 +209,29 @@ impl Trace {
                 }
             }
         }
-        let mut v = self.events.lock().clone();
-        v.sort_by_key(|e| (e.start, e.pid, e.end, kind_key(&e.kind)));
-        v
+        let events = self.events.lock();
+        assert!(
+            events.len() <= u32::MAX as usize,
+            "a trace holds fewer than 2^32 events"
+        );
+        let mut keys: Vec<u128> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.start.nanos() as u128) << 64 | (e.pid.0 as u128) << 32 | i as u128)
+            .collect();
+        keys.sort_unstable();
+        let index = |k: u128| k as u32 as usize;
+        // Keys in one run differ only in the append index, so each run
+        // is re-sorted in place by the rest of the export key.
+        for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|&k| {
+                    let e = &events[index(k)];
+                    (e.end, kind_key(&e.kind), k)
+                });
+            }
+        }
+        keys.iter().map(|&k| events[index(k)].clone()).collect()
     }
 
     /// Number of recorded events.
@@ -208,33 +257,41 @@ impl Trace {
                 .get(e.pid.index())
                 .map(|s| s.as_str())
                 .unwrap_or("?");
-            let detail = match &e.kind {
-                EventKind::Send { dst, bytes } => format!("to p{} {} B", dst.0, bytes),
-                EventKind::Recv { src, bytes } => format!("from p{} {} B", src.0, bytes),
-                EventKind::DiskRead { bytes }
-                | EventKind::DiskWrite { bytes }
-                | EventKind::Nfs { bytes }
-                | EventKind::OneSided { bytes } => format!("{bytes} B"),
-                EventKind::Compute => String::new(),
-                EventKind::Fault(ev) => format!("{ev:?}"),
-                EventKind::Phase { depth, .. } => format!("depth {depth}"),
-            };
             // Phase spans display under their own label so nested runtime
             // phases read as a flame graph above the primitive ops.
             let display: &str = match &e.kind {
                 EventKind::Phase { label, .. } => label,
                 _ => e.kind.label(),
             };
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"{}\", \"detail\": \"{}\"}}}}",
-                json_escape(display),
+            out.push_str("  {\"name\": \"");
+            json_escape_into(&mut out, display);
+            let _ = write!(
+                out,
+                "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"",
                 e.kind.label(),
-                e.start.nanos() as f64 / 1e3,
-                (e.end.nanos().saturating_sub(e.start.nanos())) as f64 / 1e3,
+                Micros(e.start.nanos()),
+                Micros(e.end.nanos().saturating_sub(e.start.nanos())),
                 e.pid.0,
-                json_escape(name),
-                json_escape(&detail)
-            ));
+            );
+            json_escape_into(&mut out, name);
+            out.push_str("\", \"detail\": \"");
+            // Only a fault's `Debug` form can hold characters that need
+            // escaping; every other detail is digits, letters and spaces.
+            let _ = match &e.kind {
+                EventKind::Send { dst, bytes } => write!(out, "to p{} {} B", dst.0, bytes),
+                EventKind::Recv { src, bytes } => write!(out, "from p{} {} B", src.0, bytes),
+                EventKind::DiskRead { bytes }
+                | EventKind::DiskWrite { bytes }
+                | EventKind::Nfs { bytes }
+                | EventKind::OneSided { bytes } => write!(out, "{bytes} B"),
+                EventKind::Compute => Ok(()),
+                EventKind::Fault(ev) => {
+                    json_escape_into(&mut out, &format!("{ev:?}"));
+                    Ok(())
+                }
+                EventKind::Phase { depth, .. } => write!(out, "depth {depth}"),
+            };
+            out.push_str("\"}}");
         }
         out.push_str("\n]\n");
         out
@@ -403,6 +460,196 @@ mod tests {
         }
     }
 
+    /// The two-pass packed-key sort against the single stable sort it
+    /// replaced, on collision-heavy inputs with every event kind.
+    mod sort_oracle {
+        use super::*;
+        use crate::faults::FaultEvent;
+        use crate::topology::NodeId;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        /// The previous `Trace::sorted_events`, kept verbatim as the
+        /// reference: a stable sort by `(start, pid, end, kind)`.
+        fn oracle_sorted(appended: &[TraceEvent]) -> Vec<TraceEvent> {
+            fn kind_key(k: &EventKind) -> (u8, u64, u32) {
+                match *k {
+                    EventKind::Compute => (0, 0, 0),
+                    EventKind::Send { dst, bytes } => (1, bytes, dst.0),
+                    EventKind::Recv { src, bytes } => (2, bytes, src.0),
+                    EventKind::DiskRead { bytes } => (3, bytes, 0),
+                    EventKind::DiskWrite { bytes } => (4, bytes, 0),
+                    EventKind::Nfs { bytes } => (5, bytes, 0),
+                    EventKind::OneSided { bytes } => (6, bytes, 0),
+                    EventKind::Fault(ref ev) => (7, crate::hash::det_hash(ev), 0),
+                    EventKind::Phase { ref label, depth } => {
+                        (8, crate::hash::det_hash(&**label), depth)
+                    }
+                }
+            }
+            let mut v = appended.to_vec();
+            v.sort_by_key(|e| (e.start, e.pid, e.end, kind_key(&e.kind)));
+            v
+        }
+
+        /// `(pid, start, len, kind selector, payload)`: four processes
+        /// and six start times force long `(start, pid)` runs; `len` 0
+        /// gives zero-length spans.
+        type Spec = (u32, u64, u64, u8, u64);
+
+        fn event((pid, start, len, sel, x): Spec) -> TraceEvent {
+            let kind = match sel {
+                0 => EventKind::Compute,
+                1 => EventKind::Send {
+                    dst: Pid(x as u32),
+                    bytes: x / 2,
+                },
+                2 => EventKind::Recv {
+                    src: Pid(x as u32),
+                    bytes: x / 2,
+                },
+                3 => EventKind::DiskRead { bytes: x },
+                4 => EventKind::DiskWrite { bytes: x },
+                5 => EventKind::Nfs { bytes: x },
+                6 => EventKind::OneSided { bytes: x },
+                7 => EventKind::Fault(Box::new(FaultEvent::NodeCrash {
+                    node: NodeId(x as u32),
+                })),
+                8 => EventKind::Fault(Box::new(FaultEvent::Recovery {
+                    runtime: "mpi",
+                    action: "restart",
+                    detail: x,
+                })),
+                // The same two labels at depths 0..3.
+                _ => EventKind::Phase {
+                    label: ["job", "job/stage"][x as usize % 2].into(),
+                    depth: (sel - 9) as u32,
+                },
+            };
+            TraceEvent {
+                pid: Pid(pid),
+                start: SimTime(start),
+                end: SimTime(start + len),
+                kind,
+            }
+        }
+
+        fn case() -> impl Strategy<Value = (Vec<Spec>, u64)> {
+            (
+                collection::vec((0u32..4, 0u64..6, 0u64..3, 0u8..12, 0u64..4), 1..160),
+                any::<u64>(),
+            )
+        }
+
+        /// Split the events into per-process buffers, absorb them in an
+        /// order shuffled by `seed`, and return the trace together with
+        /// its append order.
+        fn absorbed((specs, seed): &(Vec<Spec>, u64)) -> (Trace, Vec<TraceEvent>) {
+            let mut bufs: Vec<Vec<TraceEvent>> = vec![Vec::new(); 4];
+            for &s in specs {
+                bufs[s.0 as usize].push(event(s));
+            }
+            let mut rng = TestRng::new(*seed);
+            for i in (1..bufs.len()).rev() {
+                bufs.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let t = Trace::new();
+            let appended: Vec<TraceEvent> = bufs.concat();
+            for b in bufs {
+                t.absorb(b);
+            }
+            (t, appended)
+        }
+
+        fn agrees(sort: fn(&Trace) -> Vec<TraceEvent>, case: &(Vec<Spec>, u64)) -> bool {
+            let (t, appended) = absorbed(case);
+            sort(&t) == oracle_sorted(&appended)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn packed_key_sort_equals_the_stable_sort(c in case()) {
+                prop_assert!(agrees(Trace::sorted_events, &c));
+            }
+
+            /// In-place writing changes no byte of the Chrome export;
+            /// a `Recovery` fault's `Debug` form carries quotes to escape.
+            #[test]
+            fn chrome_json_equals_the_format_based_export(c in case()) {
+                let names: Vec<String> =
+                    ["plain", "qu\"ote", "back\\slash", "tab\tctl\x01"].map(String::from).into();
+                let (t, appended) = absorbed(&c);
+                prop_assert_eq!(
+                    t.to_chrome_json(&names),
+                    oracle_chrome_json(&oracle_sorted(&appended), &names)
+                );
+            }
+        }
+
+        /// The previous `Trace::to_chrome_json` body: one `format!` and
+        /// three escaped `String`s per event.
+        fn oracle_chrome_json(sorted: &[TraceEvent], proc_names: &[String]) -> String {
+            let mut out = String::from("[\n");
+            for (i, e) in sorted.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(",\n");
+                }
+                let name = proc_names
+                    .get(e.pid.index())
+                    .map(|s| s.as_str())
+                    .unwrap_or("?");
+                let detail = match &e.kind {
+                    EventKind::Send { dst, bytes } => format!("to p{} {} B", dst.0, bytes),
+                    EventKind::Recv { src, bytes } => format!("from p{} {} B", src.0, bytes),
+                    EventKind::DiskRead { bytes }
+                    | EventKind::DiskWrite { bytes }
+                    | EventKind::Nfs { bytes }
+                    | EventKind::OneSided { bytes } => format!("{bytes} B"),
+                    EventKind::Compute => String::new(),
+                    EventKind::Fault(ev) => format!("{ev:?}"),
+                    EventKind::Phase { depth, .. } => format!("depth {depth}"),
+                };
+                let display: &str = match &e.kind {
+                    EventKind::Phase { label, .. } => label,
+                    _ => e.kind.label(),
+                };
+                out.push_str(&format!(
+                    "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"{}\", \"detail\": \"{}\"}}}}",
+                    json_escape(display),
+                    e.kind.label(),
+                    e.start.nanos() as f64 / 1e3,
+                    (e.end.nanos().saturating_sub(e.start.nanos())) as f64 / 1e3,
+                    e.pid.0,
+                    json_escape(name),
+                    json_escape(&detail)
+                ));
+            }
+            out.push_str("\n]\n");
+            out
+        }
+
+        /// The property above is sharp enough to catch a sort that gets
+        /// `(start, pid)` right but drops the rest of the key.
+        #[test]
+        fn oracle_rejects_an_unstable_start_pid_sort() {
+            fn mutant(t: &Trace) -> Vec<TraceEvent> {
+                let mut v = t.events.lock().clone();
+                v.sort_unstable_by_key(|e| (e.start, e.pid));
+                v
+            }
+            let mut rng = TestRng::new(0x5eed);
+            let caught = (0..64).filter(|_| !agrees(mutant, &case().generate(&mut rng)));
+            assert!(caught.count() > 32, "the oracle must reject the mutant");
+        }
+
+        #[test]
+        fn trace_event_is_48_bytes() {
+            assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+        }
+    }
+
     #[test]
     fn absorb_empty_batch_is_noop() {
         let t = Trace::new();
@@ -455,21 +702,21 @@ mod tests {
             Pid(0),
             SimTime(5),
             SimTime(5),
-            EventKind::Fault(FaultEvent::MessageDropped {
+            EventKind::Fault(Box::new(FaultEvent::MessageDropped {
                 dst: Pid(1),
                 bytes: 64,
                 delay: SimDuration::from_nanos(700),
-            }),
+            })),
         );
         t.record(
             Pid(0),
             SimTime(6),
             SimTime(6),
-            EventKind::Fault(FaultEvent::LinkDegraded {
+            EventKind::Fault(Box::new(FaultEvent::LinkDegraded {
                 dst_node: crate::topology::NodeId(1),
                 bytes: 64,
                 delay: SimDuration::from_nanos(300),
-            }),
+            })),
         );
         t.record(Pid(1), SimTime(2), SimTime(9), EventKind::Compute);
         let txt = t.render_text(&["faulty".into(), "clean".into()]);
