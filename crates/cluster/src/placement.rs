@@ -125,7 +125,7 @@ impl RankMap {
         RankMap::default()
     }
 
-    /// Construct from pids in rank order.
+    /// Construct from pids in rank order. The pids must be distinct.
     pub fn from_pids(pids: Vec<Pid>) -> RankMap {
         RankMap { pids }
     }
@@ -142,8 +142,19 @@ impl RankMap {
         self.pids[rank as usize]
     }
 
-    /// Rank of `pid`, if it belongs to this map.
+    /// Rank of `pid`, if it belongs to this map. O(1) when the ranks sit
+    /// on consecutive pids from the first one, as the launchers spawn
+    /// them; a scan otherwise. The pids are distinct, so the direct probe
+    /// and the scan cannot disagree.
     pub fn rank_of(&self, pid: Pid) -> Option<u32> {
+        let guess = pid.0.wrapping_sub(self.pids.first()?.0) as usize;
+        if self.pids.get(guess) == Some(&pid) {
+            return Some(guess as u32);
+        }
+        self.scan_rank_of(pid)
+    }
+
+    fn scan_rank_of(&self, pid: Pid) -> Option<u32> {
         self.pids.iter().position(|p| *p == pid).map(|i| i as u32)
     }
 
@@ -225,5 +236,51 @@ mod tests {
         assert_eq!(m.rank_of(Pid(10)), Some(0));
         assert_eq!(m.rank_of(Pid(99)), None);
         assert_eq!(m.len(), 2);
+    }
+
+    /// The probe agrees with the scan for every pid from below the map
+    /// to past its end.
+    fn assert_rank_of_agrees(m: &RankMap) {
+        let hi = m.pids().iter().map(|p| p.0).max().unwrap_or(0) + 3;
+        for p in (0..hi).chain([u32::MAX]) {
+            assert_eq!(m.rank_of(Pid(p)), m.scan_rank_of(Pid(p)), "pid {p}");
+        }
+    }
+
+    #[test]
+    fn rank_of_contiguous_and_offset_maps() {
+        for first in [0u32, 1, 5, 300] {
+            let m = RankMap::from_pids((first..first + 24).map(Pid).collect());
+            assert_rank_of_agrees(&m);
+            assert_eq!(m.rank_of(Pid(first)), Some(0));
+            assert_eq!(m.rank_of(Pid(first + 23)), Some(23));
+            // Below the first pid and past the end.
+            assert_eq!(m.rank_of(Pid(first.wrapping_sub(1))), None);
+            assert_eq!(m.rank_of(Pid(first + 24)), None);
+        }
+        assert_eq!(RankMap::new().rank_of(Pid(0)), None);
+    }
+
+    #[test]
+    fn rank_of_gapped_and_unsorted_maps() {
+        // A gap (pids 13-14 belong to other processes), an unsorted map,
+        // and one whose first pid is its largest.
+        let gapped = RankMap::from_pids([10, 11, 12, 15, 16].map(Pid).to_vec());
+        assert_rank_of_agrees(&gapped);
+        assert_eq!(gapped.rank_of(Pid(13)), None);
+        assert_eq!(gapped.rank_of(Pid(15)), Some(3));
+        let unsorted = RankMap::from_pids([4, 2, 9, 3, 7, 5].map(Pid).to_vec());
+        assert_rank_of_agrees(&unsorted);
+        assert_eq!(unsorted.rank_of(Pid(2)), Some(1));
+        assert_eq!(unsorted.rank_of(Pid(6)), None);
+        let descending = RankMap::from_pids([40, 30, 20, 10].map(Pid).to_vec());
+        assert_rank_of_agrees(&descending);
+        assert_eq!(descending.rank_of(Pid(10)), Some(3));
+        let mut pushed = RankMap::new();
+        for p in [7, 8, 20, 9] {
+            pushed.push(Pid(p));
+        }
+        assert_rank_of_agrees(&pushed);
+        assert_eq!(pushed.rank_of(Pid(9)), Some(3));
     }
 }

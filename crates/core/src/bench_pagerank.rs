@@ -73,8 +73,14 @@ impl PagerankInput {
     /// two vertices (95,232 sample vertices, ~2M logical at scale 21).
     /// `quick` trims the power iterations for the CI scale-smoke job.
     pub fn comet(quick: bool) -> PagerankInput {
+        PagerankInput::comet_at(Placement::new(1984, 24), quick)
+    }
+
+    /// [`PagerankInput::comet`] for a slice of the machine: two sample
+    /// vertices per rank of `placement`.
+    pub fn comet_at(placement: Placement, quick: bool) -> PagerankInput {
         PagerankInput {
-            graph: Arc::new(PowerLawGraph::new(95_232, 17, 4)),
+            graph: Arc::new(PowerLawGraph::new(placement.total() * 2, 17, 4)),
             scale: 21,
             iters: if quick { 2 } else { 5 },
         }
@@ -568,6 +574,16 @@ pub fn comet_mpi_pagerank(input: &PagerankInput, placement: Placement) -> (f64, 
 /// driver — simulates 51,585 processes. Each row reports the simulated
 /// time and a rank-vector checksum so the run validates itself.
 pub fn figure6_comet(input: &PagerankInput, placement: Placement) -> ResultTable {
+    figure6_comet_with(input, placement, |_, _| {})
+}
+
+/// [`figure6_comet`], calling `after_arm(system, processes)` as each
+/// arm's simulation returns, before the next one starts.
+pub fn figure6_comet_with(
+    input: &PagerankInput,
+    placement: Placement,
+    mut after_arm: impl FnMut(&str, u64),
+) -> ResultTable {
     let mut t = ResultTable::new(
         format!(
             "Fig. 6 at full-Comet scale — {} nodes x {} procs/node, {} logical vertices",
@@ -578,6 +594,7 @@ pub fn figure6_comet(input: &PagerankInput, placement: Placement) -> ResultTable
         &["system", "processes", "time", "checksum"],
     );
     let (mpi_t, mpi_sum) = comet_mpi_pagerank(input, placement);
+    after_arm("MPI (sparse alltoallv)", placement.total() as u64);
     t.push_row(vec![
         "MPI (sparse alltoallv)".to_string(),
         placement.total().to_string(),
@@ -594,6 +611,7 @@ pub fn figure6_comet(input: &PagerankInput, placement: Placement) -> ResultTable
     // Executors plus one shuffle service and one datanode per node,
     // plus the driver.
     let spark_procs = placement.nodes as u64 * (placement.per_node as u64 + 2) + 1;
+    after_arm("Spark-RDMA (tuned)", spark_procs);
     t.push_row(vec![
         "Spark-RDMA (tuned)".to_string(),
         spark_procs.to_string(),

@@ -356,6 +356,17 @@ impl MpiRank<'_> {
     /// an O(n²)-message PageRank edge exchange. Works for any
     /// communicator size, including non-powers-of-two. Fully
     /// synchronizing: every rank participates in every round.
+    ///
+    /// Routing costs O(1) host work per item per hop. Items travel with
+    /// their remaining distance rather than their destination and wait in
+    /// buckets indexed by the distance's lowest set bit. Round `k` clears
+    /// bit `k`, and every lower bit is already clear, so bucket `k` is
+    /// exactly round `k`'s batch: it is sent whole, and a received item
+    /// goes straight to the result or to the bucket of its next hop. A
+    /// bucket holds this rank's own items first, then each round's
+    /// receipts in round order. That is the order a scan of all held items
+    /// per round would batch them in, so message contents, the result's
+    /// order and every sum over it do not depend on the bucketing.
     pub fn alltoallv_sparse<T: MpiScalar>(
         &mut self,
         items: Vec<(u32, Vec<T>)>,
@@ -365,27 +376,24 @@ impl MpiRank<'_> {
         let me = self.rank();
         self.ctx.span_open("mpi/alltoallv_sparse");
         let mut mine: Vec<(u32, Vec<T>)> = Vec::new();
-        // In-flight routing state: (origin, destination, payload).
-        let mut held: Vec<(u32, u32, Vec<T>)> = Vec::new();
+        // In-flight items as (origin, remaining distance, payload), in
+        // bucket `distance.trailing_zeros()`.
+        let mut due: [Vec<(u32, u32, Vec<T>)>; 32] = std::array::from_fn(|_| Vec::new());
         for (dst, v) in items {
             assert!(dst < n, "alltoallv_sparse destination {dst} out of range");
-            if dst == me {
-                mine.push((me, v));
-            } else {
-                held.push((me, dst, v));
+            match (dst + n - me) % n {
+                0 => mine.push((me, v)),
+                d => due[d.trailing_zeros() as usize].push((me, d, v)),
             }
         }
-        let mut k = 0u32;
+        let mut k = 0usize;
         while (1u64 << k) < n as u64 {
             let offset = 1u32 << k;
             let to = (me + offset) % n;
             let from = (me + n - offset) % n;
-            let (batch, keep): (Vec<_>, Vec<_>) = held
-                .into_iter()
-                .partition(|&(_, dst, _)| ((dst + n - me) % n) & offset != 0);
-            held = keep;
+            let batch = std::mem::take(&mut due[k]);
             // Wire size: payload elements plus an 8-byte routing header
-            // per item (origin + destination).
+            // per item (origin + distance).
             let bytes: u64 = batch
                 .iter()
                 .map(|(_, _, v)| v.len() as u64 * T::BYTES + 8)
@@ -399,15 +407,13 @@ impl MpiRank<'_> {
                 src: Some(self.map.pid(from)),
                 tag: Some(tag),
             };
-            let msg = self.ctx.recv(spec);
-            let received = msg.expect_value::<Vec<(u32, u32, Vec<T>)>>();
+            let received = self.ctx.recv(spec).into_value::<Vec<(u32, u32, Vec<T>)>>();
             let mut elems = 0usize;
-            for (src, dst, v) in Arc::unwrap_or_clone(received) {
+            for (src, d, v) in Arc::unwrap_or_clone(received) {
                 elems += v.len();
-                if dst == me {
-                    mine.push((src, v));
-                } else {
-                    held.push((src, dst, v));
+                match d - offset {
+                    0 => mine.push((src, v)),
+                    d => due[d.trailing_zeros() as usize].push((src, d, v)),
                 }
             }
             // Repacking cost of the received batch.
@@ -416,7 +422,10 @@ impl MpiRank<'_> {
             }
             k += 1;
         }
-        debug_assert!(held.is_empty(), "undelivered alltoallv_sparse items");
+        debug_assert!(
+            due.iter().all(Vec::is_empty),
+            "undelivered alltoallv_sparse items"
+        );
         self.ctx.span_close();
         mine
     }
@@ -841,6 +850,123 @@ mod tests {
             expect.sort();
             assert_eq!(got, &expect);
             assert_eq!(*s, 5.0);
+        }
+    }
+
+    /// The `alltoallv_sparse` body the bucketed one replaced, kept as it
+    /// was: every round re-partitions all held items by the hop bit.
+    impl crate::rank::MpiRank<'_> {
+        fn alltoallv_sparse_partitioned<T: MpiScalar>(
+            &mut self,
+            items: Vec<(u32, Vec<T>)>,
+        ) -> Vec<(u32, Vec<T>)> {
+            let tag = self.next_coll_tag();
+            let n = self.size();
+            let me = self.rank();
+            self.ctx.span_open("mpi/alltoallv_sparse");
+            let mut mine: Vec<(u32, Vec<T>)> = Vec::new();
+            let mut held: Vec<(u32, u32, Vec<T>)> = Vec::new();
+            for (dst, v) in items {
+                if dst == me {
+                    mine.push((me, v));
+                } else {
+                    held.push((me, dst, v));
+                }
+            }
+            let mut k = 0u32;
+            while (1u64 << k) < n as u64 {
+                let offset = 1u32 << k;
+                let to = (me + offset) % n;
+                let from = (me + n - offset) % n;
+                let (batch, keep): (Vec<_>, Vec<_>) = held
+                    .into_iter()
+                    .partition(|&(_, dst, _)| ((dst + n - me) % n) & offset != 0);
+                held = keep;
+                let bytes: u64 = batch
+                    .iter()
+                    .map(|(_, _, v)| v.len() as u64 * T::BYTES + 8)
+                    .sum();
+                let bytes = (bytes as f64 * self.bytes_scale) as u64;
+                let tr = *self.transport_to(to);
+                let pid = self.map.pid(to);
+                self.ctx
+                    .send(pid, tag, bytes, hpcbd_simnet::Payload::value(batch), &tr);
+                let spec = hpcbd_simnet::MatchSpec {
+                    src: Some(self.map.pid(from)),
+                    tag: Some(tag),
+                };
+                let msg = self.ctx.recv(spec);
+                let received = msg.expect_value::<Vec<(u32, u32, Vec<T>)>>();
+                let mut elems = 0usize;
+                for (src, dst, v) in Arc::unwrap_or_clone(received) {
+                    elems += v.len();
+                    if dst == me {
+                        mine.push((src, v));
+                    } else {
+                        held.push((src, dst, v));
+                    }
+                }
+                if elems > 0 {
+                    self.charge_elementwise::<T>(elems);
+                }
+                k += 1;
+            }
+            self.ctx.span_close();
+            mine
+        }
+    }
+
+    /// A random sparse send list for rank `me` of `n`: up to six items
+    /// (none on about one rank in seven), destinations drawn with
+    /// repeats and self-addressing allowed, payloads of 0–3 values.
+    fn random_sparse_items(seed: u64, n: u32, me: u32) -> Vec<(u32, Vec<f64>)> {
+        let h = |tag: u64, i: u64| hpcbd_simnet::det_hash(&(seed, n, me, tag, i));
+        (0..h(0, 0) % 7)
+            .map(|i| {
+                let dst = (h(1, i) % n as u64) as u32;
+                let len = h(2, i) % 4;
+                let v = (0..len)
+                    .map(|j| (h(3, i * 4 + j) % 1000) as f64 / 7.0)
+                    .collect();
+                (dst, v)
+            })
+            .collect()
+    }
+
+    /// One rank's unsorted `alltoallv_sparse` result and finish time.
+    type Exchanged = (Vec<(u32, Vec<f64>)>, u64);
+
+    /// Every rank's [`Exchanged`], through the bucketed body or the
+    /// partitioning oracle.
+    fn sparse_exchange(seed: u64, n: u32, oracle: bool) -> Vec<Exchanged> {
+        // Even sizes span two nodes, so routes mix shared memory and verbs.
+        let placement = if n.is_multiple_of(2) {
+            Placement::new(2, n / 2)
+        } else {
+            Placement::new(1, n)
+        };
+        mpirun(placement, move |rank| {
+            let items = random_sparse_items(seed, n, rank.rank());
+            let got = if oracle {
+                rank.alltoallv_sparse_partitioned(items)
+            } else {
+                rank.alltoallv_sparse(items)
+            };
+            (got, rank.now().nanos())
+        })
+        .results
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn alltoallv_sparse_equals_the_partitioning_body(seed in any::<u64>()) {
+            for n in 1u32..=40 {
+                let got = sparse_exchange(seed, n, false);
+                let want = sparse_exchange(seed, n, true);
+                prop_assert_eq!(got, want, "n={}", n);
+            }
         }
     }
 

@@ -1941,10 +1941,14 @@ impl Sim {
 
         // Enqueue every process at its start time and kick off the first
         // grant; this thread is no worker yet, so it lands on the shared
-        // resume queue the workers drain below.
+        // resume queue the workers drain below. Pids go in descending
+        // order: processes mostly start together, and a calendar bucket
+        // keeps its minimum at the end, so each key lands there in O(1)
+        // where ascending order would shift the whole bucket. The pop
+        // order is the same either way (the key ignores push order).
         {
             let mut g = engine.sched.lock();
-            for i in 0..n {
+            for i in (0..n).rev() {
                 let t = g.procs[i].clock;
                 Sched::push(&mut g, Pid(i as u32), t);
             }

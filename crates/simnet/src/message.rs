@@ -91,17 +91,35 @@ impl Message {
     /// mismatch — in the frameworks built on simnet a type mismatch is a
     /// protocol bug, never data-dependent.
     pub fn expect_value<T: Any + Send + Sync>(&self) -> Arc<T> {
-        self.payload.downcast::<T>().unwrap_or_else(|| {
-            panic!(
-                "message {} -> {} tag {} ({} B, payload {:?}) did not carry a {}",
-                self.src,
-                self.dst,
-                self.tag,
-                self.bytes,
-                self.payload,
-                std::any::type_name::<T>()
-            )
-        })
+        self.payload
+            .downcast::<T>()
+            .unwrap_or_else(|| self.wrong_payload::<T>())
+    }
+
+    /// [`Message::expect_value`] that consumes the message. The returned
+    /// `Arc` is then the payload's only handle unless the sender kept one,
+    /// so `Arc::unwrap_or_clone` on it moves the value instead of copying.
+    pub fn into_value<T: Any + Send + Sync>(mut self) -> Arc<T> {
+        match std::mem::replace(&mut self.payload, Payload::Empty) {
+            Payload::Value(v) => match v.downcast::<T>() {
+                Ok(v) => return v,
+                Err(v) => self.payload = Payload::Value(v),
+            },
+            other => self.payload = other,
+        }
+        self.wrong_payload::<T>()
+    }
+
+    fn wrong_payload<T>(&self) -> ! {
+        panic!(
+            "message {} -> {} tag {} ({} B, payload {:?}) did not carry a {}",
+            self.src,
+            self.dst,
+            self.tag,
+            self.bytes,
+            self.payload,
+            std::any::type_name::<T>()
+        )
     }
 }
 
@@ -185,5 +203,22 @@ mod tests {
     fn expect_value_panics_on_mismatch() {
         let m = msg(0, 0);
         let _ = m.expect_value::<String>();
+    }
+
+    #[test]
+    fn into_value_moves_an_unshared_payload() {
+        let mut m = msg(1, 2);
+        m.payload = Payload::value(vec![1u64, 2, 3]);
+        let v = m.into_value::<Vec<u64>>();
+        assert_eq!(Arc::strong_count(&v), 1);
+        assert_eq!(*v, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload Value(..)) did not carry a alloc::string::String")]
+    fn into_value_panics_on_mismatch() {
+        let mut m = msg(0, 0);
+        m.payload = Payload::value(7u32);
+        let _ = m.into_value::<String>();
     }
 }
