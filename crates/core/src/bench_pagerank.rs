@@ -90,16 +90,13 @@ impl PagerankInput {
 /// Sequential oracle with the *Spark dataflow semantics* (vertices that
 /// receive no contribution in an iteration drop out of the ranks RDD,
 /// like the reference BigDataBench/HiBench codes). Returns the map of
-/// surviving vertex -> rank.
-pub fn spark_semantics_oracle(
-    graph: &PowerLawGraph,
-    iters: u32,
-) -> std::collections::HashMap<u32, f64> {
+/// surviving vertex -> rank. Ordered maps fix the order of every `f64`
+/// sum, so the result is the same in every process.
+pub fn spark_semantics_oracle(graph: &PowerLawGraph, iters: u32) -> BTreeMap<u32, f64> {
     let adj = graph.adjacency();
-    let mut ranks: std::collections::HashMap<u32, f64> =
-        (0..graph.vertices).map(|v| (v, 1.0)).collect();
+    let mut ranks: BTreeMap<u32, f64> = (0..graph.vertices).map(|v| (v, 1.0)).collect();
     for _ in 0..iters {
-        let mut contribs: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        let mut contribs: BTreeMap<u32, f64> = BTreeMap::new();
         for (v, r) in &ranks {
             let outs = &adj[*v as usize];
             let share = *r / outs.len() as f64;
@@ -607,7 +604,7 @@ pub fn figure6_comet_with(
         SparkVariant::BigDataBenchTuned,
         ShuffleEngine::Rdma,
     );
-    let spark_sum: f64 = spark.ranks.iter().map(|(_, r)| *r).sum();
+    let spark_sum = rank_checksum(&spark.ranks);
     // Executors plus one shuffle service and one datanode per node,
     // plus the driver.
     let spark_procs = placement.nodes as u64 * (placement.per_node as u64 + 2) + 1;
@@ -621,10 +618,59 @@ pub fn figure6_comet_with(
     t
 }
 
+/// The Spark arm's checksum in [`figure6_comet_with`]: the sum of the
+/// surviving ranks in output order.
+fn rank_checksum(ranks: &[(u32, f64)]) -> f64 {
+    ranks.iter().map(|(_, r)| *r).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcbd_simnet::det_hash;
     use hpcbd_workloads::pagerank_reference;
+
+    #[test]
+    fn spark_rank_values_are_pinned() {
+        // Every other check sees virtual times and item counts, or
+        // compares values within a tolerance. These FNV-1a digests of
+        // each `(vertex, rank.to_bits())` list pin the values
+        // themselves, so a shuffle that folds an f64 sum in another
+        // order fails here. Rerun under each `HPCBD_EXECUTION` mode.
+        let input = PagerankInput::small();
+        let mut got = Vec::new();
+        for variant in [SparkVariant::BigDataBenchTuned, SparkVariant::HiBench] {
+            for engine in [ShuffleEngine::Socket, ShuffleEngine::Rdma] {
+                let (_, ranks) = spark_pagerank(&input, Placement::new(2, 4), variant, engine);
+                let bits: Vec<(u32, u64)> = ranks.iter().map(|(v, r)| (*v, r.to_bits())).collect();
+                got.push(det_hash(&bits));
+            }
+        }
+        // The Spark-RDMA arm of `fig6 --quick --comet --nodes 4`: its
+        // ranks and the checksum the table prints.
+        let placement = Placement::new(4, 24);
+        let comet = PagerankInput::comet_at(placement, true);
+        let run = spark_pagerank_run(
+            &comet,
+            placement,
+            SparkVariant::BigDataBenchTuned,
+            ShuffleEngine::Rdma,
+        );
+        let bits: Vec<(u32, u64)> = run.ranks.iter().map(|(v, r)| (*v, r.to_bits())).collect();
+        got.push(det_hash(&bits));
+        got.push(rank_checksum(&run.ranks).to_bits());
+        let tuned_and_hibench = 0xd1a2298ed9a46ef6;
+        let want: [u64; 6] = [
+            tuned_and_hibench,
+            tuned_and_hibench,
+            tuned_and_hibench,
+            tuned_and_hibench,
+            0x0183e685dbaebe4e,
+            0x4068000000000002,
+        ];
+        let hex: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
+        assert_eq!(got, want, "got [{}]", hex.join(", "));
+    }
 
     #[test]
     fn mpi_matches_reference_exactly() {

@@ -8,12 +8,13 @@
 //! narrow, which is the mechanism behind the tuned BigDataBench PageRank
 //! (Fig. 5/6 of the paper).
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use hpcbd_minhdfs::Hdfs;
-use hpcbd_simnet::{partition_of, Work};
+use hpcbd_simnet::{partition_of, DetMap, Work};
 
 use crate::config::StorageLevel;
 use crate::plan::{Compute, PartValue, Plan, RddNode, SplitFn};
@@ -136,8 +137,14 @@ impl<T: Data> Rdd<T> {
         item_bytes: u64,
         f: impl Fn(&T) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
+        // Append each element's output in one copy: collecting a
+        // `FlatMap` pushes item by item with no size hint to reserve by.
         self.narrow("flatMap", work_per_item, item_bytes, false, move |v| {
-            v.iter().flat_map(&f).collect()
+            let mut out = Vec::new();
+            for x in v {
+                out.append(&mut f(x));
+            }
+            out
         })
     }
 
@@ -370,12 +377,13 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
     }
 }
 
-// The shuffle data path. Every grouping by key below is a stable sort
-// followed by one pass over the runs of equal keys. A stable sort keeps
-// equal keys in input order, so each fold sees the same operands in the
-// same order an insertion-order hash-map fold would: the result is
-// deterministic by construction, with no hashing beyond `partition_of`
-// and no map iteration order to undo.
+// The shuffle data path. Every fold by key below is [`aggregate`]: one
+// pass in arrival order with an index map from key to output slot, so
+// each key's values fold left to right in input order. That is the
+// order a stable sort by key followed by a run fold would give, with
+// no comparison sort of the items. Only the distinct keys are sorted,
+// and only where the output must be key-ordered. The map is never
+// iterated, so its layout cannot reach any result.
 
 /// The map side of a plain hash shuffle: [`split_by_key`] behind a
 /// type-erased [`SplitFn`].
@@ -389,72 +397,101 @@ pub(crate) fn key_split<K: Key, V: Data>() -> SplitFn {
 }
 
 /// Split `items` into `n` buckets by `partition_of`, keeping input order
-/// within each. One hash per item; a counting pass sizes every bucket.
+/// within each.
 fn split_by_key<K: Key, V: Data>(items: &[(K, V)], n: u32) -> Vec<Vec<(K, V)>> {
-    let dest: Vec<u32> = items.iter().map(|(k, _)| partition_of(k, n)).collect();
+    deal(items.iter().cloned(), &destinations(items, n), n)
+}
+
+/// Each item's bucket: one `partition_of` hash per item.
+fn destinations<K: Key, V>(items: &[(K, V)], n: u32) -> Vec<u32> {
+    items.iter().map(|(k, _)| partition_of(k, n)).collect()
+}
+
+/// Deal `items` into `n` buckets by `dest`, keeping input order within
+/// each. A counting pass sizes every bucket exactly.
+fn deal<T>(items: impl IntoIterator<Item = T>, dest: &[u32], n: u32) -> Vec<Vec<T>> {
     let mut sizes = vec![0usize; n as usize];
-    for &b in &dest {
+    for &b in dest {
         sizes[b as usize] += 1;
     }
-    let mut buckets: Vec<Vec<(K, V)>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (&b, kv) in dest.iter().zip(items) {
-        buckets[b as usize].push(kv.clone());
+    let mut buckets: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (&b, item) in dest.iter().zip(items) {
+        buckets[b as usize].push(item);
     }
     buckets
 }
 
-/// Stable-sort `items` by key, then fold each run of equal keys with `f`
-/// from left to right.
-fn fold_runs<K: Key, V: Data>(mut items: Vec<(K, V)>, f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)> {
-    items.sort_by(|a, b| a.0.cmp(&b.0));
-    // `dedup_by` passes (later, kept) and drops `later` on `true`.
-    items.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            kept.1 = f(&kept.1, &later.1);
+/// Fold `items` by key in arrival order. The output holds the distinct
+/// keys in first-appearance order; a key whose values are `v1, v2, v3`
+/// gets `fold(fold(init(v1), v2), v3)`. `cap` bounds the distinct keys
+/// and sizes the index map and the output up front: letting them grow
+/// costs more than the fold.
+fn aggregate<'a, K: Key, V: 'a, A>(
+    items: impl IntoIterator<Item = &'a (K, V)>,
+    cap: usize,
+    init: impl Fn(&V) -> A,
+    fold: impl Fn(&mut A, &V),
+) -> Vec<(K, A)> {
+    let mut slot: DetMap<K, usize> = DetMap::with_capacity_and_hasher(cap, Default::default());
+    let mut out: Vec<(K, A)> = Vec::with_capacity(cap);
+    for (k, v) in items {
+        // One probe per item. `entry` takes the key by value, a free copy
+        // for the integer keys the benchmarks shuffle.
+        match slot.entry(k.clone()) {
+            Entry::Occupied(e) => fold(&mut out[*e.get()].1, v),
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                out.push((k.clone(), init(v)));
+            }
         }
-        same
-    });
-    items
+    }
+    out
 }
 
-/// Map side of `reduce_by_key`: [`split_by_key`], then fold each bucket.
-/// Each bucket is shrunk to its length because the shuffle store keeps
-/// every map output until the job ends.
+/// Sort folded output by key, and give back the slack `aggregate` sized
+/// for every item: the result may stay cached until the job ends. Keys
+/// are distinct, so an unstable sort yields the stable order.
+fn key_sorted<K: Key, A>(mut out: Vec<(K, A)>) -> Vec<(K, A)> {
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    out.shrink_to_fit();
+    out
+}
+
+/// Map side of `reduce_by_key`: fold the partition by key, then deal the
+/// folded items into their buckets. Each bucket holds a key at most
+/// once, in first-appearance order, and is sized exactly because the
+/// shuffle store keeps every map output until the job ends.
 fn combine_by_key<K: Key, V: Data>(
     items: &[(K, V)],
     n: u32,
     f: &impl Fn(&V, &V) -> V,
 ) -> Vec<Vec<(K, V)>> {
-    split_by_key(items, n)
-        .into_iter()
-        .map(|bucket| {
-            let mut bucket = fold_runs(bucket, f);
-            bucket.shrink_to_fit();
-            bucket
-        })
-        .collect()
+    let folded = aggregate(items, items.len(), V::clone, |acc, v| *acc = f(acc, v));
+    let dest = destinations(&folded, n);
+    deal(folded, &dest, n)
 }
 
-/// Reduce side of `reduce_by_key`: the fetched buckets concatenated in
-/// bucket order, folded by key.
+/// Reduce side of `reduce_by_key`: the fetched buckets read in bucket
+/// order, folded by key, sorted by key. A map bucket holds each key at
+/// most once, so a key's operands arrive in bucket order whatever the
+/// order inside each bucket.
 fn reduce_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]], f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)> {
-    fold_runs(buckets.concat(), f)
+    let cap = buckets.iter().map(|b| b.len()).sum();
+    let items = buckets.iter().flat_map(|b| b.iter());
+    key_sorted(aggregate(items, cap, V::clone, |acc, v| *acc = f(acc, v)))
 }
 
-/// Reduce side of `group_by_key`: the fetched buckets concatenated in
-/// bucket order, each key's values collected in that order.
+/// Reduce side of `group_by_key`: the fetched buckets read in bucket
+/// order, each key's values collected in that order, sorted by key.
 fn group_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]]) -> Vec<(K, Vec<V>)> {
-    let mut items = buckets.concat();
-    items.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in items {
-        match out.last_mut() {
-            Some((last, vs)) if *last == k => vs.push(v),
-            _ => out.push((k, vec![v])),
-        }
-    }
-    out
+    let cap = buckets.iter().map(|b| b.len()).sum();
+    let items = buckets.iter().flat_map(|b| b.iter());
+    key_sorted(aggregate(
+        items,
+        cap,
+        |v| vec![v.clone()],
+        |vs, v| vs.push(v.clone()),
+    ))
 }
 
 /// Inner merge join, sorted by key. Within a key the pairs come in left
@@ -625,6 +662,58 @@ pub(crate) mod sources {
     }
 }
 
+/// The sort-then-fold bodies the arrival-order [`aggregate`] replaced,
+/// kept as they were as the reference for its bit-identity: a stable
+/// sort by key, then one left-to-right fold per run of equal keys.
+#[cfg(test)]
+mod sort_based {
+    use super::{split_by_key, Data, Key};
+
+    fn fold_runs<K: Key, V: Data>(mut items: Vec<(K, V)>, f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)> {
+        items.sort_by(|a, b| a.0.cmp(&b.0));
+        // `dedup_by` passes (later, kept) and drops `later` on `true`.
+        items.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = f(&kept.1, &later.1);
+            }
+            same
+        });
+        items
+    }
+
+    pub fn combine_by_key<K: Key, V: Data>(
+        items: &[(K, V)],
+        n: u32,
+        f: &impl Fn(&V, &V) -> V,
+    ) -> Vec<Vec<(K, V)>> {
+        split_by_key(items, n)
+            .into_iter()
+            .map(|bucket| fold_runs(bucket, f))
+            .collect()
+    }
+
+    pub fn reduce_buckets<K: Key, V: Data>(
+        buckets: &[&[(K, V)]],
+        f: &impl Fn(&V, &V) -> V,
+    ) -> Vec<(K, V)> {
+        fold_runs(buckets.concat(), f)
+    }
+
+    pub fn group_buckets<K: Key, V: Data>(buckets: &[&[(K, V)]]) -> Vec<(K, Vec<V>)> {
+        let mut items = buckets.concat();
+        items.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out: Vec<(K, Vec<V>)> = Vec::new();
+        for (k, v) in items {
+            match out.last_mut() {
+                Some((last, vs)) if *last == k => vs.push(v),
+                _ => out.push((k, vec![v])),
+            }
+        }
+        out
+    }
+}
+
 /// The hash-map bodies the sort-based shuffle replaced, kept as they
 /// were (typed slices in place of `PartValue`s) as the reference the
 /// tests below compare the data path against.
@@ -741,15 +830,54 @@ mod tests {
         v.into_iter().map(|(k, x)| (k, x.to_bits())).collect()
     }
 
+    fn bits_of(vs: &[f64]) -> Vec<u64> {
+        vs.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn slices<T>(buckets: &[Vec<T>]) -> Vec<&[T]> {
         buckets.iter().map(Vec::as_slice).collect()
+    }
+
+    /// `buckets` (each key-sorted, as the oracle returns them) with each
+    /// bucket's entries reordered by where their key first appears in
+    /// `items`.
+    fn by_first_appearance<V>(
+        items: &[(u32, V)],
+        buckets: Vec<Vec<(u32, V)>>,
+    ) -> Vec<Vec<(u32, V)>> {
+        let mut first = std::collections::BTreeMap::new();
+        for (i, (k, _)) in items.iter().enumerate() {
+            first.entry(*k).or_insert(i);
+        }
+        buckets
+            .into_iter()
+            .map(|mut b| {
+                b.sort_by_key(|(k, _)| first[k]);
+                b
+            })
+            .collect()
+    }
+
+    /// A whole shuffle: `map` splits every map partition into `n`
+    /// buckets, then `reduce` reads reduce partition `r`'s bucket from
+    /// each map partition, in map-partition order.
+    fn shuffle<V, M, R>(
+        parts: &[Vec<(u32, V)>],
+        n: u32,
+        map: impl Fn(&[(u32, V)], u32) -> Vec<Vec<M>>,
+        reduce: impl Fn(&[&[M]]) -> R,
+    ) -> Vec<R> {
+        let outputs: Vec<Vec<Vec<M>>> = parts.iter().map(|p| map(p, n)).collect();
+        (0..n as usize)
+            .map(|r| reduce(&outputs.iter().map(|o| o[r].as_slice()).collect::<Vec<_>>()))
+            .collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn map_side_matches_the_hash_map_oracle_bucket_by_bucket(
+        fn map_side_buckets_hold_the_oracle_folds_in_first_appearance_order(
             items in collection::vec((0u32..12, any::<u64>()), 0..400),
             reals in collection::vec((0u32..12, -1.0e6f64..1.0e6), 0..400),
         ) {
@@ -757,12 +885,40 @@ mod tests {
                 prop_assert_eq!(split_by_key(&items, n), oracle::split_by_key(&items, n));
                 prop_assert_eq!(
                     combine_by_key(&items, n, &mix),
-                    oracle::combine_by_key(&items, n, &mix),
+                    by_first_appearance(&items, oracle::combine_by_key(&items, n, &mix)),
                     "n = {}", n
                 );
                 let got: Vec<_> = combine_by_key(&reals, n, &sum).into_iter().map(bits).collect();
                 let want: Vec<_> =
-                    oracle::combine_by_key(&reals, n, &sum).into_iter().map(bits).collect();
+                    by_first_appearance(&reals, oracle::combine_by_key(&reals, n, &sum))
+                        .into_iter()
+                        .map(bits)
+                        .collect();
+                prop_assert_eq!(got, want, "n = {}", n);
+            }
+        }
+
+        #[test]
+        fn map_then_reduce_matches_the_sort_based_shuffle(
+            parts in collection::vec(collection::vec((0u32..12, any::<u64>()), 0..80), 0..10),
+            reals in collection::vec(collection::vec((0u32..12, -1.0e6f64..1.0e6), 0..80), 0..10),
+        ) {
+            for n in NS {
+                let got = shuffle(&parts, n, |p, n| combine_by_key(p, n, &mix), |b| reduce_buckets(b, &mix));
+                let want = shuffle(
+                    &parts,
+                    n,
+                    |p, n| sort_based::combine_by_key(p, n, &mix),
+                    |b| sort_based::reduce_buckets(b, &mix),
+                );
+                prop_assert_eq!(got, want, "n = {}", n);
+                let got = shuffle(&reals, n, |p, n| combine_by_key(p, n, &sum), |b| bits(reduce_buckets(b, &sum)));
+                let want = shuffle(
+                    &reals,
+                    n,
+                    |p, n| sort_based::combine_by_key(p, n, &sum),
+                    |b| bits(sort_based::reduce_buckets(b, &sum)),
+                );
                 prop_assert_eq!(got, want, "n = {}", n);
             }
         }
@@ -776,6 +932,14 @@ mod tests {
             prop_assert_eq!(reduce_buckets(&b, &mix), oracle::reduce_buckets(&b, &mix));
             prop_assert_eq!(bits(reduce_buckets(&r, &sum)), bits(oracle::reduce_buckets(&r, &sum)));
             prop_assert_eq!(group_buckets(&b), oracle::group_buckets(&b));
+            prop_assert_eq!(bits(reduce_buckets(&r, &sum)), bits(sort_based::reduce_buckets(&r, &sum)));
+            prop_assert_eq!(group_buckets(&b), sort_based::group_buckets(&b));
+            let got: Vec<_> = group_buckets(&r).into_iter().map(|(k, vs)| (k, bits_of(&vs))).collect();
+            let want: Vec<_> = sort_based::group_buckets(&r)
+                .into_iter()
+                .map(|(k, vs)| (k, bits_of(&vs)))
+                .collect();
+            prop_assert_eq!(got, want);
         }
 
         #[test]

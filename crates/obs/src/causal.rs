@@ -16,15 +16,12 @@
 //!
 //! Determinism: input order is the deterministic trace export order,
 //! per-stream ordering is by `(end, start, index)` — no wall-clock
-//! state anywhere. The per-stream maps use the fixed-seed
-//! [`DetHasher`] and hold `u32` event indices; [`CausalGraph::edges`]
-//! is sorted by recv index and each recv appears in it at most once, so
+//! state anywhere. The per-stream maps are fixed-seed [`DetMap`]s and
+//! hold `u32` event indices; [`CausalGraph::edges`] is sorted by recv
+//! index and each recv appears in it at most once, so
 //! [`CausalGraph::matched_send`] is a binary search over the edges.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use hpcbd_simnet::{DetHasher, EventKind, TraceEvent};
+use hpcbd_simnet::{DetMap, EventKind, TraceEvent};
 
 /// One matched message: indices into the captured event slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +56,7 @@ impl CausalGraph {
 pub fn match_events(events: &[TraceEvent]) -> CausalGraph {
     // Stream key: (src pid, dst pid, logical bytes).
     type Key = (u32, u32, u64);
-    type Streams = HashMap<Key, Vec<u32>, BuildHasherDefault<DetHasher>>;
+    type Streams = DetMap<Key, Vec<u32>>;
     assert!(
         events.len() <= u32::MAX as usize,
         "a capture holds fewer than 2^32 events"

@@ -5,7 +5,8 @@
 //! non-reproducible across runs. Every partitioner in the stack uses this
 //! fixed-seed FNV-1a hasher instead.
 
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// FNV-1a with a fixed seed. Fast, deterministic, good enough dispersion
 /// for partitioning (not HashDoS-resistant — irrelevant in a simulator).
@@ -32,6 +33,10 @@ impl Hasher for DetHasher {
         }
     }
 }
+
+/// A `HashMap` over [`DetHasher`]: unlike the default `RandomState`
+/// map, its layout and iteration order are the same in every process.
+pub type DetMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
 /// Hash any `Hash` value deterministically.
 pub fn det_hash<T: Hash + ?Sized>(value: &T) -> u64 {

@@ -86,7 +86,7 @@ pub use engine::{Pid, ProcCtx, ProcReport, Sim, SimReport, World};
 pub use error::{DeadlockNote, RecvTimeout};
 pub use faults::{FaultAtom, FaultEvent, FaultPlan, LinkFault};
 pub use fs::{FileEntry, Mount, SimFs};
-pub use hash::{det_hash, partition_of, DetHasher};
+pub use hash::{det_hash, partition_of, DetHasher, DetMap};
 pub use job::{JobChannel, LaunchEnv, TaskClosure, JOB_TAG_BASE};
 pub use message::{MatchSpec, Message, Payload, Tag};
 pub use observe::{begin_capture, capture_active, end_capture, RunCapture};
