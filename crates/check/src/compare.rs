@@ -272,6 +272,7 @@ mod tests {
             ],
             telemetry_interval: None,
             metric_points: Vec::new(),
+            host_profile: None,
         }
     }
 
@@ -279,9 +280,11 @@ mod tests {
     fn telemetry_fields_are_digest_excluded() {
         // A telemetry-on capture must digest (and compare) identically to
         // a telemetry-off capture: the digest hashes capture fields
-        // explicitly, and telemetry is deliberately not one of them.
+        // explicitly, and telemetry is deliberately not one of them —
+        // nor is the wall-clock-dependent host profile.
         let mut on = cap();
         on.telemetry_interval = Some(1_000);
+        on.host_profile = Some(vec![("queue_pop", 7), ("run_wall_ns", 12_345), ("runs", 1)]);
         on.metric_points.push(hpcbd_simnet::MetricPoint {
             time: SimTime(3),
             pid: Pid(0),

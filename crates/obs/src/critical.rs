@@ -286,6 +286,7 @@ mod tests {
             events,
             telemetry_interval: None,
             metric_points: Vec::new(),
+            host_profile: None,
         }
     }
 

@@ -838,6 +838,7 @@ mod tests {
             events,
             telemetry_interval: interval,
             metric_points: Vec::new(),
+            host_profile: None,
         }
     }
 

@@ -173,6 +173,7 @@ mod tests {
             ],
             telemetry_interval: None,
             metric_points: Vec::new(),
+            host_profile: None,
         };
         let graph = match_events(&cap.events);
         let json = to_perfetto_json(&cap, &graph);
@@ -213,6 +214,7 @@ mod tests {
             events: Vec::new(),
             telemetry_interval: Some(10),
             metric_points: Vec::new(),
+            host_profile: None,
         };
         let graph = match_events(&cap.events);
         let json = to_perfetto_json_with_telemetry(&cap, &graph, Some(&telemetry));

@@ -183,6 +183,7 @@ mod tests {
             dropped_msgs: 0,
             telemetry_interval: None,
             metric_points: Vec::new(),
+            host_profile: None,
             events: vec![
                 // Crash back-dated to t=1000; duplicate record later.
                 at(

@@ -227,14 +227,13 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
     top.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (&a.0, a.1).cmp(&(&b.0, b.1))));
     top.truncate(TOP_K);
 
-    // Attach the host profile (the engine's self-profiler snapshot:
+    // Attach the run's host profile (its self-profiler rows:
     // wall-clock-dependent, only under `HPCBD_SELFPROF`) to the telemetry
     // section; without telemetry there is nowhere to surface it.
     let telemetry = collect_telemetry(cap).map(|mut t| {
-        t.host_profile = hpcbd_simnet::selfprof_enabled().then(|| {
-            hpcbd_simnet::selfprof_snapshot()
-                .into_iter()
-                .map(|(name, v)| (name.to_string(), v))
+        t.host_profile = cap.host_profile.as_ref().map(|rows| {
+            rows.iter()
+                .map(|&(name, v)| (name.to_string(), v))
                 .collect()
         });
         t
@@ -596,6 +595,7 @@ mod tests {
             dropped_msgs: 0,
             telemetry_interval: None,
             metric_points: Vec::new(),
+            host_profile: None,
             events: vec![
                 ev(
                     0,
@@ -775,22 +775,79 @@ mod tests {
         assert!(txt.contains("slo "), "text: {txt}");
     }
 
+    /// Ping-pong between two processes for `rounds` messages.
+    fn ping_pong(rounds: u32) {
+        use hpcbd_simnet::{MatchSpec, Payload, Sim, Topology, Transport};
+        let mut sim = Sim::new(Topology::comet(2));
+        let tr = Transport::ipoib_socket();
+        for i in 0..2u32 {
+            sim.spawn(NodeId(i), format!("p{i}"), move |ctx| {
+                for round in 0..rounds {
+                    if round % 2 == i {
+                        ctx.send(Pid(1 - i), 7, 64, Payload::Empty, &tr);
+                    } else {
+                        ctx.recv(MatchSpec::tag(7));
+                    }
+                }
+            });
+        }
+        sim.run();
+    }
+
     #[test]
-    fn host_profile_is_the_selfprof_snapshot_when_the_profiler_is_on() {
-        let mut cap = small_capture();
-        cap.telemetry_interval = Some(10);
-        let profile = |cap: &RunCapture| build_section(0, cap).telemetry.unwrap().host_profile;
-        // The profiler flag is process-global; drive it explicitly and
-        // restore the off state afterwards.
-        hpcbd_simnet::set_selfprof(false);
-        assert!(profile(&cap).is_none());
-        hpcbd_simnet::set_selfprof(true);
-        let rows = profile(&cap).expect("profiler on");
-        hpcbd_simnet::set_selfprof(false);
-        let names: Vec<&str> = rows.iter().map(|r| r.0.as_str()).collect();
+    fn host_profile_is_each_runs_own_selfprof_delta() {
+        use hpcbd_simnet::{begin_capture, end_capture, selfprof_snapshot, set_selfprof};
+        let profile = |cap: &RunCapture| {
+            let mut cap = cap.clone();
+            cap.telemetry_interval = Some(10);
+            build_section(0, &cap).telemetry.unwrap().host_profile
+        };
+        // The profiler flag and the capture window are process-global;
+        // no other test in this binary runs a simulation. Drive both
+        // explicitly and restore the off state afterwards.
+        set_selfprof(false);
+        begin_capture();
+        ping_pong(4);
+        let off = end_capture();
+        assert!(profile(&off[0]).is_none(), "profiler off: no rows");
+
+        set_selfprof(true);
+        let before = selfprof_snapshot();
+        begin_capture();
+        ping_pong(10);
+        ping_pong(60);
+        let caps = end_capture();
+        let after = selfprof_snapshot();
+        set_selfprof(false);
+
+        let rows: Vec<Vec<(String, u64)>> = caps
+            .iter()
+            .map(|cap| profile(cap).expect("profiler on"))
+            .collect();
         let mut want = hpcbd_simnet::HOST_OP_NAMES.to_vec();
         want.extend(["run_wall_ns", "runs"]);
-        assert_eq!(names, want);
+        for r in &rows {
+            let names: Vec<&str> = r.iter().map(|row| row.0.as_str()).collect();
+            assert_eq!(names, want);
+            assert_eq!(r.last().unwrap().1, 1, "one run per section");
+        }
+        let pop = hpcbd_simnet::HostOp::QueuePop as usize;
+        assert!(
+            rows[0][pop].1 < rows[1][pop].1,
+            "the longer run must pop more: {} vs {}",
+            rows[0][pop].1,
+            rows[1][pop].1
+        );
+        // Rows split the global counters' growth exactly: the operation
+        // counts and the wall time, not the `runs` row.
+        for i in 0..want.len() - 1 {
+            assert_eq!(
+                rows[0][i].1 + rows[1][i].1,
+                after[i].1 - before[i].1,
+                "row {}",
+                want[i]
+            );
+        }
     }
 
     #[test]

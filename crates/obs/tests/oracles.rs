@@ -211,6 +211,7 @@ proptest! {
             events,
             telemetry_interval: Some(10),
             metric_points: Vec::new(),
+            host_profile: None,
         };
         let graph = match_events(&cap.events);
         for t in [None, Some(&telemetry)] {

@@ -31,7 +31,7 @@
 //! engine's total order of message arrivals, so the schedule is
 //! bit-identical under sequential and parallel execution.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use hpcbd_simnet::{
@@ -211,13 +211,51 @@ impl JobRun {
     }
 }
 
+/// The job table, indexed by job id. Ids are the submitter's dense
+/// submit sequence (`0..n`), so a vector slot per id replaces a search;
+/// a completed job leaves its slot `None`, which the box keeps at one
+/// word. Never iterated, so nothing in the schedule depends on its
+/// layout.
+#[derive(Default)]
+struct Jobs(Vec<Option<Box<JobRun>>>);
+
+impl Jobs {
+    fn insert(&mut self, id: u64, job: JobRun) {
+        let i = id as usize;
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i] = Some(Box::new(job));
+    }
+
+    fn get_mut(&mut self, id: &u64) -> Option<&mut JobRun> {
+        self.0.get_mut(*id as usize)?.as_deref_mut()
+    }
+
+    fn remove(&mut self, id: &u64) -> Option<JobRun> {
+        self.0.get_mut(*id as usize)?.take().map(|job| *job)
+    }
+}
+
+impl std::ops::Index<&u64> for Jobs {
+    type Output = JobRun;
+
+    fn index(&self, id: &u64) -> &JobRun {
+        self.0
+            .get(*id as usize)
+            .and_then(Option::as_deref)
+            .unwrap_or_else(|| panic!("unknown job {id}"))
+    }
+}
+
 struct State {
     cfg: SchedulerConfig,
     ledger: SlotLedger,
-    jobs: BTreeMap<u64, JobRun>,
+    jobs: Jobs,
     queue_fifo: Vec<VecDeque<u64>>, // job ids with undispatched work
     slot_task: Vec<Option<(TaskKey, u64)>>,
-    worker_slot: HashMap<Pid, u32>,
+    /// Slot of each worker, indexed by pid (`None` for other processes).
+    worker_slot: Vec<Option<u32>>,
     stats: Vec<QueueStats>,
     meter: crate::queue::ShareMeter,
     dispatch_seq: u64,
@@ -249,15 +287,17 @@ pub fn scheduler(ctx: &mut ProcCtx, cfg: SchedulerConfig) -> SchedStats {
     let total = nodes * cfg.per_node;
     let mut st = State {
         ledger: SlotLedger::new(nodes, cfg.per_node, cfg.rack_size),
-        jobs: BTreeMap::new(),
+        jobs: Jobs::default(),
         queue_fifo: vec![VecDeque::new(); n_queues],
         slot_task: vec![None; cfg.workers.len()],
-        worker_slot: cfg
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (*p, i as u32))
-            .collect(),
+        worker_slot: {
+            let len = cfg.workers.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+            let mut by_pid = vec![None; len];
+            for (i, p) in cfg.workers.iter().enumerate() {
+                by_pid[p.index()] = Some(i as u32);
+            }
+            by_pid
+        },
         stats: cfg
             .queues
             .iter()
@@ -339,6 +379,14 @@ fn handle(ctx: &mut ProcCtx, st: &mut State, m: Message) {
     match m.tag {
         TAG_SUBMIT => {
             let sub: Arc<SubmitMsg> = m.expect_value();
+            // The job table is indexed by id: keep it bounded by the
+            // submit sequence.
+            assert!(
+                sub.id < st.cfg.expected_jobs,
+                "job id {} outside the submit sequence 0..{}",
+                sub.id,
+                st.cfg.expected_jobs
+            );
             let qi = st
                 .cfg
                 .queues
@@ -365,7 +413,12 @@ fn handle(ctx: &mut ProcCtx, st: &mut State, m: Message) {
         }
         TAG_TASK_DONE | TAG_TASK_PREEMPTED => {
             let key: Arc<TaskKey> = m.expect_value();
-            let slot = st.worker_slot[&m.src];
+            let slot = st
+                .worker_slot
+                .get(m.src.index())
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| panic!("task ack from non-worker {}", m.src));
             let (held, job_id) = st.slot_task[slot as usize]
                 .take()
                 .expect("ack from idle slot");

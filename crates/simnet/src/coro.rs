@@ -32,14 +32,16 @@
 //! A [`Coroutine`] is `Sync` but its `resume` is only sound under the
 //! engine's ownership protocol: **at most one worker resumes a given
 //! coroutine at any moment**. The engine guarantees this by routing
-//! every wake through the per-process slot (`parked` flag) and the
-//! resume path — a pid enters a worker's run-next slot or the shared
-//! queue exactly once per suspension, and only the worker that took it
-//! out touches the coroutine. Worker migration (pid parked on worker A,
-//! resumed on worker B) is ordered by the per-process slot mutex, under
-//! which A publishes `parked` after saving the context and the waker
-//! reads it, and then by the release/acquire pair on the run-next slot
-//! (or the resume-queue mutex) between the waker and B.
+//! every wake through the per-process slot (one atomic state word:
+//! running, parked, value pending) and the resume path — a pid enters a
+//! worker's run-next slot or the shared queue exactly once per
+//! suspension, and only the worker that took it out touches the
+//! coroutine. Worker migration (pid parked on worker A, resumed on
+//! worker B) is ordered by a release/acquire chain: A publishes the
+//! parked state with a `Release` compare-exchange after saving the
+//! context, the waker's `Acquire` swap of the state word reads it, and
+//! the release/acquire pair on the run-next slot (or the resume-queue
+//! mutex) carries it from the waker to B.
 //!
 //! Stack safety: coroutine stacks have no guard pages (48k stacks would
 //! need ~96k VMAs, past the default `vm.max_map_count`). Instead the

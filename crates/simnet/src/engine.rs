@@ -57,26 +57,35 @@
 //! * per-process mail shards — mailbox, final stats and finish time.
 //!   Mailbox scans (`recv` matching, `try_recv` polling) touch only the
 //!   owning process's shard.
-//! * per-node resource cells — NIC and scratch-disk next-free times; a
-//!   separate cell for the shared NFS server. Device reservations touch
-//!   only the initiating node's cell.
+//! * per-node device cells — NIC and scratch-disk next-free times; a
+//!   separate cell for the shared NFS server. They are only ever touched
+//!   with the commit token held, which already orders every access, so
+//!   they are plain atomics read and written without a lock or an RMW.
+//! * per-process waker slots — one atomic state word per process
+//!   (running, parked, value pending): a wake is one swap, a park's
+//!   publish one compare-exchange ([`Slot`]).
 //!
 //! Every mutation of sharded state still happens inside a commit window
 //! (token held), so the total order of visible operations — and with it
 //! bit-determinism — is untouched; the sharding only shortens and
-//! de-contends the critical sections. Trace events are buffered in a
-//! per-process `Vec` and merged at export ([`crate::trace::Trace`]), so
-//! tracing costs one `Vec::push` of a 48 B event on the hot path. The
-//! export pays for the order: [`crate::trace::Trace::sorted_events`]
-//! sorts packed `(start, pid, append index)` keys, then re-sorts each
-//! run of equal `(start, pid)` by the rest of the key — about 11 ms for
-//! a 150 k-event section on a 2-core host (DESIGN.md §9).
+//! de-contends the critical sections. An uncontended lock/unlock pair
+//! costs about 18 ns on a 2-core x86-64 host, so on an engine-bound run
+//! the locks that remain (`sched` and the mail shards) are still a
+//! measurable share of the host time (DESIGN.md §9).
+//!
+//! Trace events are buffered in a per-process `Vec` and merged at
+//! export ([`crate::trace::Trace`]), so tracing costs one `Vec::push`
+//! of a 48 B event on the hot path. The export pays for the order:
+//! [`crate::trace::Trace::sorted_events`] sorts packed
+//! `(start, pid, append index)` keys, then re-sorts each run of equal
+//! `(start, pid)` by the rest of the key — about 11 ms for a 150 k-event
+//! section on a 2-core host (DESIGN.md §9).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -146,11 +155,23 @@ impl World {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum WakeReason {
     Turn,
     Message,
     Timeout,
     Deadlock,
+}
+
+impl WakeReason {
+    fn from_u8(v: u8) -> WakeReason {
+        match v {
+            0 => WakeReason::Turn,
+            1 => WakeReason::Message,
+            2 => WakeReason::Timeout,
+            _ => WakeReason::Deadlock,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -164,43 +185,90 @@ enum Status {
     Done,
 }
 
-/// Per-process waker slot. A wake stores the grant value; `parked`
-/// tracks whether the process's coroutine is suspended and therefore
-/// needs to be enqueued for a worker to observe it (see [`Engine::wake`]).
+/// Per-process waker slot: one state word and the wake value it
+/// guards. The state is [`RUNNING`] while the coroutine executes (or is
+/// switching out), [`PARKED`] once its worker has published the
+/// suspension, and [`VALUE`] while a wake value waits to be consumed.
+/// Every transition is a single atomic operation, so a blocking cycle
+/// costs two read-modify-writes (the wake's swap, the worker's
+/// compare-exchange) and no lock.
+///
+/// * **No lost wakeup.** [`Slot::wake`] and [`Slot::publish_park`]
+///   both act on `state` in one RMW, so exactly one of them sees the
+///   other: a wake that lands before the publish turns it into a failed
+///   compare-exchange (the worker re-enqueues), one that lands after
+///   finds [`PARKED`] (the waker enqueues).
+/// * **Ordering.** The coroutine's saved context reaches its next
+///   resumer through the worker's `Release` compare-exchange, the
+///   waker's `Acquire` swap, and the resume path's release/acquire pair
+///   ([`Engine::enqueue_resume`]). The value fields are written before
+///   the waker's `Release` swap and read after [`Slot::park`]'s
+///   `Acquire` load. The `RUNNING` store that consumes a value needs no
+///   ordering of its own: the next wake is issued only after this
+///   process pushes a new queue entry under the `sched` lock.
 struct Slot {
-    m: Mutex<SlotState>,
+    state: AtomicU8,
+    /// The pending wake's clock, in nanoseconds.
+    clock: AtomicU64,
+    /// The pending wake's [`WakeReason`], as `u8`.
+    reason: AtomicU8,
 }
 
-struct SlotState {
-    value: Option<(SimTime, WakeReason)>,
-    /// True while the coroutine is suspended with no pending value — the
-    /// state in which a wake must enqueue it for resumption. Starts true:
-    /// a coroutine first runs when its first wake enqueues it.
-    parked: bool,
-}
+/// [`Slot`] state: the coroutine runs, or is switching out.
+const RUNNING: u8 = 0;
+/// [`Slot`] state: suspended with no value; a wake must enqueue it.
+const PARKED: u8 = 1;
+/// [`Slot`] state: a wake value is pending.
+const VALUE: u8 = 2;
 
 impl Slot {
+    /// A slot in the [`PARKED`] state: a coroutine first runs when its
+    /// first wake enqueues it.
     fn new() -> Slot {
         Slot {
-            m: Mutex::new(SlotState {
-                value: None,
-                parked: true,
-            }),
+            state: AtomicU8::new(PARKED),
+            clock: AtomicU64::new(0),
+            reason: AtomicU8::new(WakeReason::Turn as u8),
         }
+    }
+
+    /// Store a wake value. Returns true iff the coroutine was parked,
+    /// i.e. the caller must enqueue it for resumption; otherwise it is
+    /// running and consumes the value itself ([`Slot::park`]) or its
+    /// worker's publish fails and re-enqueues it.
+    fn wake(&self, clock: SimTime, reason: WakeReason) -> bool {
+        self.clock.store(clock.nanos(), Ordering::Relaxed);
+        self.reason.store(reason as u8, Ordering::Relaxed);
+        let old = self.state.swap(VALUE, Ordering::AcqRel);
+        debug_assert_ne!(old, VALUE, "second wake before park");
+        old == PARKED
     }
 
     /// Wait (in the coroutine sense) until a wake value is available.
     /// Must run inside this process's coroutine. If the value raced in
     /// between the caller's last visible operation and this park, it is
-    /// consumed without suspending at all — the fast path that replaces
-    /// the old condvar's wake-before-wait case.
+    /// consumed without suspending at all.
     fn park(&self) -> (SimTime, WakeReason) {
         loop {
-            if let Some(v) = self.m.lock().value.take() {
+            if self.state.load(Ordering::Acquire) == VALUE {
+                let v = (
+                    SimTime(self.clock.load(Ordering::Relaxed)),
+                    WakeReason::from_u8(self.reason.load(Ordering::Relaxed)),
+                );
+                self.state.store(RUNNING, Ordering::Relaxed);
                 return v;
             }
             crate::coro::suspend();
         }
+    }
+
+    /// Publish a switched-out coroutine as parked. Returns false if a
+    /// wake raced in between its last state check and its context save:
+    /// the waker saw [`RUNNING`] and left the re-enqueue to the caller.
+    fn publish_park(&self) -> bool {
+        self.state
+            .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 }
 
@@ -275,18 +343,23 @@ enum DeviceCell {
 }
 
 /// Per-node device state: next-free times of the node's NIC and scratch
-/// disk. Touched only by processes on (or transferring from) this node,
-/// inside commit windows.
+/// disk, in nanoseconds. Touched only by processes on (or transferring
+/// from) this node, inside commit windows: the commit token serializes
+/// every access, so the cells are atomics only for `Sync` and are read
+/// and written with plain `Relaxed` loads and stores (see
+/// [`Engine::reserve_cell`]).
 struct NodeRes {
-    nic_free: SimTime,
-    disk_free: SimTime,
+    nic_free: AtomicU64,
+    disk_free: AtomicU64,
 }
 
 struct Engine {
     sched: Mutex<Sched>,
     shards: Vec<ProcShard>,
-    nodes: Vec<Mutex<NodeRes>>,
-    nfs_free: Mutex<SimTime>,
+    nodes: Vec<NodeRes>,
+    /// Next-free time of the shared NFS server; token-serialized like
+    /// the [`NodeRes`] cells.
+    nfs_free: AtomicU64,
     /// Installed schedule perturbation (conformance harness only; see
     /// [`crate::perturb`]). Resolved once at `Sim::run`; `None` on
     /// normal runs, so the hot path pays one pointer test.
@@ -319,8 +392,8 @@ struct Engine {
     next: Vec<AtomicU64>,
     /// Overflow of the slots: wakes issued off the worker pool (the first
     /// grant of a run, every wake under the thread coroutine backend) or
-    /// while the waker's slot was still full. Lock order: `sched` and a
-    /// slot lock may be held when taking this lock, never the reverse.
+    /// while the waker's slot was still full. Lock order: `sched` may be
+    /// held when taking this lock, never the reverse.
     resume: Mutex<VecDeque<Pid>>,
     resume_cv: Condvar,
     /// Length of `resume`, written under its lock. Read without it (hence
@@ -437,12 +510,7 @@ impl Engine {
     /// without suspending, or its worker re-enqueues it at switch-out.
     fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason, waker: Waker) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
-        let mut s = self.shards[pid.index()].slot.m.lock();
-        debug_assert!(s.value.is_none(), "second wake before {pid} parked");
-        s.value = Some((clock, reason));
-        if s.parked {
-            s.parked = false;
-            drop(s);
+        if self.shards[pid.index()].slot.wake(clock, reason) {
             self.enqueue_resume(pid, waker);
         }
     }
@@ -466,11 +534,12 @@ impl Engine {
     ///   one, nothing else. Sequential mode (one worker, which is the
     ///   waker) never takes the lock or enters the kernel here.
     /// * **Ordering.** [`Engine::wake`] enqueues only a coroutine whose
-    ///   previous worker already published `parked = true` under the slot
-    ///   mutex, after saving its context; the `Release` store below and
-    ///   the `Acquire` swap or compare-exchange that empties `next[w]`
-    ///   carry that to whichever worker resumes it (the `resume` mutex
-    ///   does the same on the overflow path).
+    ///   previous worker already published [`PARKED`] with a `Release`
+    ///   compare-exchange after saving its context, and the wake's
+    ///   `Acquire` swap read that state ([`Slot`]); the `Release` store
+    ///   below and the `Acquire` swap or compare-exchange that empties
+    ///   `next[w]` carry it on to whichever worker resumes it (the
+    ///   `resume` mutex does the same on the overflow path).
     /// * **Determinism.** Which worker resumes a coroutine, and when,
     ///   carries an already-committed grant to a core; it decides nothing
     ///   (DESIGN.md §12).
@@ -743,28 +812,19 @@ impl Engine {
     }
 
     /// Reserve `dur` on a device cell starting no earlier than `at`;
-    /// returns the completion time. Caller holds the commit token.
+    /// returns the completion time. Caller holds the commit token, whose
+    /// hand-off through the `sched` lock and the waker slot orders every
+    /// access to the cell (as it does for `dropped_msgs` and
+    /// `fault_seq`): a load and a store, no read-modify-write.
     fn reserve_cell(&self, cell: DeviceCell, at: SimTime, dur: SimDuration) -> SimTime {
-        match cell {
-            DeviceCell::Nic(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                let start = at.max(nr.nic_free);
-                nr.nic_free = start + dur;
-                start + dur
-            }
-            DeviceCell::Disk(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                let start = at.max(nr.disk_free);
-                nr.disk_free = start + dur;
-                start + dur
-            }
-            DeviceCell::Nfs => {
-                let mut free = self.nfs_free.lock();
-                let start = at.max(*free);
-                *free = start + dur;
-                start + dur
-            }
-        }
+        let free = match cell {
+            DeviceCell::Nic(n) => &self.nodes[n.index()].nic_free,
+            DeviceCell::Disk(n) => &self.nodes[n.index()].disk_free,
+            DeviceCell::Nfs => &self.nfs_free,
+        };
+        let end = at.max(SimTime(free.load(Ordering::Relaxed))) + dur;
+        free.store(end.nanos(), Ordering::Relaxed);
+        end
     }
 }
 
@@ -1806,6 +1866,10 @@ impl Sim {
             None
         };
         let selfprof_t0 = crate::selfprof::selfprof_enabled().then(std::time::Instant::now);
+        // A captured run carries its own profile rows: the counters'
+        // growth from here to the end of the run.
+        let selfprof_before =
+            (capturing && selfprof_t0.is_some()).then(crate::selfprof::selfprof_snapshot);
         let proc_nodes: Arc<Vec<NodeId>> = Arc::new(self.spawns.iter().map(|s| s.node).collect());
         let nodes = self.world.topology.len();
         let release_cap = match self.exec {
@@ -1851,14 +1915,12 @@ impl Sim {
                 })
                 .collect(),
             nodes: (0..nodes)
-                .map(|_| {
-                    Mutex::new(NodeRes {
-                        nic_free: SimTime::ZERO,
-                        disk_free: SimTime::ZERO,
-                    })
+                .map(|_| NodeRes {
+                    nic_free: AtomicU64::new(0),
+                    disk_free: AtomicU64::new(0),
                 })
                 .collect(),
-            nfs_free: Mutex::new(SimTime::ZERO),
+            nfs_free: AtomicU64::new(0),
             dropped_msgs: AtomicU64::new(0),
             fault_seq: AtomicU64::new(0),
             telemetry_interval,
@@ -2025,8 +2087,9 @@ impl Sim {
             });
         let mut metric_points = std::mem::take(&mut *engine.metric_sink.lock());
         crate::telemetry::sort_points(&mut metric_points);
-        if let Some(t0) = selfprof_t0 {
-            crate::selfprof::add_run_wall_ns(t0.elapsed().as_nanos() as u64);
+        let run_wall_ns = selfprof_t0.map(|t0| t0.elapsed().as_nanos() as u64);
+        if let Some(ns) = run_wall_ns {
+            crate::selfprof::add_run_wall_ns(ns);
         }
         let report = SimReport {
             procs,
@@ -2037,7 +2100,10 @@ impl Sim {
             metric_points,
         };
         if capturing {
-            crate::observe::record_run(&report, self.world.topology.len());
+            let host_profile = selfprof_before
+                .zip(run_wall_ns)
+                .map(|(before, ns)| crate::selfprof::run_profile(&before, ns));
+            crate::observe::record_run(&report, self.world.topology.len(), host_profile);
         }
         report
     }
@@ -2131,16 +2197,13 @@ fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines, w: usize) {
             crate::coro::SwitchOut::Done => {}
             crate::coro::SwitchOut::Parked => {
                 // Publish the parked state — or, if a wake raced in
-                // between the coroutine's last value check and its
+                // between the coroutine's last state check and its
                 // context save, re-enqueue it ourselves (the waker saw
-                // `parked == false` and deliberately left that to us).
-                let mut s = engine.shards[pid.index()].slot.m.lock();
-                if s.value.is_some() {
-                    drop(s);
-                    engine.enqueue_resume(pid, Waker::Parks);
-                } else {
+                // `RUNNING` and deliberately left that to us).
+                if engine.shards[pid.index()].slot.publish_park() {
                     crate::selfprof::host_count(crate::selfprof::HostOp::Park);
-                    s.parked = true;
+                } else {
+                    engine.enqueue_resume(pid, Waker::Parks);
                 }
             }
         }
@@ -2235,6 +2298,60 @@ mod tests {
             Execution::Parallel { threads: 2 },
         ] {
             assert_eq!(diagnostic(exec), want, "under {exec:?}");
+        }
+    }
+
+    /// A fresh slot is parked: the coroutine has not run yet, so its
+    /// first wake must enqueue it.
+    #[test]
+    fn a_fresh_slot_is_parked_so_its_first_wake_enqueues() {
+        let slot = Slot::new();
+        assert_eq!(slot.state.load(Ordering::Relaxed), PARKED);
+        assert!(slot.wake(SimTime(5), WakeReason::Turn));
+        assert_eq!(slot.state.load(Ordering::Relaxed), VALUE);
+    }
+
+    /// A wake that lands while the coroutine runs leaves the enqueue to
+    /// its worker: the wake does not enqueue, the worker's publish then
+    /// fails (it re-enqueues), and the resumed park finds the value.
+    #[test]
+    fn a_wake_while_running_does_not_enqueue_and_the_next_publish_fails() {
+        let slot = Slot::new();
+        assert!(slot.wake(SimTime(1), WakeReason::Turn));
+        assert_eq!(slot.park(), (SimTime(1), WakeReason::Turn));
+        assert_eq!(slot.state.load(Ordering::Relaxed), RUNNING);
+        assert!(!slot.wake(SimTime(2), WakeReason::Message));
+        assert!(
+            !slot.publish_park(),
+            "a pending value must fail the publish"
+        );
+        assert_eq!(slot.state.load(Ordering::Relaxed), VALUE);
+        assert_eq!(slot.park(), (SimTime(2), WakeReason::Message));
+        // Without a racing wake the publish succeeds and the next wake
+        // enqueues again.
+        assert!(slot.publish_park());
+        assert!(slot.wake(SimTime(3), WakeReason::Timeout));
+    }
+
+    /// Park consumes a pending value without suspending: outside a
+    /// coroutine `coro::suspend` panics, so a park that returns here
+    /// never tried. Every reason survives the trip through the `u8` cell.
+    #[test]
+    fn park_consumes_a_pending_value_without_suspending() {
+        let slot = Slot::new();
+        for (i, reason) in [
+            WakeReason::Turn,
+            WakeReason::Message,
+            WakeReason::Timeout,
+            WakeReason::Deadlock,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = SimTime(u64::MAX - i as u64);
+            slot.wake(at, reason);
+            assert_eq!(slot.park(), (at, reason));
+            assert_eq!(slot.state.load(Ordering::Relaxed), RUNNING);
         }
     }
 }

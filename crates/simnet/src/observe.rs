@@ -58,6 +58,12 @@ pub struct RunCapture {
     /// time state only) but digest-excluded alongside the interval: a
     /// telemetry-on run must digest identically to a telemetry-off run.
     pub metric_points: Vec<crate::telemetry::MetricPoint>,
+    /// This run's self-profiler rows (see [`crate::selfprof_snapshot`]:
+    /// the counter growth over the run, its own `run_wall_ns`, and
+    /// `runs` = 1), or `None` when the profiler was off. Host-side and
+    /// wall-clock dependent, so digest-excluded like the telemetry
+    /// fields.
+    pub host_profile: Option<Vec<(&'static str, u64)>>,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -89,7 +95,11 @@ pub fn end_capture() -> Vec<RunCapture> {
 
 /// Record one finished run. Called by `Sim::run` when a capture window
 /// is open.
-pub(crate) fn record_run(report: &SimReport, cluster_nodes: usize) {
+pub(crate) fn record_run(
+    report: &SimReport,
+    cluster_nodes: usize,
+    host_profile: Option<Vec<(&'static str, u64)>>,
+) {
     let events = report
         .trace
         .as_ref()
@@ -106,6 +116,7 @@ pub(crate) fn record_run(report: &SimReport, cluster_nodes: usize) {
         events,
         telemetry_interval: report.telemetry_interval,
         metric_points: report.metric_points.clone(),
+        host_profile,
     };
     CAPTURES.lock().push(cap);
 }

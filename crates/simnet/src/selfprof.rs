@@ -144,6 +144,26 @@ pub(crate) fn add_run_wall_ns(ns: u64) {
     RUNS.fetch_add(1, Ordering::Relaxed);
 }
 
+/// The rows of one run, in [`selfprof_snapshot`] order: each counter's
+/// growth since `before` (a snapshot taken as the run started), then
+/// `run_wall_ns` = `wall_ns` and `runs` = 1. The counters are
+/// process-wide, so a run that overlaps another `Sim::run` (a nested
+/// one, or one on another thread) also tallies that run's operations.
+pub(crate) fn run_profile(
+    before: &[(&'static str, u64)],
+    wall_ns: u64,
+) -> Vec<(&'static str, u64)> {
+    let mut out: Vec<(&'static str, u64)> = HOST_OP_NAMES
+        .iter()
+        .zip(&COUNTS)
+        .zip(before)
+        .map(|((&name, c), &(_, b))| (name, c.load(Ordering::Relaxed).saturating_sub(b)))
+        .collect();
+    out.push(("run_wall_ns", wall_ns));
+    out.push(("runs", 1));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
