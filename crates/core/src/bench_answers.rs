@@ -234,6 +234,43 @@ mod tests {
     }
 
     #[test]
+    fn answers_values_are_pinned() {
+        // The Fig. 4 table prints milliseconds and never the averages.
+        // These pin the `to_bits()` of every arm's `(elapsed, avg)` at
+        // the paper's 80 GB: one node of 8 (MPI fails below 41
+        // processes) and 6 nodes of 8. Rerun under each
+        // `HPCBD_EXECUTION` mode.
+        let ds = dataset();
+        let bits = |(t, avg): (f64, f64)| (t.to_bits(), avg.to_bits());
+        let one = Placement::new(1, 8);
+        let six = Placement::new(6, 8);
+        assert!(mpi_answers(&ds, one).is_err(), "MPI fails at 8 processes");
+        let got = [
+            bits(openmp_answers(&ds, 8)),
+            bits(spark_answers(&ds, one)),
+            bits(hadoop_answers(&ds, one)),
+            bits(mpi_answers(&ds, six).expect("MPI runs at 48 processes")),
+            bits(spark_answers(&ds, six)),
+            bits(hadoop_answers(&ds, six)),
+        ];
+        // Every arm counts the same sample, so every average agrees.
+        let avg = 0x4010014788592679;
+        let want: [(u64, u64); 6] = [
+            (0x4059007c9c676e12, avg),
+            (0x406dd223cbb3ea75, avg),
+            (0x407042502cf011e5, avg),
+            (0x4030ab2e5715e671, avg),
+            (0x4044fd049d59d3c2, avg),
+            (0x40483db048fba505, avg),
+        ];
+        let hex: Vec<String> = got
+            .iter()
+            .map(|(t, a)| format!("({t:#018x}, {a:#018x})"))
+            .collect();
+        assert_eq!(got, want, "got [{}]", hex.join(", "));
+    }
+
+    #[test]
     fn all_paradigms_agree_on_the_average() {
         let ds = small_ds();
         let placement = Placement::new(2, 4);

@@ -8,7 +8,8 @@
 //! and re-executed on surviving workers ("failed tasks are re-executed
 //! automatically").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -17,8 +18,8 @@ use parking_lot::RwLock;
 use hpcbd_cluster::ClusterSpec;
 use hpcbd_minhdfs::{Hdfs, HdfsBlock, HdfsConfig};
 use hpcbd_simnet::{
-    partition_of, FaultEvent, FaultPlan, MatchSpec, NodeId, Payload, Pid, ProcCtx, RuntimeClass,
-    Sim, SimDuration, SimTime, StructuredAbort, Tag, Transport, Work,
+    partition_of, DetMap, FaultEvent, FaultPlan, MatchSpec, NodeId, Payload, Pid, ProcCtx,
+    RuntimeClass, Sim, SimDuration, SimTime, StructuredAbort, Tag, Transport, Work,
 };
 
 use crate::types::{InputFormat, JobConf, LocalityStats};
@@ -67,23 +68,23 @@ struct ShufFetch {
 }
 
 /// Typed pairs of one shuffle bucket, keyed by (map task, partition).
-type BucketPairs<K2, V2> = HashMap<(u32, u32), Arc<Vec<(K2, V2)>>>;
+type BucketPairs<K2, V2> = DetMap<(u32, u32), Arc<Vec<(K2, V2)>>>;
 
 /// Map-output store: data plane (typed pairs) and size plane (logical
 /// bytes) for the shuffle servers. Index: (map task, reduce partition).
 struct MapOutputs<K2, V2> {
     pairs: RwLock<BucketPairs<K2, V2>>,
-    bytes: RwLock<HashMap<(u32, u32), u64>>,
+    bytes: RwLock<DetMap<(u32, u32), u64>>,
     /// Node that ran each map task (set at completion).
-    homes: RwLock<HashMap<u32, NodeId>>,
+    homes: RwLock<DetMap<u32, NodeId>>,
 }
 
 impl<K2, V2> MapOutputs<K2, V2> {
     fn new() -> Arc<Self> {
         Arc::new(MapOutputs {
-            pairs: RwLock::new(HashMap::new()),
-            bytes: RwLock::new(HashMap::new()),
-            homes: RwLock::new(HashMap::new()),
+            pairs: RwLock::new(DetMap::default()),
+            bytes: RwLock::new(DetMap::default()),
+            homes: RwLock::new(DetMap::default()),
         })
     }
 }
@@ -351,9 +352,11 @@ where
         .map(|(i, b)| (i as u32, b.clone()))
         .collect();
     let total_maps = pending.len() as u32;
-    let mut in_flight: HashMap<u32, (u32, HdfsBlock)> = HashMap::new(); // worker -> task
-    let mut done_tasks: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut backed_up: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    // Worker -> (task, block); the task flags are indexed by the dense
+    // map task id.
+    let mut in_flight: DetMap<u32, (u32, HdfsBlock)> = DetMap::default();
+    let mut done_tasks = vec![false; total_maps as usize];
+    let mut backed_up = vec![false; total_maps as usize];
     let mut done_maps = 0u32;
 
     // ---- Map phase ----
@@ -362,15 +365,18 @@ where
         // Speculative execution: with no fresh work left but idle slots
         // and stragglers in flight, launch one backup copy per laggard
         // (Hadoop's `mapreduce.map.speculative`). First completion wins.
+        // A task runs on one worker until it is backed up, so the
+        // candidates' task ids are distinct: the minimum does not depend
+        // on the map's iteration order.
         if conf.speculative_execution && pending.is_empty() && !free.is_empty() {
             let laggard = in_flight
                 .iter()
-                .filter(|(_, (t, _))| !backed_up.contains(t) && !done_tasks.contains(t))
+                .filter(|(_, (t, _))| !backed_up[*t as usize] && !done_tasks[*t as usize])
                 .map(|(w, (t, b))| (*w, *t, b.clone()))
                 .min_by_key(|(_, t, _)| *t);
             if let Some((_, task, block)) = laggard {
                 let w = free.pop_front().unwrap();
-                backed_up.insert(task);
+                backed_up[task as usize] = true;
                 locality.speculative_maps += 1;
                 ctx.advance(conf.scheduling_delay);
                 in_flight.insert(w, (task, block.clone()));
@@ -426,15 +432,15 @@ where
                     in_flight.remove(worker);
                     free.push_back(*worker);
                     // Duplicate completions (speculation) count once.
-                    if done_tasks.insert(*task) {
+                    if !std::mem::replace(&mut done_tasks[*task as usize], true) {
                         done_maps += 1;
                     }
                 }
             }
             Err(_) => {
                 // Ping every in-flight worker; requeue tasks of the dead.
-                // Sorted so HashMap iteration order never leaks into the
-                // virtual-time schedule.
+                // Sorted so the map's iteration order never leaks into
+                // the virtual-time schedule.
                 let mut stale: Vec<u32> = in_flight.keys().copied().collect();
                 stale.sort_unstable();
                 for w in stale {
@@ -477,19 +483,13 @@ where
 
     // ---- Reduce phase ----
     ctx.span_open("mr/reduce_wave");
-    let blocks_by_task: HashMap<u32, HdfsBlock> = file
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (i as u32, b.clone()))
-        .collect();
     let mut pending_r: VecDeque<u32> = (0..conf.reduce_tasks).collect();
-    let mut in_flight_r: HashMap<u32, u32> = HashMap::new();
+    let mut in_flight_r: DetMap<u32, u32> = DetMap::default();
     // Maps whose outputs died with their node, forced back into execution
     // by reducer MapLost reports.
     let mut pending_m: VecDeque<u32> = VecDeque::new();
-    let mut in_flight_m: HashMap<u32, u32> = HashMap::new(); // worker -> map task
-    let mut remapping: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    let mut in_flight_m: DetMap<u32, u32> = DetMap::default(); // worker -> map task
+    let mut remapping = vec![false; total_maps as usize]; // by map task
     let mut output: Vec<(u32, Vec<(K2, V2)>)> = Vec::new();
     while output.len() < conf.reduce_tasks as usize {
         // Lost maps re-execute first; affected reduces wait for their
@@ -501,7 +501,7 @@ where
                 pending_m.push_front(t);
                 continue;
             }
-            let block = blocks_by_task[&t].clone();
+            let block = file.blocks[t as usize].clone();
             locality.reexecuted_maps += 1;
             ctx.advance(conf.scheduling_delay);
             in_flight_m.insert(w, t);
@@ -554,7 +554,7 @@ where
                     // duplicate from the map phase arriving late.
                     JtMsg::MapDone { task, worker } => {
                         if in_flight_m.remove(worker).is_some() {
-                            remapping.remove(task);
+                            remapping[*task as usize] = false;
                         } else {
                             in_flight.remove(worker);
                         }
@@ -586,14 +586,14 @@ where
                                         pending_r.push_back(r);
                                     }
                                     if let Some(t) = in_flight_m.remove(&w) {
-                                        remapping.remove(&t);
+                                        remapping[t as usize] = false;
                                         pending_m.push_back(t);
                                     }
                                 }
                             }
                             free.retain(|w| alive[*w as usize]);
                         }
-                        if remapping.insert(*map_task) {
+                        if !std::mem::replace(&mut remapping[*map_task as usize], true) {
                             ctx.record_fault(FaultEvent::Recovery {
                                 runtime: "mapreduce",
                                 action: "map_reexec",
@@ -631,7 +631,7 @@ where
                             pending_r.push_back(r);
                         }
                         if let Some(t) = in_flight_m.remove(&w) {
-                            remapping.remove(&t);
+                            remapping[t as usize] = false;
                             locality.reexecuted_maps += 1;
                             pending_m.push_back(t);
                         }
@@ -895,25 +895,32 @@ where
     }
 }
 
-/// Group pairs by key (deterministic order) and fold each group.
+/// Group pairs by key and fold each group, in key order. Each key's
+/// values keep their input order. Only the distinct keys are sorted.
 fn combine_pairs<K2, V2>(
     pairs: Vec<(K2, V2)>,
     f: &(impl Fn(&K2, &[V2]) -> V2 + ?Sized),
 ) -> Vec<(K2, V2)>
 where
     K2: Clone + Eq + Ord + Hash,
-    V2: Clone,
 {
-    let mut groups: HashMap<K2, Vec<V2>> = HashMap::new();
+    let mut slot: DetMap<K2, usize> = DetMap::default();
+    let mut groups: Vec<(K2, Vec<V2>)> = Vec::new();
     for (k, v) in pairs {
-        groups.entry(k).or_default().push(v);
+        match slot.entry(k) {
+            Entry::Occupied(e) => groups[*e.get()].1.push(v),
+            Entry::Vacant(e) => {
+                groups.push((e.key().clone(), vec![v]));
+                e.insert(groups.len() - 1);
+            }
+        }
     }
-    let mut keys: Vec<K2> = groups.keys().cloned().collect();
-    keys.sort();
-    keys.into_iter()
-        .map(|k| {
-            let vs = &groups[&k];
-            let out = f(&k, vs);
+    // Keys are distinct, so an unstable sort yields the stable order.
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    groups
+        .into_iter()
+        .map(|(k, vs)| {
+            let out = f(&k, &vs);
             (k, out)
         })
         .collect()
@@ -956,5 +963,67 @@ where
             Payload::Empty,
             &ipoib,
         );
+    }
+}
+
+/// The `RandomState`-map grouping `combine_pairs` had before it grouped
+/// through a `DetMap` index: the oracle for the live body.
+#[cfg(test)]
+mod hash_map_oracle {
+    use std::collections::HashMap;
+    use std::hash::Hash;
+
+    pub fn combine_pairs<K2, V2>(
+        pairs: Vec<(K2, V2)>,
+        f: &(impl Fn(&K2, &[V2]) -> V2 + ?Sized),
+    ) -> Vec<(K2, V2)>
+    where
+        K2: Clone + Eq + Ord + Hash,
+        V2: Clone,
+    {
+        let mut groups: HashMap<K2, Vec<V2>> = HashMap::new();
+        for (k, v) in pairs {
+            groups.entry(k).or_default().push(v);
+        }
+        let mut keys: Vec<K2> = groups.keys().cloned().collect();
+        keys.sort();
+        keys.into_iter()
+            .map(|k| {
+                let vs = &groups[&k];
+                let out = f(&k, vs);
+                (k, out)
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Order-sensitive: any reordering of a group's values changes it.
+    fn horner<K>(_k: &K, vs: &[u64]) -> u64 {
+        vs.iter()
+            .fold(0u64, |a, v| a.wrapping_mul(31).wrapping_add(*v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn combine_pairs_matches_the_hash_map_oracle(
+            items in proptest::collection::vec((0u64..6, 0u64..1000), 0..300),
+        ) {
+            // Six keys over up to 300 pairs: every group repeats.
+            let got = combine_pairs(items.clone(), &horner);
+            let want = hash_map_oracle::combine_pairs(items.clone(), &horner);
+            prop_assert_eq!(got, want);
+            let named: Vec<(String, u64)> =
+                items.iter().map(|(k, v)| (format!("key-{k}"), *v)).collect();
+            let got = combine_pairs(named.clone(), &horner);
+            let want = hash_map_oracle::combine_pairs(named, &horner);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -103,8 +103,8 @@ mod tests {
         .run(nodes)
     }
 
-    fn oracle_counts(blocks: u64, keys: u64) -> std::collections::HashMap<u64, u64> {
-        let mut m = std::collections::HashMap::new();
+    fn oracle_counts(blocks: u64, keys: u64) -> std::collections::BTreeMap<u64, u64> {
+        let mut m = std::collections::BTreeMap::new();
         for b in 0..blocks {
             for i in 0..10 {
                 *m.entry((b * 7 + i) % keys).or_insert(0u64) += 1;
@@ -119,7 +119,7 @@ mod tests {
         let keys = 5;
         let result = count_job(2, blocks, keys);
         let oracle = oracle_counts(blocks, keys);
-        let got: std::collections::HashMap<u64, u64> = result.pairs.iter().cloned().collect();
+        let got: std::collections::BTreeMap<u64, u64> = result.pairs.iter().cloned().collect();
         assert_eq!(got, oracle);
         assert_eq!(
             result.locality.local_maps + result.locality.remote_maps,
@@ -161,8 +161,8 @@ mod tests {
         })
         .run(2);
         let without = count_job(2, blocks, keys);
-        let a: std::collections::HashMap<u64, u64> = with_combiner.pairs.iter().cloned().collect();
-        let b: std::collections::HashMap<u64, u64> = without.pairs.iter().cloned().collect();
+        let a: std::collections::BTreeMap<u64, u64> = with_combiner.pairs.iter().cloned().collect();
+        let b: std::collections::BTreeMap<u64, u64> = without.pairs.iter().cloned().collect();
         assert_eq!(a, b, "combiner must not change results");
     }
 
@@ -192,7 +192,7 @@ mod tests {
         .run(2);
         assert!(result.locality.reexecuted_maps >= 1);
         let oracle = oracle_counts(blocks, keys);
-        let got: std::collections::HashMap<u64, u64> = result.pairs.iter().cloned().collect();
+        let got: std::collections::BTreeMap<u64, u64> = result.pairs.iter().cloned().collect();
         assert_eq!(got, oracle, "results survive a worker failure");
     }
 
@@ -231,7 +231,7 @@ mod tests {
             "maps homed on the crashed node must re-execute"
         );
         let oracle = oracle_counts(blocks, keys);
-        let got: std::collections::HashMap<u64, u64> = result.pairs.iter().cloned().collect();
+        let got: std::collections::BTreeMap<u64, u64> = result.pairs.iter().cloned().collect();
         assert_eq!(got, oracle, "results survive the node crash");
     }
 
@@ -273,8 +273,8 @@ mod tests {
             "backup tasks must rescue the job: {spec_t} vs {slow_t}"
         );
         // Results identical either way.
-        let a: std::collections::HashMap<u64, u64> = no_spec.pairs.into_iter().collect();
-        let b: std::collections::HashMap<u64, u64> = with_spec.pairs.into_iter().collect();
+        let a: std::collections::BTreeMap<u64, u64> = no_spec.pairs.into_iter().collect();
+        let b: std::collections::BTreeMap<u64, u64> = with_spec.pairs.into_iter().collect();
         assert_eq!(a, b);
     }
 
@@ -302,8 +302,8 @@ mod tests {
             ..Default::default()
         })
         .run(2);
-        let a: std::collections::HashMap<u64, u64> = normal.pairs.into_iter().collect();
-        let b: std::collections::HashMap<u64, u64> = r.pairs.into_iter().collect();
+        let a: std::collections::BTreeMap<u64, u64> = normal.pairs.into_iter().collect();
+        let b: std::collections::BTreeMap<u64, u64> = r.pairs.into_iter().collect();
         assert_eq!(a, b);
     }
 
@@ -341,8 +341,8 @@ mod tests {
         .run(2);
         assert!(slow.elapsed > fast.elapsed);
         // Sample-level results identical; only the modeled time scales.
-        let a: std::collections::HashMap<u64, u64> = slow.pairs.into_iter().collect();
-        let b: std::collections::HashMap<u64, u64> = fast.pairs.into_iter().collect();
+        let a: std::collections::BTreeMap<u64, u64> = slow.pairs.into_iter().collect();
+        let b: std::collections::BTreeMap<u64, u64> = fast.pairs.into_iter().collect();
         assert_eq!(a, b);
     }
 }

@@ -30,8 +30,6 @@ pub struct Post {
     pub id: u64,
     /// Question or answer.
     pub kind: PostKind,
-    /// For answers: the id of the question being answered.
-    pub parent: Option<u64>,
     /// Rendered body length in bytes (part of the logical record size).
     pub body_len: u32,
 }
@@ -79,33 +77,43 @@ impl StackExchangeDataset {
         self.logical_size / RECORD_BYTES
     }
 
-    /// Generate logical record `i`.
+    /// Generate logical record `i`: the fields the benchmarks read.
+    /// An answer's question is derived on demand by
+    /// [`StackExchangeDataset::parent_of`].
     pub fn record(&self, i: u64) -> Post {
         let h = splitmix64(self.seed, i);
-        let is_q = h.is_multiple_of(QUESTION_MOD);
-        if is_q {
+        if h.is_multiple_of(QUESTION_MOD) {
             Post {
                 id: i,
                 kind: PostKind::Question,
-                parent: None,
                 body_len: 200 + (h >> 32) as u32 % 1200,
             }
         } else {
-            // Parent: a question-distributed earlier record (approximate
-            // but deterministic: scan back to the nearest question hash).
-            let mut p = i.saturating_sub(1 + (h % 97));
-            let mut guard = 0;
-            while !splitmix64(self.seed, p).is_multiple_of(QUESTION_MOD) && p > 0 && guard < 64 {
-                p -= 1;
-                guard += 1;
-            }
             Post {
                 id: i,
                 kind: PostKind::Answer,
-                parent: Some(p),
                 body_len: 100 + (h >> 32) as u32 % 800,
             }
         }
+    }
+
+    /// For an answer, the id of the question it answers; `None` for a
+    /// question. Costs up to 64 further hashes, so it is computed only
+    /// where a reader asks for it.
+    pub fn parent_of(&self, i: u64) -> Option<u64> {
+        let h = splitmix64(self.seed, i);
+        if h.is_multiple_of(QUESTION_MOD) {
+            return None;
+        }
+        // A question-distributed earlier record (approximate but
+        // deterministic: scan back to the nearest question hash).
+        let mut p = i.saturating_sub(1 + (h % 97));
+        let mut guard = 0;
+        while !splitmix64(self.seed, p).is_multiple_of(QUESTION_MOD) && p > 0 && guard < 64 {
+            p -= 1;
+            guard += 1;
+        }
+        Some(p)
     }
 
     /// The exact number of sample questions/answers in a byte range —
@@ -129,7 +137,8 @@ impl StackExchangeDataset {
         match p.kind {
             PostKind::Question => format!("Q\t{}\t-\t{}", p.id, p.body_len),
             PostKind::Answer => {
-                format!("A\t{}\t{}\t{}", p.id, p.parent.unwrap_or(0), p.body_len)
+                let parent = self.parent_of(i).unwrap_or(0);
+                format!("A\t{}\t{}\t{}", p.id, parent, p.body_len)
             }
         }
     }
@@ -149,19 +158,14 @@ impl InputFormat for StackExchangeDataset {
         let last = ((offset + len).min(self.logical_size))
             .div_ceil(RECORD_BYTES)
             .min(self.logical_records());
-        // Sample every `scale`-th logical record within the range.
+        // Sample every `scale`-th logical record within the range: the
+        // `k` with `first <= k * scale < last`. The range's length is
+        // known, so `collect` allocates the result exactly once.
         let start_k = first.div_ceil(self.scale);
-        let mut out = Vec::new();
-        let mut k = start_k;
-        loop {
-            let i = k * self.scale;
-            if i >= last {
-                break;
-            }
-            out.push(self.record(i));
-            k += 1;
-        }
-        out
+        let end_k = last.div_ceil(self.scale).max(start_k);
+        (start_k..end_k)
+            .map(|k| self.record(k * self.scale))
+            .collect()
     }
 
     fn logical_scale(&self) -> f64 {
@@ -182,12 +186,161 @@ impl InputFormat for StackExchangeDataset {
     }
 }
 
+/// The eager generator and push-loop sampler this module had while
+/// every `Post` carried its parent: the oracle for the on-demand
+/// `parent_of` and the exactly sized `sample_records`.
+#[cfg(test)]
+mod eager {
+    use super::{PostKind, StackExchangeDataset, QUESTION_MOD, RECORD_BYTES};
+    use crate::splitmix64;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EagerPost {
+        pub id: u64,
+        pub kind: PostKind,
+        pub parent: Option<u64>,
+        pub body_len: u32,
+    }
+
+    pub fn record(d: &StackExchangeDataset, i: u64) -> EagerPost {
+        let h = splitmix64(d.seed, i);
+        let is_q = h.is_multiple_of(QUESTION_MOD);
+        if is_q {
+            EagerPost {
+                id: i,
+                kind: PostKind::Question,
+                parent: None,
+                body_len: 200 + (h >> 32) as u32 % 1200,
+            }
+        } else {
+            let mut p = i.saturating_sub(1 + (h % 97));
+            let mut guard = 0;
+            while !splitmix64(d.seed, p).is_multiple_of(QUESTION_MOD) && p > 0 && guard < 64 {
+                p -= 1;
+                guard += 1;
+            }
+            EagerPost {
+                id: i,
+                kind: PostKind::Answer,
+                parent: Some(p),
+                body_len: 100 + (h >> 32) as u32 % 800,
+            }
+        }
+    }
+
+    pub fn render(d: &StackExchangeDataset, i: u64) -> String {
+        let p = record(d, i);
+        match p.kind {
+            PostKind::Question => format!("Q\t{}\t-\t{}", p.id, p.body_len),
+            PostKind::Answer => {
+                format!("A\t{}\t{}\t{}", p.id, p.parent.unwrap_or(0), p.body_len)
+            }
+        }
+    }
+
+    pub fn sample_records(d: &StackExchangeDataset, offset: u64, len: u64) -> Vec<EagerPost> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let first = offset.div_ceil(RECORD_BYTES);
+        let last = ((offset + len).min(d.logical_size))
+            .div_ceil(RECORD_BYTES)
+            .min(d.logical_records());
+        let start_k = first.div_ceil(d.scale);
+        let mut out = Vec::new();
+        let mut k = start_k;
+        loop {
+            let i = k * d.scale;
+            if i >= last {
+                break;
+            }
+            out.push(record(d, i));
+            k += 1;
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ds() -> StackExchangeDataset {
         StackExchangeDataset::new(7, 1 << 20, 4)
+    }
+
+    /// The eager oracle's post with its parent split off.
+    fn split(p: eager::EagerPost) -> (Post, Option<u64>) {
+        let post = Post {
+            id: p.id,
+            kind: p.kind,
+            body_len: p.body_len,
+        };
+        (post, p.parent)
+    }
+
+    #[test]
+    fn post_holds_only_what_the_count_reads() {
+        assert_eq!(std::mem::size_of::<Post>(), 16);
+    }
+
+    #[test]
+    fn records_and_parents_match_the_eager_oracle() {
+        // 0..10 000 covers answers near the start (i < 97, where the
+        // scan back saturates at 0). A run of 64 answers, where the
+        // guard cuts the scan short, comes about once in 200 seeds'
+        // first 10 000 records; seed 10 829 has several.
+        let guarded = StackExchangeDataset::new(10_829, 1 << 20, 4);
+        for d in [ds(), StackExchangeDataset::paper_80gb(), guarded.clone()] {
+            for i in 0..10_000 {
+                let (post, parent) = split(eager::record(&d, i));
+                assert_eq!(d.record(i), post, "record {i}");
+                assert_eq!(d.parent_of(i), parent, "parent of {i}");
+            }
+        }
+        let cut_short = (0..10_000).any(|i| {
+            matches!(guarded.parent_of(i), Some(p) if p > 0 && guarded.record(p).kind == PostKind::Answer)
+        });
+        assert!(cut_short, "seed 10 829 reaches the 64-step guard");
+    }
+
+    #[test]
+    fn render_matches_the_eager_oracle() {
+        let d = ds();
+        for i in 0..2_000 {
+            assert_eq!(d.render(i), eager::render(&d, i), "render {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sample_records_match_the_eager_oracle_and_are_sized_exactly(
+            seed in any::<u64>(),
+            scale in 1u64..40,
+            offset in 0u64..(1 << 20) + 8 * RECORD_BYTES,
+            shape in 0u8..3,
+            raw_len in 0u64..(1 << 20),
+        ) {
+            // Offsets and lengths fall anywhere in a record, and past
+            // the end of the file; a third of the ranges are empty and
+            // a third span a few records.
+            let len = match shape {
+                0 => 0,
+                1 => raw_len % (4 * RECORD_BYTES),
+                _ => raw_len,
+            };
+            let d = StackExchangeDataset::new(seed, 1 << 20, scale);
+            let got = d.sample_records(offset, len);
+            let want: Vec<Post> = eager::sample_records(&d, offset, len)
+                .into_iter()
+                .map(|p| split(p).0)
+                .collect();
+            prop_assert_eq!(got.capacity(), got.len());
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -201,8 +354,7 @@ mod tests {
     fn answers_reference_earlier_questions() {
         let d = ds();
         for i in 100..300 {
-            let p = d.record(i);
-            if let Some(parent) = p.parent {
+            if let Some(parent) = d.parent_of(i) {
                 assert!(parent < i, "answer {i} references later post {parent}");
             }
         }
