@@ -6,8 +6,8 @@
 //! failure, Spark recomputes only the lost lineage, MapReduce re-executes
 //! lost tasks from replicated HDFS input.
 //!
-//! Virtual times are bit-identical across engine execution modes, so CI
-//! diffs the `--quick` output of sequential vs parallel runs verbatim.
+//! Virtual times are bit-identical from run to run, so the conformance
+//! gate diffs the `--quick` output against its golden verbatim.
 
 use hpcbd_cluster::Placement;
 use hpcbd_minimpi::{mpirun_faulty, CheckpointMode, Checkpointer, FaultPolicy, ReduceOp};

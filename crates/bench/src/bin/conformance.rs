@@ -6,26 +6,24 @@
 //! * `conformance gate [--bless] [--golden DIR]` — recompute every
 //!   bench bin's `--quick` output by invoking the sibling release
 //!   binaries, diff each against the golden registry pinned under
-//!   `results/golden/`, re-run a subset in parallel execution mode
-//!   against the *same* goldens (cross-mode coverage), and byte-compare
-//!   phase-attributed JSON reports across modes. `--bless` re-pins the
-//!   registry after an intentional behaviour change; the PR diff then
-//!   shows exactly which table rows moved.
-//! * `conformance explore [--seed N] [--schedules N] [--threads N]
+//!   `results/golden/`, and byte-compare two runs' phase-attributed
+//!   JSON reports. `--bless` re-pins the registry after an intentional
+//!   behaviour change; the PR diff then shows exactly which table rows
+//!   moved.
+//! * `conformance explore [--seed N] [--schedules N]
 //!   [--pipeline fig3|fig6|fault|all] [--repro-out PATH]` — run the
 //!   schedule-perturbation explorer (`hpcbd-check`) over representative
 //!   pipelines; on divergence, write a replayable repro file and fail.
 //! * `conformance lint [--pipeline ...]` — run the determinism lint
-//!   matrix (thread sweep, shuffled polling, allocator poisoning,
-//!   telemetry identity) over the same pipelines.
+//!   matrix (replay, allocator poisoning, telemetry identity) over the
+//!   same pipelines.
 //! * `conformance campaign [--seed N] [--campaigns N] [--plan-out PATH]`
 //!   — run the seeded fault-campaign explorer (`hpcbd-check`): first a
 //!   self-test that plants [`hpcbd_minimpi::RecoveryBug`] and demands
 //!   the harness catch the silent corruption (with a shrunk minimal
 //!   plan), then N adversarial campaigns per runtime (MPI, SHMEM,
-//!   Spark) under both execution modes (sequential, parallel), each of
-//!   which must end digest-equal to the fault-free oracle or in a
-//!   structured abort.
+//!   Spark), each of which must end digest-equal to the fault-free
+//!   oracle or in a structured abort.
 //!
 //! Exit status is the gate verdict: 0 clean, 1 divergence/mismatch,
 //! 2 usage or environment error.
@@ -60,26 +58,12 @@ const BINS: &[(&str, &[&str])] = &[
     ("bench_datacenter", &["--quick"]),
 ];
 
-/// Bins additionally re-run under `HPCBD_EXECUTION=parallel:4` against
-/// the same goldens: a cheap cross-mode determinism check on the
-/// pipelines that stress the scheduler hardest (many-rank collectives,
-/// disk-bound scans, iterative allreduce, fault recovery, the
-/// multi-tenant day).
-const CROSS_MODE: &[&str] = &[
-    "fig3",
-    "fig4",
-    "fig6",
-    "ablation_fault_sweep",
-    "bench_datacenter",
-];
-const CROSS_MODE_EXECUTION: &str = "parallel:4";
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: conformance <gate|explore|lint|campaign> [options]\n\
          \n\
          gate     [--bless] [--golden DIR]\n\
-         explore  [--seed N] [--schedules N] [--threads N]\n\
+         explore  [--seed N] [--schedules N]\n\
          \x20        [--pipeline fig3|fig6|fault|all] [--repro-out PATH]\n\
          lint     [--pipeline fig3|fig6|fault|all]\n\
          campaign [--seed N] [--campaigns N] [--plan-out PATH]"
@@ -122,20 +106,12 @@ fn sibling(name: &str) -> Result<PathBuf, String> {
     }
 }
 
-/// Run one bench bin and capture its stdout. `execution` is the
-/// `HPCBD_EXECUTION` value, or `None` for the default (sequential).
-fn run_bin(name: &str, extra: &[&str], execution: Option<&str>) -> Result<String, String> {
-    let mut cmd = Command::new(sibling(name)?);
-    cmd.args(extra);
-    match execution {
-        Some(v) => {
-            cmd.env("HPCBD_EXECUTION", v);
-        }
-        None => {
-            cmd.env_remove("HPCBD_EXECUTION");
-        }
-    }
-    let out = cmd.output().map_err(|e| format!("spawn {name}: {e}"))?;
+/// Run one bench bin and capture its stdout.
+fn run_bin(name: &str, extra: &[&str]) -> Result<String, String> {
+    let out = Command::new(sibling(name)?)
+        .args(extra)
+        .output()
+        .map_err(|e| format!("spawn {name}: {e}"))?;
     if !out.status.success() {
         return Err(format!(
             "{name} exited with {}:\n{}",
@@ -181,7 +157,7 @@ fn gate(args: &[String]) -> ExitCode {
     }
 
     for (name, extra) in BINS {
-        match run_bin(name, extra, None) {
+        match run_bin(name, extra) {
             Ok(output) => {
                 if bless {
                     match registry.bless(name, &output) {
@@ -202,37 +178,13 @@ fn gate(args: &[String]) -> ExitCode {
         }
     }
 
-    // Cross-mode: the same goldens must reproduce under the parallel
-    // engine — goldens double as cross-mode determinism oracles.
+    // Phase-attributed reports must be byte-identical from run to run.
     if !bless {
-        let exec = CROSS_MODE_EXECUTION;
-        for name in CROSS_MODE {
-            let extra = BINS
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, e)| *e)
-                .unwrap();
-            match run_bin(name, extra, Some(exec)) {
-                Ok(output) => check(
-                    &registry,
-                    &mut failures,
-                    name,
-                    &output,
-                    &format!("{name} [{exec}]"),
-                ),
-                Err(e) => {
-                    failures += 1;
-                    println!("  FAIL {name} [{exec}]: {e}");
-                }
-            }
-        }
-
-        // Phase-attributed reports must be byte-identical across modes.
-        match report_cross_mode(exec) {
-            Ok(()) => println!("  PASS fig6 report [sequential == {exec}]"),
+        match report_replay() {
+            Ok(()) => println!("  PASS fig6 report replay"),
             Err(e) => {
                 failures += 1;
-                println!("  FAIL fig6 report cross-mode [{exec}]:");
+                println!("  FAIL fig6 report replay:");
                 for line in e.lines() {
                     println!("       {line}");
                 }
@@ -249,38 +201,29 @@ fn gate(args: &[String]) -> ExitCode {
     }
 }
 
-/// Run `fig6 --quick --report` sequentially and under `exec`, and
-/// byte-compare the two `hpcbd.report.v1` JSON documents.
-fn report_cross_mode(exec: &str) -> Result<(), String> {
-    let tmp = std::env::temp_dir();
-    let tag = exec.replace(':', "-");
-    let seq_path = tmp.join(format!("hpcbd-conf-{}-seq.json", std::process::id()));
-    let par_path = tmp.join(format!("hpcbd-conf-{}-{tag}.json", std::process::id()));
-    let result = (|| {
-        run_bin(
+/// Run `fig6 --quick --report` twice and byte-compare the two
+/// `hpcbd.report.v1` JSON documents.
+fn report_replay() -> Result<(), String> {
+    let mut reports = Vec::new();
+    for i in 1..=2 {
+        let path = std::env::temp_dir().join(format!("hpcbd-conf-{}-{i}.json", std::process::id()));
+        let report = run_bin(
             "fig6",
-            &["--quick", "--report", &seq_path.display().to_string()],
-            None,
-        )?;
-        run_bin(
-            "fig6",
-            &["--quick", "--report", &par_path.display().to_string()],
-            Some(exec),
-        )?;
-        let seq = std::fs::read_to_string(&seq_path).map_err(|e| format!("read report: {e}"))?;
-        let par = std::fs::read_to_string(&par_path).map_err(|e| format!("read report: {e}"))?;
-        if seq == par {
-            Ok(())
-        } else {
-            Err(match hpcbd_obs::first_divergence(&seq, &par) {
-                Some(d) => d.render(),
-                None => "reports differ only in trailing whitespace".to_string(),
-            })
-        }
-    })();
-    let _ = std::fs::remove_file(&seq_path);
-    let _ = std::fs::remove_file(&par_path);
-    result
+            &["--quick", "--report", &path.display().to_string()],
+        )
+        .and_then(|_| std::fs::read_to_string(&path).map_err(|e| format!("read report: {e}")));
+        let _ = std::fs::remove_file(&path);
+        reports.push(report?);
+    }
+    if reports[0] == reports[1] {
+        return Ok(());
+    }
+    Err(
+        match hpcbd_obs::first_divergence(&reports[0], &reports[1]) {
+            Some(d) => d.render(),
+            None => "reports differ only in trailing whitespace".to_string(),
+        },
+    )
 }
 
 // ------------------------------------------------------- explore / lint
@@ -373,9 +316,6 @@ fn explore(args: &[String]) -> ExitCode {
     let schedules: usize = flag_value(args, "--schedules")
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let filter = flag_value(args, "--pipeline").unwrap_or_else(|| "all".to_string());
     let repro_out = flag_value(args, "--repro-out");
     let pipes = match pipelines(&filter) {
@@ -383,15 +323,9 @@ fn explore(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
 
-    println!(
-        "conformance explore: seed={seed:#x} schedules={schedules} threads={threads} \
-         pipelines={filter}"
-    );
+    println!("conformance explore: seed={seed:#x} schedules={schedules} pipelines={filter}");
     for (name, workload) in pipes {
-        let report = Explorer::new(seed)
-            .schedules(schedules)
-            .threads(threads)
-            .explore(workload);
+        let report = Explorer::new(seed).schedules(schedules).explore(workload);
         match &report.divergence {
             None => println!(
                 "  PASS {name}: {} perturbed schedule(s), oracle sha256={}",
@@ -408,7 +342,7 @@ fn explore(args: &[String]) -> ExitCode {
                         "hpcbd conformance divergence repro\n\
                          pipeline:  {name}\n\
                          command:   conformance explore --pipeline {name} --seed {seed:#x} \
-                         --schedules {schedules} --threads {threads}\n\
+                         --schedules {schedules}\n\
                          oracle sha256: {}\n\n{}",
                         report.oracle_digest,
                         d.render()
@@ -659,7 +593,6 @@ mod campaign_workloads {
 
 fn campaign(args: &[String]) -> ExitCode {
     use hpcbd_check::{generate_campaigns, shrink_plan, CampaignTally};
-    use hpcbd_simnet::{set_default_execution, Execution};
 
     let seed: u64 = flag_value(args, "--seed")
         .and_then(|v| parse_u64(&v))
@@ -668,7 +601,7 @@ fn campaign(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
     let plan_out = flag_value(args, "--plan-out");
-    println!("conformance campaign: seed={seed:#x} campaigns={count} per runtime+mode");
+    println!("conformance campaign: seed={seed:#x} campaigns={count} per runtime");
 
     // Structured aborts and classified violations unwind through
     // catch_unwind by design; the default hook's backtrace spew for
@@ -693,51 +626,43 @@ fn campaign(args: &[String]) -> ExitCode {
 
     let mut failures = 0u32;
     let mut artifact = String::new();
-    for exec in [Execution::Sequential, Execution::Parallel { threads: 4 }] {
-        set_default_execution(exec);
-        let mode = match exec {
-            Execution::Sequential => "sequential",
-            Execution::Parallel { .. } => "parallel:4",
-        };
-        for subject in campaign_workloads::subjects() {
-            let campaigns = generate_campaigns(&subject.space, seed, count);
-            let mut tally = CampaignTally::default();
-            for c in &campaigns {
-                let outcome = subject.classify(&c.plan);
-                let shrunk = if outcome.is_violation() {
-                    let minimal = shrink_plan(&c.plan, |p| subject.classify(p).is_violation());
-                    Some(minimal.describe())
-                } else {
-                    None
-                };
-                tally.record(c, &outcome, shrunk.as_deref());
-            }
-            if tally.violations.is_empty() {
-                println!(
-                    "  PASS {} [{mode}]: {} campaign(s) — {} oracle-equal, {} structured abort(s)",
-                    subject.name,
-                    tally.total(),
-                    tally.oracle_equal,
-                    tally.aborts
-                );
+    for subject in campaign_workloads::subjects() {
+        let campaigns = generate_campaigns(&subject.space, seed, count);
+        let mut tally = CampaignTally::default();
+        for c in &campaigns {
+            let outcome = subject.classify(&c.plan);
+            let shrunk = if outcome.is_violation() {
+                let minimal = shrink_plan(&c.plan, |p| subject.classify(p).is_violation());
+                Some(minimal.describe())
             } else {
-                failures += tally.violations.len() as u32;
-                for (kind, vseed, detail) in &tally.violations {
-                    println!("  FAIL {} [{mode}] {kind} seed={vseed:#x}:", subject.name);
-                    for line in detail.lines() {
-                        println!("       {line}");
-                    }
-                    artifact.push_str(&format!(
-                        "runtime: {}\nexecution: {mode}\nkind: {kind}\nseed: {vseed:#x}\n\
-                         replay: conformance campaign --seed {vseed:#x} --campaigns 1\n\
-                         {detail}\n\n",
-                        subject.name
-                    ));
+                None
+            };
+            tally.record(c, &outcome, shrunk.as_deref());
+        }
+        if tally.violations.is_empty() {
+            println!(
+                "  PASS {}: {} campaign(s) — {} oracle-equal, {} structured abort(s)",
+                subject.name,
+                tally.total(),
+                tally.oracle_equal,
+                tally.aborts
+            );
+        } else {
+            failures += tally.violations.len() as u32;
+            for (kind, vseed, detail) in &tally.violations {
+                println!("  FAIL {} {kind} seed={vseed:#x}:", subject.name);
+                for line in detail.lines() {
+                    println!("       {line}");
                 }
+                artifact.push_str(&format!(
+                    "runtime: {}\nkind: {kind}\nseed: {vseed:#x}\n\
+                     replay: conformance campaign --seed {vseed:#x} --campaigns 1\n\
+                     {detail}\n\n",
+                    subject.name
+                ));
             }
         }
     }
-    set_default_execution(Execution::Sequential);
     std::panic::set_hook(default_hook);
 
     if let (Some(path), false) = (&plan_out, artifact.is_empty()) {

@@ -12,8 +12,8 @@
 //!    disabled: the control for what queue-share reclamation buys.
 //!
 //! Everything is virtual-time deterministic, so the rendered table is
-//! byte-identical across sequential and parallel execution — CI diffs
-//! the two.
+//! byte-identical from run to run — the conformance gate diffs it
+//! against its golden.
 
 use hpcbd_sched::{
     factory, quantile_ns, run, QueueSpec, RateProcess, ScenarioOutcome, ScenarioSpec, SourceSpec,

@@ -338,8 +338,7 @@ where
     plan.from_atoms(&atoms)
 }
 
-/// Aggregate tallies of a campaign sweep (one runtime, one execution
-/// mode).
+/// Aggregate tallies of a campaign sweep (one runtime).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignTally {
     /// Runs digest-equal to the oracle.

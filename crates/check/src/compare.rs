@@ -31,7 +31,7 @@ pub enum Classification {
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which harness condition produced the divergent run
-    /// (e.g. `perturbed schedule seed=0x1234`, `thread sweep t=8`).
+    /// (e.g. `perturbed schedule #0 seed=0x1234`, `sequential replay`).
     pub condition: String,
     /// Index of the divergent capture within the workload's capture
     /// sequence (a workload may run several simulations).

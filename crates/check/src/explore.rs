@@ -1,19 +1,21 @@
 //! The schedule-perturbation explorer: adversarial determinism checking
-//! against the sequential oracle.
+//! against the unperturbed oracle.
 //!
 //! One exploration runs a workload under three regimes and demands
 //! bit-identical captures from all of them:
 //!
-//! 1. **Oracle** — sequential execution, no perturbation. This is the
-//!    reference schedule the engine's contract is stated against.
+//! 1. **Oracle** — no perturbation. This is the reference schedule the
+//!    engine's contract is stated against.
 //! 2. **Sequential replay** — the same thing again. A divergence here
 //!    cannot involve the scheduler at all and is immediately classified
 //!    as host nondeterminism (hash seeds, addresses, wall clock).
-//! 3. **Perturbed parallel runs** — `schedules` runs under
+//! 3. **Perturbed runs** — `schedules` runs under
 //!    [`Perturbation::from_seed`] with per-run seeds derived from the
-//!    explorer seed, each driving the parallel engine through a
-//!    different *legal* commit schedule (see `hpcbd_simnet::perturb`
-//!    for the legality argument).
+//!    explorer seed. Each sends a different seeded subset of the
+//!    alignments that could take the self-grant fast path down the
+//!    queue path (push, dispatch, park, wake) instead; both paths must
+//!    make the same grant, so every run must reproduce the oracle (see
+//!    `hpcbd_simnet::perturb`).
 //!
 //! When a perturbed run diverges, the explorer shrinks the divergence to
 //! the minimal event prefix — because captures are compared in the
@@ -24,16 +26,15 @@
 //! contract is broken), one that does not is **host nondeterminism**
 //! (something outside virtual time leaks into results).
 //!
-//! Engine-global state (default execution mode, installed perturbation,
-//! the capture window) is process-wide, so explorations serialize on a
+//! Engine-global state (installed perturbation, telemetry interval, the
+//! capture window) is process-wide, so explorations serialize on a
 //! harness lock and restore previous globals on exit, panic included.
 
 use parking_lot::{Mutex, MutexGuard};
 
 use hpcbd_simnet::{
-    begin_capture, default_execution, det_hash, end_capture, set_default_execution,
-    set_perturbation, set_telemetry_interval, telemetry_interval, Execution, Perturbation,
-    RunCapture,
+    begin_capture, det_hash, end_capture, set_perturbation, set_telemetry_interval,
+    telemetry_interval, Perturbation, RunCapture,
 };
 
 use crate::compare::{capture_digest, compare_runs, Classification, Divergence};
@@ -48,14 +49,12 @@ pub fn harness_lock() -> MutexGuard<'static, ()> {
 
 /// Restores the pre-harness engine globals on drop (panic included).
 pub(crate) struct RestoreGlobals {
-    prev: Execution,
     prev_telemetry: Option<u64>,
 }
 
 impl RestoreGlobals {
     pub(crate) fn capture() -> RestoreGlobals {
         RestoreGlobals {
-            prev: default_execution(),
             prev_telemetry: telemetry_interval(),
         }
     }
@@ -64,7 +63,6 @@ impl RestoreGlobals {
 impl Drop for RestoreGlobals {
     fn drop(&mut self) {
         set_perturbation(None);
-        set_default_execution(self.prev);
         set_telemetry_interval(self.prev_telemetry);
     }
 }
@@ -107,29 +105,18 @@ impl ExploreReport {
 pub struct Explorer {
     seed: u64,
     schedules: usize,
-    threads: usize,
 }
 
 impl Explorer {
     /// Explorer with `seed` driving every per-schedule perturbation,
-    /// defaulting to 8 schedules on 4 threads.
+    /// defaulting to 8 schedules.
     pub fn new(seed: u64) -> Explorer {
-        Explorer {
-            seed,
-            schedules: 8,
-            threads: 4,
-        }
+        Explorer { seed, schedules: 8 }
     }
 
-    /// Number of perturbed parallel schedules to drive.
+    /// Number of perturbed schedules to drive.
     pub fn schedules(mut self, n: usize) -> Explorer {
         self.schedules = n;
-        self
-    }
-
-    /// Concurrency cap for the perturbed parallel runs.
-    pub fn threads(mut self, n: usize) -> Explorer {
-        self.threads = n.max(1);
         self
     }
 
@@ -152,7 +139,6 @@ impl Explorer {
         let _restore = RestoreGlobals::capture();
 
         set_perturbation(None);
-        set_default_execution(Execution::Sequential);
         let oracle = run_captured(&workload);
         let oracle_digest = capture_digest(&oracle);
         assert!(
@@ -160,8 +146,8 @@ impl Explorer {
             "workload ran no simulations inside the capture window"
         );
 
-        // Sequential replay: no scheduler in play, so any divergence is
-        // host nondeterminism by construction.
+        // Sequential replay: no perturbation in play, so any divergence
+        // is host nondeterminism by construction.
         let replay = run_captured(&workload);
         if let Some(mut d) = compare_runs(&oracle, &replay) {
             d.condition = "sequential replay".to_string();
@@ -176,9 +162,6 @@ impl Explorer {
         for i in 0..self.schedules {
             let seed = self.schedule_seed(i);
             set_perturbation(Some(Perturbation::from_seed(seed)));
-            set_default_execution(Execution::Parallel {
-                threads: self.threads,
-            });
             let run = run_captured(&workload);
             if let Some(mut d) = compare_runs(&oracle, &run) {
                 // Classification replay: the same seed drives the same
@@ -190,10 +173,7 @@ impl Explorer {
                 } else {
                     Classification::HostNondeterminism
                 });
-                d.condition = format!(
-                    "perturbed schedule #{i} seed={seed:#018x} threads={}",
-                    self.threads
-                );
+                d.condition = format!("perturbed schedule #{i} seed={seed:#018x}");
                 return ExploreReport {
                     schedules_run: i + 1,
                     divergence: Some(d),
@@ -232,10 +212,7 @@ mod tests {
 
     #[test]
     fn clean_workload_explores_clean() {
-        let report = Explorer::new(0xE0)
-            .schedules(6)
-            .threads(4)
-            .explore(ping_pong_workload);
+        let report = Explorer::new(0xE0).schedules(6).explore(ping_pong_workload);
         assert_eq!(report.schedules_run, 6);
         report.assert_deterministic();
     }
@@ -265,7 +242,6 @@ mod tests {
     fn exploration_of_contended_devices_is_clean() {
         let report = Explorer::new(0x5bec)
             .schedules(6)
-            .threads(4)
             .explore(disk_contention_workload);
         assert_eq!(report.schedules_run, 6);
         report.assert_deterministic();
@@ -283,11 +259,11 @@ mod tests {
     fn globals_are_restored_after_explore() {
         // Sibling tests set the globals under the lock; read them under it.
         let _guard = harness_lock();
-        let before = default_execution();
+        let before = telemetry_interval();
         Explorer::new(3)
             .schedules(1)
             .explore_locked(ping_pong_workload);
-        assert_eq!(default_execution(), before);
+        assert_eq!(telemetry_interval(), before);
         assert!(hpcbd_simnet::current_perturbation().is_none());
     }
 

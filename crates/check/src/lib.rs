@@ -2,14 +2,14 @@
 //!
 //! The simulator's headline claim is *bit determinism*: every virtual
 //! time, table, trace and report is a pure function of the workload,
-//! identical across sequential and parallel execution and across hosts.
-//! This crate tests that claim adversarially instead of incidentally:
+//! identical from run to run and across hosts. This crate tests that
+//! claim adversarially instead of incidentally:
 //!
-//! * [`explore`] drives the parallel engine through many alternate
-//!   *legal* schedules (seeded perturbations of grant timing, token
-//!   retention, fast-path use and lock-race order — see
-//!   [`hpcbd_simnet::perturb`]) and demands every run reproduce the
-//!   sequential oracle bit-for-bit. Divergences are shrunk to the first
+//! * [`explore`] drives the engine down its two grant paths in many
+//!   seeded mixes (alignments that could self-grant sent through the
+//!   ready queue instead — see [`hpcbd_simnet::perturb`]) and demands
+//!   every run reproduce the unperturbed oracle bit-for-bit.
+//!   Divergences are shrunk to the first
 //!   differing event — `(event index, pids, order key, record)` — and
 //!   classified by replay as schedule-dependent or host nondeterminism.
 //! * [`campaign`] generates seeded adversarial fault campaigns (crash
@@ -19,8 +19,7 @@
 //!   abort — never a hang, never a silent corruption. Violations are
 //!   shrunk to a minimal fault plan by delta debugging.
 //! * [`lint`] double-runs workloads under skewed host conditions:
-//!   thread-count sweeps, shuffled shard polling, allocator-address
-//!   poisoning.
+//!   a replay, allocator-address poisoning, telemetry sampling.
 //! * [`golden`] pins full `--quick` outputs of every bench bin under
 //!   `results/golden/` with a SHA-256 manifest; the `conformance` bin
 //!   (in `hpcbd-bench`) recomputes and diffs them in CI.

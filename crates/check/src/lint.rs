@@ -5,46 +5,29 @@
 //! the *host environment* the workload runs in. Each condition varies
 //! one thing the engine's contract says must not matter:
 //!
-//! * **sequential replay** — the same sequential run twice; catches
-//!   per-run nondeterminism with no concurrency at all (fresh hash
-//!   seeds, iteration over address-keyed maps, wall-clock reads).
-//! * **thread-count sweep** — parallel mode at 1, 2 and 8 threads;
-//!   catches results that depend on how many compute segments overlap.
-//! * **shuffled shard polling** — perturbation seeds that jitter and
-//!   reorder every queue interaction (holds, token keeps, fast-path
-//!   defeats), so processes poll shared state in shuffled wall-clock
-//!   orders; catches "first poller wins" races.
+//! * **replay** — the same run twice; catches per-run nondeterminism
+//!   (fresh hash seeds, iteration over address-keyed maps, wall-clock
+//!   reads).
 //! * **allocator-address poisoning** — a seeded set of junk heap
 //!   allocations is held alive across the run, shifting every address
 //!   the workload's own allocations land on; catches any ordering
 //!   derived from pointer values.
-//! * **telemetry digest identity** — the same sequential run with
-//!   telemetry sampling on must produce the *same conformance digest*
-//!   as the telemetry-off oracle: telemetry is excluded from digests
-//!   and must never perturb the simulation.
-//! * **telemetry cross-mode identity** — the serialized telemetry
-//!   section itself must be byte-identical across sequential and
-//!   parallel execution; catches any wall-clock or schedule state
-//!   leaking into a metric series.
+//! * **telemetry digest identity** — the same run with telemetry
+//!   sampling on must produce the *same conformance digest* as the
+//!   telemetry-off oracle: telemetry is excluded from digests and must
+//!   never perturb the simulation.
 //!
-//! All conditions compare against the same sequential oracle, so a lint
-//! pass certifies one workload across the whole condition matrix.
+//! All conditions compare against the same oracle, so a lint pass
+//! certifies one workload across the whole condition matrix.
 
-use hpcbd_simnet::{
-    det_hash, set_default_execution, set_perturbation, set_telemetry_interval, Execution,
-    Perturbation, RunCapture,
-};
+use hpcbd_simnet::{det_hash, set_perturbation, set_telemetry_interval};
 
 use crate::compare::{capture_digest, compare_runs, Classification, Divergence};
 use crate::explore::{harness_lock, run_captured, RestoreGlobals};
 
-/// Thread counts the sweep condition runs at.
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-/// Base seeds for the shuffled-polling condition.
-const POLL_SEEDS: [u64; 2] = [0xD00D, 0xFEED];
 /// Rounds of allocator poisoning.
 const POISON_ROUNDS: u64 = 2;
-/// Sampling interval the telemetry conditions run with (1 µs of
+/// Sampling interval the telemetry condition runs with (1 µs of
 /// virtual time — fine enough that lint workloads span many windows).
 const TELEMETRY_LINT_INTERVAL_NS: u64 = 1_000;
 
@@ -91,7 +74,6 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
     let mut conditions = Vec::new();
 
     set_perturbation(None);
-    set_default_execution(Execution::Sequential);
     let oracle = run_captured(&workload);
     assert!(
         !oracle.is_empty(),
@@ -107,8 +89,8 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
         })
     };
 
-    // Sequential replay: divergence here is host nondeterminism by
-    // construction (no scheduler involved).
+    // Replay: divergence here is host nondeterminism by construction
+    // (nothing differs between the two runs but the host).
     if let Some(mut d) = check("sequential replay".into(), &mut conditions) {
         d.classification = Some(Classification::HostNondeterminism);
         return LintReport {
@@ -117,32 +99,8 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
         };
     }
 
-    for t in THREAD_SWEEP {
-        set_default_execution(Execution::Parallel { threads: t });
-        if let Some(d) = check(format!("thread sweep t={t}"), &mut conditions) {
-            return LintReport {
-                conditions,
-                divergence: Some(d),
-            };
-        }
-    }
-
-    set_default_execution(Execution::Parallel { threads: 4 });
-    for seed in POLL_SEEDS {
-        set_perturbation(Some(Perturbation::from_seed(seed)));
-        let cond = format!("shuffled polling seed={seed:#x}");
-        if let Some(d) = check(cond, &mut conditions) {
-            return LintReport {
-                conditions,
-                divergence: Some(d),
-            };
-        }
-    }
-    set_perturbation(None);
-
     for round in 0..POISON_ROUNDS {
         let _junk = poison_allocations(round);
-        set_default_execution(Execution::Parallel { threads: 4 });
         let cond = format!("allocator poisoning round={round}");
         if let Some(d) = check(cond, &mut conditions) {
             return LintReport {
@@ -155,108 +113,34 @@ pub fn lint_workload<F: Fn()>(workload: F) -> LintReport {
     // Telemetry digest identity: sampling on must not perturb the
     // simulation, and the telemetry itself must be digest-excluded, so
     // the conformance digest matches the telemetry-off oracle exactly.
-    set_default_execution(Execution::Sequential);
+    let cond = "telemetry digest identity";
     set_telemetry_interval(Some(TELEMETRY_LINT_INTERVAL_NS));
-    conditions.push("telemetry digest identity".into());
-    let telemetry_seq = run_captured(&workload);
-    let mut divergence = compare_runs(&oracle, &telemetry_seq).map(|mut d| {
-        d.condition = "telemetry digest identity".into();
-        d
-    });
-    if divergence.is_none() {
-        let (a, b) = (capture_digest(&oracle), capture_digest(&telemetry_seq));
-        if a != b {
-            divergence = Some(telemetry_divergence(
-                "telemetry digest identity",
-                "capture_digest",
-                &a,
-                &b,
-            ));
-        }
-    }
-    if let Some(d) = divergence {
-        set_telemetry_interval(None);
-        return LintReport {
-            conditions,
-            divergence: Some(d),
-        };
-    }
-
-    // Telemetry cross-mode identity: the serialized telemetry section
-    // must be byte-identical whichever execution mode produced it.
-    let oracle_telemetry = serialize_telemetry(&telemetry_seq);
-    set_default_execution(Execution::Parallel { threads: 2 });
-    let cond = "telemetry cross-mode identity";
     conditions.push(cond.into());
-    let got = serialize_telemetry(&run_captured(&workload));
+    let telemetry_run = run_captured(&workload);
     set_telemetry_interval(None);
-    if oracle_telemetry != got {
-        let d = first_telemetry_divergence(cond, &oracle_telemetry, &got);
-        return LintReport {
-            conditions,
-            divergence: Some(d),
-        };
-    }
-
+    let divergence = compare_runs(&oracle, &telemetry_run)
+        .map(|mut d| {
+            d.condition = cond.into();
+            d
+        })
+        .or_else(|| {
+            let (a, b) = (capture_digest(&oracle), capture_digest(&telemetry_run));
+            (a != b).then(|| Divergence {
+                condition: cond.into(),
+                capture_index: 0,
+                event_index: None,
+                order_key: None,
+                pids: Vec::new(),
+                field: "capture_digest".into(),
+                expected: a,
+                got: b,
+                classification: None,
+            })
+        });
     LintReport {
         conditions,
-        divergence: None,
+        divergence,
     }
-}
-
-/// Serialize each capture's sampled telemetry to its canonical JSON
-/// text (empty string for a capture that somehow sampled nothing).
-fn serialize_telemetry(caps: &[RunCapture]) -> Vec<String> {
-    caps.iter()
-        .map(|c| {
-            hpcbd_obs::collect_telemetry(c)
-                .map(|t| t.to_json_value().serialize())
-                .unwrap_or_default()
-        })
-        .collect()
-}
-
-fn telemetry_divergence(condition: &str, field: &str, expected: &str, got: &str) -> Divergence {
-    Divergence {
-        condition: condition.to_string(),
-        capture_index: 0,
-        event_index: None,
-        order_key: None,
-        pids: Vec::new(),
-        field: field.to_string(),
-        expected: expected.to_string(),
-        got: got.to_string(),
-        classification: None,
-    }
-}
-
-/// Locate the first capture whose serialized telemetry differs and
-/// report a window around the first differing byte.
-fn first_telemetry_divergence(condition: &str, expected: &[String], got: &[String]) -> Divergence {
-    for (i, (a, b)) in expected.iter().zip(got.iter()).enumerate() {
-        if a != b {
-            let at = a
-                .bytes()
-                .zip(b.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or_else(|| a.len().min(b.len()));
-            let ctx = |s: &str| {
-                let bytes = s.as_bytes();
-                let lo = at.saturating_sub(40);
-                let hi = (at + 40).min(bytes.len());
-                format!("...{}...", String::from_utf8_lossy(&bytes[lo..hi]))
-            };
-            let mut d = telemetry_divergence(condition, "telemetry", &ctx(a), &ctx(b));
-            d.capture_index = i;
-            return d;
-        }
-    }
-    telemetry_divergence(
-        condition,
-        "telemetry capture count",
-        &expected.len().to_string(),
-        &got.len().to_string(),
-    )
 }
 
 #[cfg(test)]
@@ -282,9 +166,8 @@ mod tests {
     fn clean_workload_passes_the_full_matrix() {
         let report = lint_workload(ring_workload);
         report.assert_clean();
-        // replay + 3 thread counts + 2 poll seeds + 2 poison rounds
-        // + telemetry digest identity + telemetry cross-mode identity.
-        assert_eq!(report.conditions.len(), 10);
+        // replay + 2 poison rounds + telemetry digest identity.
+        assert_eq!(report.conditions.len(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The registry wants a collision-resistant digest so a "digests match"
 //! verdict really means "outputs match" (the engine's own 64-bit FNV
-//! digests are fine for quick cross-mode checks but too small to pin
+//! digests are fine for quick replay checks but too small to pin
 //! goldens against). Straight FIPS 180-4; verified against the standard
 //! test vectors below.
 

@@ -238,8 +238,7 @@ mod tests {
         // The Fig. 4 table prints milliseconds and never the averages.
         // These pin the `to_bits()` of every arm's `(elapsed, avg)` at
         // the paper's 80 GB: one node of 8 (MPI fails below 41
-        // processes) and 6 nodes of 8. Rerun under each
-        // `HPCBD_EXECUTION` mode.
+        // processes) and 6 nodes of 8.
         let ds = dataset();
         let bits = |(t, avg): (f64, f64)| (t.to_bits(), avg.to_bits());
         let one = Placement::new(1, 8);

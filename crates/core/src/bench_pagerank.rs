@@ -636,7 +636,7 @@ mod tests {
         // compares values within a tolerance. These FNV-1a digests of
         // each `(vertex, rank.to_bits())` list pin the values
         // themselves, so a shuffle that folds an f64 sum in another
-        // order fails here. Rerun under each `HPCBD_EXECUTION` mode.
+        // order fails here.
         let input = PagerankInput::small();
         let mut got = Vec::new();
         for variant in [SparkVariant::BigDataBenchTuned, SparkVariant::HiBench] {

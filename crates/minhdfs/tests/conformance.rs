@@ -27,7 +27,6 @@ fn hdfs_workload() {
 fn hdfs_read_write_is_schedule_independent() {
     Explorer::new(0x4846)
         .schedules(8)
-        .threads(4)
         .explore(hdfs_workload)
         .assert_deterministic();
 }

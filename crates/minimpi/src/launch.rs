@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hpcbd_cluster::{ClusterSpec, Placement, RankMap};
-use hpcbd_simnet::{Execution, FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
+use hpcbd_simnet::{FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
 
 use crate::rank::MpiRank;
 
@@ -96,30 +96,13 @@ where
     mpirun_on(&ClusterSpec::comet(placement.nodes), placement, f)
 }
 
-/// [`mpirun`] with an explicit engine execution mode (the virtual-time
-/// results are bit-identical across modes; see
-/// [`hpcbd_simnet::parallel`]).
-pub fn mpirun_with<T, F>(placement: Placement, exec: Execution, f: F) -> MpiOutput<T>
-where
-    T: Send + 'static,
-    F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
-{
-    mpirun_impl(
-        &ClusterSpec::comet(placement.nodes),
-        placement,
-        Some(exec),
-        None,
-        f,
-    )
-}
-
 /// [`mpirun`] with an explicit cluster description.
 pub fn mpirun_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> MpiOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
 {
-    mpirun_impl(cluster, placement, None, None, f)
+    mpirun_impl(cluster, placement, None, f)
 }
 
 /// [`mpirun`] under a deterministic [`FaultPlan`]: the plan is installed
@@ -136,7 +119,6 @@ where
     mpirun_impl(
         &ClusterSpec::comet(placement.nodes),
         placement,
-        None,
         Some(plan),
         f,
     )
@@ -145,7 +127,6 @@ where
 fn mpirun_impl<T, F>(
     cluster: &ClusterSpec,
     placement: Placement,
-    exec: Option<Execution>,
     faults: Option<FaultPlan>,
     f: F,
 ) -> MpiOutput<T>
@@ -160,9 +141,6 @@ where
         cluster.nodes
     );
     let mut sim = Sim::new(cluster.topology());
-    if let Some(exec) = exec {
-        sim.set_execution(exec);
-    }
     if let Some(plan) = faults {
         sim.set_fault_plan(plan);
     }

@@ -40,7 +40,7 @@ pub mod subcomm;
 pub use checkpoint::{CheckpointMode, Checkpointer, FaultPolicy, RecoveryBug};
 pub use datatype::{MpiScalar, ReduceOp};
 pub use io::{MpiFile, MpiIoError};
-pub use launch::{mpirun, mpirun_faulty, mpirun_on, mpirun_with, MpiJob, MpiOutput};
+pub use launch::{mpirun, mpirun_faulty, mpirun_on, MpiJob, MpiOutput};
 pub use nonblocking::MpiRequest;
 pub use rank::MpiRank;
 pub use rma::{MpiWin, WinStore};

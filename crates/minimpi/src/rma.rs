@@ -123,8 +123,7 @@ impl MpiRank<'_> {
         let tr = self.rdma_transport();
         let store = self.win_store();
         // Window mutation inside the transfer's commit window: remote
-        // memory effects apply in virtual-time order in both execution
-        // modes.
+        // memory effects apply in virtual-time order.
         self.ctx()
             .one_sided_transfer_with(node, bytes as u64, &tr, 1, || {
                 store.with_mut(win.id, target, |buf: &mut Vec<T>| {

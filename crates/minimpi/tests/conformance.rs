@@ -31,7 +31,6 @@ fn collective_workload() {
 fn mpi_collectives_are_schedule_independent() {
     Explorer::new(0x4D50)
         .schedules(8)
-        .threads(4)
         .explore(collective_workload)
         .assert_deterministic();
 }

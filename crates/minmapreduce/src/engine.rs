@@ -142,7 +142,6 @@ pub struct MrJobBuilder<I: InputFormat, K2, V2> {
     hdfs_config: HdfsConfig,
     fail_worker: Option<(u32, u32)>,
     slow_worker: Option<(u32, f64)>,
-    execution: Option<hpcbd_simnet::Execution>,
     faults: Option<FaultPlan>,
 }
 
@@ -174,7 +173,6 @@ where
             hdfs_config: HdfsConfig::default(),
             fail_worker: None,
             slow_worker: None,
-            execution: None,
             faults: None,
         }
     }
@@ -190,14 +188,6 @@ where
             "node 0 hosts the jobtracker; crashing it kills the job"
         );
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the engine execution mode for this run (virtual-time
-    /// results are bit-identical across modes; see
-    /// [`hpcbd_simnet::parallel`]).
-    pub fn execution(mut self, exec: hpcbd_simnet::Execution) -> Self {
-        self.execution = Some(exec);
         self
     }
 
@@ -252,9 +242,6 @@ where
     pub fn run(self, nodes: u32) -> MrResult<K2, V2> {
         let cluster = ClusterSpec::comet(nodes);
         let mut sim = Sim::new(cluster.topology());
-        if let Some(exec) = self.execution {
-            sim.set_execution(exec);
-        }
         if let Some(plan) = self.faults {
             sim.set_fault_plan(plan);
         }

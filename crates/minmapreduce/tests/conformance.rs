@@ -50,7 +50,6 @@ fn wordcount_workload() {
 fn mapreduce_job_is_schedule_independent() {
     Explorer::new(0x4D52)
         .schedules(6)
-        .threads(4)
         .explore(wordcount_workload)
         .assert_deterministic();
 }

@@ -48,7 +48,6 @@ fn omp_region_workload() {
 fn omp_regions_are_schedule_independent() {
     Explorer::new(0x4F4D)
         .schedules(8)
-        .threads(4)
         .explore(omp_region_workload)
         .assert_deterministic();
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hpcbd_cluster::{ClusterSpec, Placement, RankMap};
-use hpcbd_simnet::{Execution, FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
+use hpcbd_simnet::{FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
 
 use crate::heap::SymHeaps;
 use crate::pe::PeCtx;
@@ -78,30 +78,13 @@ where
     shmem_run_on(&ClusterSpec::comet(placement.nodes), placement, f)
 }
 
-/// [`shmem_run`] with an explicit engine execution mode (virtual-time
-/// results are bit-identical across modes; see
-/// [`hpcbd_simnet::parallel`]).
-pub fn shmem_run_with<T, F>(placement: Placement, exec: Execution, f: F) -> ShmemOutput<T>
-where
-    T: Send + 'static,
-    F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
-{
-    shmem_run_impl(
-        &ClusterSpec::comet(placement.nodes),
-        placement,
-        Some(exec),
-        None,
-        f,
-    )
-}
-
 /// [`shmem_run`] on an explicit cluster.
 pub fn shmem_run_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> ShmemOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
 {
-    shmem_run_impl(cluster, placement, None, None, f)
+    shmem_run_impl(cluster, placement, None, f)
 }
 
 /// [`shmem_run`] under a deterministic [`FaultPlan`] (mirrors
@@ -116,7 +99,6 @@ where
     shmem_run_impl(
         &ClusterSpec::comet(placement.nodes),
         placement,
-        None,
         Some(plan),
         f,
     )
@@ -125,7 +107,6 @@ where
 fn shmem_run_impl<T, F>(
     cluster: &ClusterSpec,
     placement: Placement,
-    exec: Option<Execution>,
     faults: Option<FaultPlan>,
     f: F,
 ) -> ShmemOutput<T>
@@ -134,9 +115,6 @@ where
     F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
 {
     let mut sim = Sim::new(cluster.topology());
-    if let Some(exec) = exec {
-        sim.set_execution(exec);
-    }
     if let Some(plan) = faults {
         sim.set_fault_plan(plan);
     }

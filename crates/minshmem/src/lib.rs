@@ -41,8 +41,6 @@ pub mod scheduled;
 
 pub use checkpoint::ShmemCheckpointer;
 pub use heap::{SymArray, SymHeaps};
-pub use launch::{
-    shmem_run, shmem_run_faulty, shmem_run_on, shmem_run_with, ShmemJob, ShmemOutput,
-};
+pub use launch::{shmem_run, shmem_run_faulty, shmem_run_on, ShmemJob, ShmemOutput};
 pub use pe::PeCtx;
 pub use scheduled::scheduled_pagerank;

@@ -23,7 +23,6 @@ fn pgas_workload() {
 fn shmem_puts_are_schedule_independent() {
     Explorer::new(0x5348)
         .schedules(8)
-        .threads(4)
         .explore(pgas_workload)
         .assert_deterministic();
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use hpcbd_cluster::ClusterSpec;
 use hpcbd_minhdfs::{Hdfs, HdfsConfig};
-use hpcbd_simnet::{Execution, FaultPlan, NodeId, Sim, SimReport, SimTime, StructuredAbort};
+use hpcbd_simnet::{FaultPlan, NodeId, Sim, SimReport, SimTime, StructuredAbort};
 
 use crate::config::SparkConfig;
 use crate::driver::SparkDriver;
@@ -23,7 +23,6 @@ pub struct SparkCluster {
     hdfs_config: Option<HdfsConfig>,
     hdfs_files: Vec<FileSeed>,
     scratch_files: Vec<FileSeed>,
-    execution: Option<Execution>,
     faults: Option<FaultPlan>,
 }
 
@@ -48,7 +47,6 @@ impl SparkCluster {
             hdfs_config: None,
             hdfs_files: Vec::new(),
             scratch_files: Vec::new(),
-            execution: None,
             faults: None,
         }
     }
@@ -63,14 +61,6 @@ impl SparkCluster {
             "node 0 hosts the driver; crashing it kills the application"
         );
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the engine execution mode for this run (virtual-time
-    /// results are bit-identical across modes; see
-    /// [`hpcbd_simnet::parallel`]).
-    pub fn execution(mut self, exec: Execution) -> SparkCluster {
-        self.execution = Some(exec);
         self
     }
 
@@ -134,9 +124,6 @@ impl SparkCluster {
     {
         let cluster = ClusterSpec::comet(self.nodes);
         let mut sim = Sim::new(cluster.topology());
-        if let Some(exec) = self.execution {
-            sim.set_execution(exec);
-        }
         if let Some(plan) = self.faults {
             sim.set_fault_plan(plan);
         }

@@ -29,7 +29,6 @@ fn spark_workload() {
 fn spark_shuffle_is_schedule_independent() {
     Explorer::new(0x5350)
         .schedules(6)
-        .threads(4)
         .explore(spark_workload)
         .assert_deterministic();
 }

@@ -27,7 +27,7 @@
 //!
 //! Everything here is a pure function of the captured run — which is
 //! itself a pure function of virtual-time state — so reports are
-//! byte-identical across executions and execution modes. The JSON
+//! byte-identical across executions. The JSON
 //! encoder ([`json`]) emits integers only (nanoseconds, counts) in a
 //! fixed key order; no floats, no maps with unstable iteration order.
 

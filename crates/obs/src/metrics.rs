@@ -24,14 +24,12 @@
 //! ## Determinism rule (DESIGN.md §14)
 //!
 //! Live engine state (how deep the ready queue actually was at a wall
-//! instant) depends on the execution mode and the host schedule, so it
-//! can never be sampled directly without breaking the cross-mode
-//! byte-identity contract. Every series here is instead a pure function
-//! of virtual-time state: the sorted event stream and the sorted metric
-//! points, both of which are already bit-identical across
-//! `sequential` / `parallel:N`. Telemetry therefore serializes
-//! byte-identically across modes, and is excluded from conformance
-//! digests.
+//! instant) depends on the host, so it can never be sampled directly
+//! without breaking the byte-identity contract. Every series here is
+//! instead a pure function of virtual-time state: the sorted event
+//! stream and the sorted metric points, both of which are already
+//! bit-identical from run to run. Telemetry therefore serializes
+//! byte-identically, and is excluded from conformance digests.
 //!
 //! ## Sampler tick semantics
 //!
@@ -548,7 +546,7 @@ pub struct Telemetry {
     pub slo: Vec<SloOutcome>,
     /// Host self-profiler rows (`(name, count)`), present only when
     /// `HPCBD_SELFPROF` is on. Wall-clock-dependent by design — never
-    /// part of cross-mode comparisons (see [`hpcbd_simnet::selfprof`]).
+    /// part of run-to-run comparisons (see [`hpcbd_simnet::selfprof`]).
     pub host_profile: Option<Vec<(String, u64)>>,
 }
 

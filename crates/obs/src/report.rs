@@ -9,7 +9,7 @@
 //! (nanoseconds or a count) derived from the deterministic event order
 //! and per-process statistics; aggregation uses `BTreeMap`s; ordering
 //! ties break on labels. The serialized report is therefore
-//! byte-identical across runs and across execution modes.
+//! byte-identical across runs.
 
 use std::collections::BTreeMap;
 

@@ -2,8 +2,8 @@
 //!
 //! The generator is a *pure function* of `(seed, process, horizon)` and is
 //! evaluated before the simulation starts, so the arrival trace — and
-//! therefore the whole schedule — is identical under every execution mode
-//! by construction. Open-loop means arrivals do not react to the system:
+//! therefore the whole schedule — is identical from run to run by
+//! construction. Open-loop means arrivals do not react to the system:
 //! a congested cluster keeps receiving jobs at the offered rate, which is
 //! exactly what makes tail latency and SLO attainment interesting.
 //!

@@ -22,9 +22,8 @@
 //! Determinism: arrival traces are computed before `Sim::run`; every
 //! scheduling decision happens inside one scheduler process at virtual
 //! times fixed by the engine's `(time, pid, generation)` total order; no
-//! host state leaks in. Sequential and parallel execution therefore
-//! produce bit-identical schedules, latencies and counters — CI
-//! byte-compares the two.
+//! host state leaks in. Every run therefore produces bit-identical
+//! schedules, latencies and counters — CI byte-compares two.
 
 #![warn(missing_docs)]
 

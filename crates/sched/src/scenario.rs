@@ -4,8 +4,8 @@
 //! A scenario pre-computes every traffic source's arrival trace (a pure
 //! function of the seed — see [`crate::arrivals`]), pre-spawns the slot
 //! workers and scheduler (the engine's process table is fixed at run
-//! start), runs the simulation under whatever execution mode is the
-//! process-wide default, and returns the scheduler's [`SchedStats`].
+//! start), runs the simulation, and returns the scheduler's
+//! [`SchedStats`].
 
 use std::sync::Arc;
 

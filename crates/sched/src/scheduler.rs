@@ -29,7 +29,7 @@
 //!
 //! Every decision happens in one process at virtual times fixed by the
 //! engine's total order of message arrivals, so the schedule is
-//! bit-identical under sequential and parallel execution.
+//! bit-identical from run to run.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! End-to-end scheduler tests: the full submit/dispatch/ack protocol
 //! through the simnet engine, including preemption accounting, delay
-//! scheduling and cross-execution-mode determinism.
+//! scheduling and replay determinism.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use hpcbd_sched::{
     factory, quantile_ns, run, run_trace, validate_trace, JobError, JobSpec, QueueSpec,
     RateProcess, ScenarioOutcome, ScenarioSpec, Segment, SourceSpec, TaskSpec, Wave,
 };
-use hpcbd_simnet::{set_default_execution, Execution, NodeId, SimDuration, Work};
+use hpcbd_simnet::{NodeId, SimDuration, Work};
 
 /// A task that charges `ms` of compute per segment, `segments` times.
 fn compute_task(ms: u64, segments: usize, preferred: Option<NodeId>) -> TaskSpec {
@@ -333,28 +333,19 @@ fn digest(out: &ScenarioOutcome) -> String {
     s
 }
 
-/// The default execution mode is process-global: tests that sweep it
-/// take this lock so each really runs under the mode it set.
-static MODE_SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// The tentpole determinism claim: sequential and parallel execution
-/// produce bit-identical schedules, latencies and counters.
+/// The tentpole determinism claim: a replay produces bit-identical
+/// schedules, latencies and counters.
 #[test]
-fn mixed_scenario_is_identical_across_execution_modes() {
-    let _sweep = MODE_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+fn mixed_scenario_replays_bit_identically() {
     let spec = mixed_scenario(true);
-    set_default_execution(Execution::Sequential);
     let base = digest(&run(&spec));
     assert!(base.contains("done="), "sanity: {base}");
-    set_default_execution(Execution::Parallel { threads: 4 });
-    assert_eq!(base, digest(&run(&spec)), "divergence under parallel:4");
-    set_default_execution(Execution::Sequential);
+    assert_eq!(base, digest(&run(&spec)), "replay diverged");
 }
 
 #[test]
 fn mixed_scenario_latency_quantiles_are_ordered() {
     let spec = mixed_scenario(true);
-    set_default_execution(Execution::Sequential);
     let out = run(&spec);
     let q = &out.stats.queues[0];
     assert!(q.completed > 5, "diurnal source offered too little");
@@ -415,26 +406,18 @@ fn wide_cluster_trace() -> (ScenarioSpec, Vec<(u64, JobSpec)>) {
 }
 
 #[test]
-fn wide_cluster_completes_leaks_nothing_and_matches_across_modes() {
-    let _sweep = MODE_SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+fn wide_cluster_completes_and_leaks_nothing() {
     let (spec, trace) = wide_cluster_trace();
     let tasks: u64 = trace.iter().map(|(_, j)| j.total_tasks() as u64).sum();
-    let mut base: Option<String> = None;
-    for exec in [Execution::Sequential, Execution::Parallel { threads: 4 }] {
-        set_default_execution(exec);
-        let out = run_trace(&spec, trace.clone());
-        let q = &out.stats.queues;
-        assert_eq!(out.stats.total_slots, 512);
-        assert_eq!(q[0].completed + q[1].completed, out.offered);
-        assert!(q[1].preemptions > 0, "no contention: {:?}", q[1]);
-        assert_eq!(
-            q[0].tasks_dispatched + q[1].tasks_dispatched,
-            tasks + q[0].requeues + q[1].requeues
-        );
-        let got = digest(&out);
-        assert_eq!(base.get_or_insert(got.clone()), &got, "under {exec:?}");
-    }
-    set_default_execution(Execution::Sequential);
+    let out = run_trace(&spec, trace);
+    let q = &out.stats.queues;
+    assert_eq!(out.stats.total_slots, 512);
+    assert_eq!(q[0].completed + q[1].completed, out.offered);
+    assert!(q[1].preemptions > 0, "no contention: {:?}", q[1]);
+    assert_eq!(
+        q[0].tasks_dispatched + q[1].tasks_dispatched,
+        tasks + q[0].requeues + q[1].requeues
+    );
 }
 
 fn rejected(spec: &ScenarioSpec, bad: JobSpec) -> JobError {

@@ -29,19 +29,15 @@
 //!
 //! # Safety protocol
 //!
-//! A [`Coroutine`] is `Sync` but its `resume` is only sound under the
-//! engine's ownership protocol: **at most one worker resumes a given
-//! coroutine at any moment**. The engine guarantees this by routing
-//! every wake through the per-process slot (one atomic state word:
-//! running, parked, value pending) and the resume path — a pid enters a
-//! worker's run-next slot or the shared queue exactly once per
-//! suspension, and only the worker that took it out touches the
-//! coroutine. Worker migration (pid parked on worker A, resumed on
-//! worker B) is ordered by a release/acquire chain: A publishes the
-//! parked state with a `Release` compare-exchange after saving the
-//! context, the waker's `Acquire` swap of the state word reads it, and
-//! the release/acquire pair on the run-next slot (or the resume-queue
-//! mutex) carries it from the waker to B.
+//! A [`Coroutine`] is neither `Send` nor `Sync`: the [`Coroutines`] of a
+//! simulation live on the stack of the thread that runs it, and that
+//! thread's resume loop is the only caller of `resume`. Its `resume` is
+//! sound only while **the coroutine is not already running and has not
+//! finished**. The engine guarantees this by routing every wake through
+//! the per-process slot (one atomic state word: running, parked, value
+//! pending) and the resume path — a pid enters the engine's run-next
+//! cell or its overflow queue exactly once per suspension, and the
+//! resume loop takes it out before resuming it.
 //!
 //! Stack safety: coroutine stacks have no guard pages (48k stacks would
 //! need ~96k VMAs, past the default `vm.max_map_count`). Instead the
@@ -57,10 +53,10 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
-/// Why a resumed coroutine handed control back to its worker.
+/// Why a resumed coroutine handed control back to its resumer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SwitchOut {
-    /// Suspended waiting for a wake; the worker must publish the parked
+    /// Suspended waiting for a wake; the resumer must publish the parked
     /// state (or requeue if a value raced in).
     Parked,
     /// The process closure ran to completion; never resumed again.
@@ -134,8 +130,8 @@ thread_local! {
 }
 
 /// Suspend the currently running coroutine with [`SwitchOut::Parked`],
-/// returning control to its worker. Returns when some worker resumes
-/// it — possibly a different OS thread than the one that suspended.
+/// returning control to the resume loop. Returns when the loop resumes
+/// it.
 ///
 /// Must be called from inside a coroutine body; anywhere else is an
 /// engine bug and panics.
@@ -166,12 +162,6 @@ pub(crate) struct StackPool {
     stacks: Vec<*mut u8>,
     stack_size: usize,
 }
-
-// Safety: the pool is plain owned memory; the raw pointers are unique
-// to it and the coroutines borrowing stacks are dropped first (field
-// order in `Coroutines`).
-unsafe impl Send for StackPool {}
-unsafe impl Sync for StackPool {}
 
 impl StackPool {
     /// Reserve `n` stacks of the configured size (virtual reservation;
@@ -240,7 +230,7 @@ mod asm_backend {
 
     /// The switch cell of one coroutine: stable (boxed) storage for the
     /// two saved stack pointers and the switch-out reason. `worker_sp`
-    /// is rewritten by whichever worker performs the current resume.
+    /// is the resumer's, rewritten by every resume.
     #[repr(C)]
     pub(super) struct CoroCell {
         pub(super) coro_sp: Cell<usize>,
@@ -617,13 +607,6 @@ pub(crate) struct Coroutine {
     inner: CoroImpl,
 }
 
-// Safety: resume/suspend mutate only through the switch cell, and the
-// engine protocol guarantees a unique resumer per coroutine at any
-// moment, with cross-worker migration ordered by the per-process slot
-// mutex and the resume path (see module docs).
-unsafe impl Send for Coroutine {}
-unsafe impl Sync for Coroutine {}
-
 impl Coroutine {
     /// Resume until the next suspension (or completion).
     ///
@@ -766,25 +749,6 @@ mod tests {
         }
         let expect: usize = (0..n).map(|i| i + 1000).sum();
         assert_eq!(sum.load(Ordering::SeqCst), expect);
-    }
-
-    #[test]
-    fn resume_can_migrate_across_os_threads() {
-        let cs = Arc::new(Coroutines::build(vec![(
-            "m".into(),
-            Box::new(move || {
-                suspend();
-                suspend();
-            }),
-        )]));
-        assert_eq!(cs.resume(0), SwitchOut::Parked);
-        let cs2 = cs.clone();
-        std::thread::spawn(move || {
-            assert_eq!(cs2.resume(0), SwitchOut::Parked);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(cs.resume(0), SwitchOut::Done);
     }
 
     #[test]

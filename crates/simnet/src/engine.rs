@@ -10,50 +10,38 @@
 //! with the minimum virtual clock among all runnable processes, and
 //! those commit windows are totally ordered.** The commit token is
 //! passed through explicit per-process wakers: a wake stores the grant
-//! in the process's slot and leaves its coroutine in the run-next slot
-//! of the worker that issued the wake (see [`Engine::enqueue_resume`]);
-//! parking is an in-process context switch, not a condvar wait. The
-//! ready queue is a calendar bucket queue
-//! ([`crate::queue::CalendarQueue`]) ordered by
+//! in the process's slot and leaves its coroutine in the engine's
+//! run-next cell (see [`Engine::enqueue_resume`]); parking is an
+//! in-process context switch, not a condvar wait. The ready queue is a
+//! calendar bucket queue ([`crate::queue::CalendarQueue`]) ordered by
 //! `(virtual time, pid, generation)`, a key chosen to be independent of
-//! the wall-clock order in which entries are pushed — which is what lets
-//! the same queue drive both execution modes below bit-identically.
+//! the wall-clock order in which entries are pushed.
 //!
 //! Between simulation-visible operations a process runs arbitrary real
 //! computation and advances its own clock locally ([`ProcCtx::compute`])
 //! at zero synchronization cost; the conservative yield happens lazily
 //! at the next visible operation.
 //!
-//! # Execution modes
+//! # One engine
 //!
-//! * [`Execution::Sequential`] (default): at most one process executes
-//!   at a time. A process keeps the token from its commit window through
-//!   the following compute segment, exactly like a classic baton-passing
-//!   conservative simulator.
-//! * [`Execution::Parallel`]: after a process finishes the *commit* part
-//!   of a visible operation (its mutation of shared simulation state),
-//!   the token is released immediately and the process runs its next
-//!   compute segment concurrently with other released processes — real
-//!   Rust work overlaps on real cores. Ordering is preserved by a
-//!   conservative lookahead rule: a released process `q` whose last
-//!   commit ended at virtual time `lb_q` can only re-enter the ready
-//!   queue at `(t, q)` with `t >= lb_q`, so the scheduler may grant a
-//!   queued entry `e` whenever `(e.time, e.pid) < (lb_q, q)` for every
-//!   in-flight `q`. Under that rule every grant decision is identical to
-//!   the sequential schedule, making virtual times, results, and stats
-//!   **bit-identical** across modes (see DESIGN.md §"Parallel engine").
+//! At most one process executes at a time. A process keeps the token
+//! from its commit window through the following compute segment, exactly
+//! like a classic baton-passing conservative simulator, and the thread
+//! that called [`Sim::run`] resumes every coroutine. A parallel mode
+//! that released the token after each commit so compute segments could
+//! overlap on other cores was measured slower than this schedule on
+//! every benchmark workload and removed (DESIGN.md §7).
 //!
 //! # Host-performance structure (DESIGN.md §9)
 //!
-//! The hot path is sharded so unrelated processes never contend on one
-//! lock:
+//! Shared engine state is split by owner:
 //!
-//! * `sched` — the scheduler state proper (ready queue, token, in-flight
-//!   frontier, per-process scheduling cells). The only lock on the
-//!   align/dispatch path, with an O(1)-amortized calendar queue behind
-//!   it and a *self-grant fast path* that skips the queue and the
-//!   condition-variable round-trip entirely when the aligning process is
-//!   already globally minimal.
+//! * `sched` — the scheduler state proper (ready queue, token,
+//!   per-process scheduling cells). The only lock on the align/dispatch
+//!   path, with an O(1)-amortized calendar queue behind it and a
+//!   *self-grant fast path* that skips the queue and the park/wake
+//!   round-trip entirely when the aligning process is already globally
+//!   minimal.
 //! * per-process mail shards — mailbox, final stats and finish time.
 //!   Mailbox scans (`recv` matching, `try_recv` polling) touch only the
 //!   owning process's shard.
@@ -65,13 +53,13 @@
 //!   (running, parked, value pending): a wake is one swap, a park's
 //!   publish one compare-exchange ([`Slot`]).
 //!
-//! Every mutation of sharded state still happens inside a commit window
-//! (token held), so the total order of visible operations — and with it
-//! bit-determinism — is untouched; the sharding only shortens and
-//! de-contends the critical sections. An uncontended lock/unlock pair
-//! costs about 18 ns on a 2-core x86-64 host, so on an engine-bound run
-//! the locks that remain (`sched` and the mail shards) are still a
-//! measurable share of the host time (DESIGN.md §9).
+//! Every mutation of this state happens inside a commit window (token
+//! held), so no lock ever arbitrates between two threads: the locks
+//! and atomics exist because the thread coroutine backend runs process
+//! bodies on their own OS threads, which makes the engine `Sync`. An
+//! uncontended lock/unlock pair costs about 18 ns on a 2-core x86-64
+//! host, so on an engine-bound run the `sched` lock and the mail shards
+//! are a measurable share of the host time (DESIGN.md §9).
 //!
 //! Trace events are buffered in a per-process `Vec` and merged at
 //! export ([`crate::trace::Trace`]), so tracing costs one `Vec::push`
@@ -82,20 +70,17 @@
 //! section on a 2-core host (DESIGN.md §9).
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::cost::Work;
 use crate::error::{DeadlockNote, RecvTimeout};
 use crate::fs::SimFs;
 use crate::message::{MatchSpec, Message, Payload, Tag};
-use crate::parallel::{default_execution, Execution};
 use crate::queue::{CalendarQueue, OrderKey};
 use crate::stats::ProcStats;
 use crate::time::{SimDuration, SimTime};
@@ -187,19 +172,19 @@ enum Status {
 
 /// Per-process waker slot: one state word and the wake value it
 /// guards. The state is [`RUNNING`] while the coroutine executes (or is
-/// switching out), [`PARKED`] once its worker has published the
+/// switching out), [`PARKED`] once the resume loop has published the
 /// suspension, and [`VALUE`] while a wake value waits to be consumed.
 /// Every transition is a single atomic operation, so a blocking cycle
-/// costs two read-modify-writes (the wake's swap, the worker's
+/// costs two read-modify-writes (the wake's swap, the resume loop's
 /// compare-exchange) and no lock.
 ///
 /// * **No lost wakeup.** [`Slot::wake`] and [`Slot::publish_park`]
 ///   both act on `state` in one RMW, so exactly one of them sees the
 ///   other: a wake that lands before the publish turns it into a failed
-///   compare-exchange (the worker re-enqueues), one that lands after
+///   compare-exchange (the resume loop re-enqueues), one that lands after
 ///   finds [`PARKED`] (the waker enqueues).
 /// * **Ordering.** The coroutine's saved context reaches its next
-///   resumer through the worker's `Release` compare-exchange, the
+///   resume through the resume loop's `Release` compare-exchange, the
 ///   waker's `Acquire` swap, and the resume path's release/acquire pair
 ///   ([`Engine::enqueue_resume`]). The value fields are written before
 ///   the waker's `Release` swap and read after [`Slot::park`]'s
@@ -234,8 +219,8 @@ impl Slot {
 
     /// Store a wake value. Returns true iff the coroutine was parked,
     /// i.e. the caller must enqueue it for resumption; otherwise it is
-    /// running and consumes the value itself ([`Slot::park`]) or its
-    /// worker's publish fails and re-enqueues it.
+    /// running and consumes the value itself ([`Slot::park`]) or the
+    /// resume loop's publish fails and re-enqueues it.
     fn wake(&self, clock: SimTime, reason: WakeReason) -> bool {
         self.clock.store(clock.nanos(), Ordering::Relaxed);
         self.reason.store(reason as u8, Ordering::Relaxed);
@@ -291,10 +276,6 @@ struct Sched {
     /// Current commit-token holder: the one process allowed to mutate
     /// shared simulation state. `None` while the token is being passed.
     turn: Option<Pid>,
-    /// Released processes still running a compute segment, with the
-    /// lower bound on the virtual time of their next ready-queue entry
-    /// (their clock at release; clocks only move forward).
-    inflight: Vec<(Pid, SimTime)>,
     /// (pid, message, was_deadlock) for every unwound process.
     panics: Vec<PanicRecord>,
 }
@@ -360,18 +341,13 @@ struct Engine {
     /// Next-free time of the shared NFS server; token-serialized like
     /// the [`NodeRes`] cells.
     nfs_free: AtomicU64,
-    /// Installed schedule perturbation (conformance harness only; see
-    /// [`crate::perturb`]). Resolved once at `Sim::run`; `None` on
-    /// normal runs, so the hot path pays one pointer test.
-    perturb: Option<Arc<crate::perturb::Perturbation>>,
     /// Messages sent to processes that had already finished.
     /// Token-serialized; atomic only for `Sync`.
     dropped_msgs: AtomicU64,
     /// Sequence numbers handed to inter-node messages for the fault
     /// plan's drop hash. Incremented inside send commit windows, which
-    /// are totally ordered identically in both execution modes — the
-    /// basis of faulty-run bit-determinism. Only advanced when the plan
-    /// actually enables drops.
+    /// are totally ordered — the basis of faulty-run bit-determinism.
+    /// Only advanced when the plan actually enables drops.
     fault_seq: AtomicU64,
     /// Telemetry sampling interval resolved at run start (`None` off).
     /// Per-process contexts copy it into a `bool`; the report carries it
@@ -382,124 +358,24 @@ struct Engine {
     /// Export order is recovered by [`crate::telemetry::sort_points`],
     /// so the wall-clock absorb order is irrelevant.
     metric_sink: Mutex<Vec<crate::telemetry::MetricPoint>>,
-    /// One run-next slot per worker: `0` when empty, else
-    /// `stamp << 32 | pid + 1`, a coroutine with a pending wake value that
-    /// the worker will resume as soon as its current one switches out.
-    /// Only worker `w` fills `next[w]`; anyone may empty it (the owner by
-    /// `swap`, an idle worker by `compare_exchange`). The stamp counts the
-    /// owner's stores, so a thief can tell the entry it saw a poll ago from
-    /// a new entry for the same pid.
-    next: Vec<AtomicU64>,
-    /// Overflow of the slots: wakes issued off the worker pool (the first
-    /// grant of a run, every wake under the thread coroutine backend) or
-    /// while the waker's slot was still full. Lock order: `sched` may be
-    /// held when taking this lock, never the reverse.
+    /// The run-next cell: `0` when empty, else `pid + 1` of a coroutine
+    /// with a pending wake value, which [`Engine::drive`] resumes as soon
+    /// as the running one switches out.
+    next: AtomicU32,
+    /// Overflow of the cell: wakes issued while it was full, which only
+    /// deadlock teardown does (it wakes every blocked process from one
+    /// dispatch). Drained after the cell, in push order.
     resume: Mutex<VecDeque<Pid>>,
-    resume_cv: Condvar,
     /// Length of `resume`, written under its lock. Read without it (hence
-    /// `Relaxed`: a hint that publishes nothing) so a worker finding the
-    /// queue empty takes no lock.
+    /// `Relaxed`: a hint that publishes nothing) so that the resume loop
+    /// finding the cell empty takes no lock.
     resume_len: AtomicUsize,
-    /// Workers inside the bounded poll of [`Engine::next_resume`]. A hint:
-    /// while one is polling it will find any new entry within a
-    /// [`POLL_SPACING`], so nobody needs to be woken.
-    pollers: AtomicUsize,
-    /// Workers blocked in `resume_cv.wait` that no `notify_one` has
-    /// claimed yet. Written only under the `resume` lock, read without it
-    /// as a hint.
-    sleepers: AtomicUsize,
-    /// Set (under the `resume` lock) once the last process finished or a
-    /// worker spawn failed; workers exit when they find nothing to run.
-    shutdown: AtomicBool,
-}
-
-/// What the thread issuing a wake does next, which decides whether the
-/// grant it leaves in its run-next slot is worth a `futex_wake`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Waker {
-    /// Keeps executing its coroutine (token release): the entry waits
-    /// for as long as that compute segment lasts unless another worker
-    /// takes it.
-    Runs,
-    /// Parks or finishes right after: its own worker is free to drain
-    /// the slot within nanoseconds.
-    Parks,
-}
-
-/// Spacing of an idle worker's polls, which is also the age a run-next
-/// entry must reach before it is stolen (seen unchanged on two
-/// consecutive polls). A steal moves the whole chain of grants, and the
-/// engine's working set behind it, to the thief's cache: on
-/// `datacenter_day` under `parallel:1` (two cores, `wall_mt_s`, sequential
-/// 0.083 s) a 0.25 µs spacing steals 3.6 k grants a day and reads 0.146 s,
-/// 1 µs 1.6 k and 0.117 s, 4 µs 290 and 0.099 s, 16 µs 0.092 s, 64 µs
-/// 0.091 s; `comet_sixteenth` reads 0.63 / 0.46 / 0.38 / 0.36 s at
-/// 1 / 4 / 16 / 64 µs. About 25 µs per steal, so an entry younger than
-/// that is cheaper left to its owner; `reduce64` and `pagerank16`, whose
-/// segments run for far longer, do not move between 1 and 64 µs.
-const POLL_SPACING: Duration = Duration::from_micros(16);
-/// Polls without work before a worker sleeps on the condvar (about
-/// 4 ms). Same measurement at 16 µs: 64 rounds read 0.097 s (a sleeper
-/// costs its waker a `futex_wake` and comes back a scheduling latency
-/// later), 256 and 1,000 rounds both 0.093 s.
-const POLL_ROUNDS: u32 = 256;
-
-thread_local! {
-    /// The engine and worker index this OS thread is running
-    /// [`worker_loop`] for (null off the worker pool).
-    static WORKER: Cell<(*const Engine, usize)> = const { Cell::new((std::ptr::null(), 0)) };
-    /// Stamp of this thread's last run-next store.
-    static STAMP: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Worker index of the calling thread in `engine`, with a fresh stamp
-/// for its run-next slot. Read at call time and never inlined: a wake
-/// does not span a `suspend`, so a coroutine that migrated reads the
-/// thread it is on *now*, provided the compiler cannot reuse a
-/// thread-local address it computed before the switch
-/// ([`crate::coro`] relies on the same property for `CURRENT`). The
-/// thread coroutine backend runs process bodies on their own OS threads,
-/// which are no workers: its wakes all take the shared queue.
-#[inline(never)]
-fn worker_here(engine: &Engine) -> Option<(usize, u32)> {
-    let (e, w) = WORKER.with(Cell::get);
-    if !std::ptr::eq(e, engine) {
-        return None;
-    }
-    let stamp = STAMP.with(|s| {
-        s.set(s.get().wrapping_add(1));
-        s.get()
-    });
-    Some((w, stamp))
-}
-
-/// Marks the calling thread as worker `w` of an engine for its
-/// lifetime, restoring the previous mark on drop (a process body may run
-/// a nested `Sim` on its worker's thread).
-struct WorkerScope {
-    prev: (*const Engine, usize),
-}
-
-impl WorkerScope {
-    fn enter(engine: &Engine, w: usize) -> WorkerScope {
-        WorkerScope {
-            prev: WORKER.with(|c| c.replace((engine, w))),
-        }
-    }
-}
-
-impl Drop for WorkerScope {
-    fn drop(&mut self) {
-        WORKER.with(|c| c.set(self.prev));
-    }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// `notify_one` calls the resume path made on this thread.
-    static RESUME_NOTIFIES: Cell<u64> = const { Cell::new(0) };
     /// Acquisitions of the `resume` lock made on this thread.
-    static RESUME_LOCKS: Cell<u64> = const { Cell::new(0) };
+    static RESUME_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Engine {
@@ -507,68 +383,38 @@ impl Engine {
     /// if it is parked. If the coroutine is currently running (e.g. it
     /// granted itself between pushing its ready-queue entry and
     /// parking), the value alone suffices: its park loop consumes it
-    /// without suspending, or its worker re-enqueues it at switch-out.
-    fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason, waker: Waker) {
+    /// without suspending, or the resume loop re-enqueues it at
+    /// switch-out.
+    fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
         if self.shards[pid.index()].slot.wake(clock, reason) {
-            self.enqueue_resume(pid, waker);
+            self.enqueue_resume(pid);
         }
     }
 
-    /// Make `pid`'s coroutine (parked, wake value pending) available to
-    /// the worker pool. Go's `runnext` rule: the grant stays on the worker
-    /// that made it, in `next[w]`, and that worker resumes it as soon as
-    /// its current coroutine switches out; the shared queue only takes
-    /// what the slot cannot.
+    /// Make `pid`'s coroutine (parked, wake value pending) the next one
+    /// [`Engine::drive`] resumes: the run-next cell, or the overflow
+    /// queue when the cell is full. A wake takes no lock unless it
+    /// overflows.
     ///
-    /// * **No lost wakeup, no starvation.** Progress never depends on a
-    ///   steal or a notify: a worker drains its own slot every time its
-    ///   coroutine switches out. An entry in the shared queue behind a
-    ///   busy pool is reached as soon as the running chain parks, which it
-    ///   must once it needs that process: the process is either in flight
-    ///   (the frontier then blocks every later grant) or doomed by
-    ///   deadlock teardown. The `futex_wake` is an optimization for
-    ///   overlap: a waker that keeps running wakes one sleeper, and only
-    ///   if nobody is already polling; a kick that falls between a
-    ///   worker's last poll and its sleep costs overlap until the next
-    ///   one, nothing else. Sequential mode (one worker, which is the
-    ///   waker) never takes the lock or enters the kernel here.
-    /// * **Ordering.** [`Engine::wake`] enqueues only a coroutine whose
-    ///   previous worker already published [`PARKED`] with a `Release`
-    ///   compare-exchange after saving its context, and the wake's
-    ///   `Acquire` swap read that state ([`Slot`]); the `Release` store
-    ///   below and the `Acquire` swap or compare-exchange that empties
-    ///   `next[w]` carry it on to whichever worker resumes it (the
-    ///   `resume` mutex does the same on the overflow path).
-    /// * **Determinism.** Which worker resumes a coroutine, and when,
-    ///   carries an already-committed grant to a core; it decides nothing
-    ///   (DESIGN.md §12).
-    fn enqueue_resume(&self, pid: Pid, waker: Waker) {
-        if let Some((w, stamp)) = worker_here(self) {
-            let slot = &self.next[w];
-            // Only this thread fills `next[w]`: empty now means empty
-            // until the store.
-            if slot.load(Ordering::Relaxed) == 0 {
-                slot.store(
-                    u64::from(stamp) << 32 | (u64::from(pid.0) + 1),
-                    Ordering::Release,
-                );
-                if waker == Waker::Runs
-                    && self.pollers.load(Ordering::Relaxed) == 0
-                    && self.sleepers.load(Ordering::Relaxed) > 0
-                {
-                    self.notify_sleeper(&self.lock_resume());
-                }
-                return;
-            }
+    /// **Ordering.** [`Engine::wake`] enqueues only a coroutine whose
+    /// switch-out already published [`PARKED`] with a `Release`
+    /// compare-exchange after saving its context, and the wake's
+    /// `Acquire` swap read that state ([`Slot`]); the `Release` store
+    /// below and the `Acquire` swap that empties the cell carry it on to
+    /// the resume loop (the `resume` mutex does the same on the overflow
+    /// path). Under the thread coroutine backend the waker is a process
+    /// body's own OS thread, which is why the cell is atomic.
+    fn enqueue_resume(&self, pid: Pid) {
+        // Only the running coroutine (or the resume loop between two
+        // resumes) fills the cell: empty now means empty until the store.
+        if self.next.load(Ordering::Relaxed) == 0 {
+            self.next.store(pid.0 + 1, Ordering::Release);
+            return;
         }
         let mut q = self.lock_resume();
         q.push_back(pid);
         self.resume_len.store(q.len(), Ordering::Relaxed);
-        // Two coroutines are runnable and the waker's worker takes one.
-        if self.pollers.load(Ordering::Relaxed) == 0 {
-            self.notify_sleeper(&q);
-        }
     }
 
     fn lock_resume(&self) -> MutexGuard<'_, VecDeque<Pid>> {
@@ -577,119 +423,54 @@ impl Engine {
         self.resume.lock()
     }
 
-    /// Wake one sleeping worker, if any. The sleeper is claimed here, at
-    /// notify time, so that the wakes issued until it runs do not each
-    /// notify it again. Needs the `resume` lock: a worker registers as a
-    /// sleeper and starts waiting in one critical section, so under the
-    /// lock `sleepers > 0` means a `notify_one` finds it.
-    fn notify_sleeper(&self, _resume: &MutexGuard<'_, VecDeque<Pid>>) {
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            self.sleepers.fetch_sub(1, Ordering::Relaxed);
-            crate::selfprof::host_count(crate::selfprof::HostOp::WorkerNotify);
-            #[cfg(test)]
-            RESUME_NOTIFIES.with(|c| c.set(c.get() + 1));
-            self.resume_cv.notify_one();
-        }
-    }
-
-    /// Signal the worker pool to exit once it runs out of work.
-    fn shut_down(&self) {
-        let _q = self.lock_resume();
-        self.shutdown.store(true, Ordering::Release);
-        self.resume_cv.notify_all();
-    }
-
-    /// One look for a coroutine worker `w` may resume: its own slot, the
-    /// shared queue, then another worker's slot. `seen` holds the value
-    /// this worker last saw in each other slot; it steals only an entry
-    /// it sees unchanged on two consecutive looks, i.e. whose owner has
-    /// been busy for a poll spacing since the grant. An engine-bound
-    /// owner parks and takes its entry itself long before that; a
-    /// compute-bound one loses it to the idle core, which is the overlap
-    /// `Execution::Parallel` exists for.
-    fn try_take(&self, w: usize, seen: &mut [u64]) -> Option<Pid> {
-        use crate::selfprof::{host_count, HostOp};
-        let unpack = |v: u64| Pid(v as u32 - 1);
-        if self.next[w].load(Ordering::Relaxed) != 0 {
-            let v = self.next[w].swap(0, Ordering::Acquire);
+    /// The next coroutine to resume: the run-next cell, then the
+    /// overflow queue. `None` once both are empty, which ends the run:
+    /// every live process is either running (and it is not, since the
+    /// resume loop is asking) or has a wake pending in one of the two.
+    fn next_resume(&self) -> Option<Pid> {
+        if self.next.load(Ordering::Relaxed) != 0 {
+            let v = self.next.swap(0, Ordering::Acquire);
             if v != 0 {
-                host_count(HostOp::ResumeLocal);
-                return Some(unpack(v));
+                return Some(Pid(v - 1));
             }
         }
-        if self.resume_len.load(Ordering::Relaxed) != 0 {
-            let mut q = self.lock_resume();
-            let pid = q.pop_front();
-            self.resume_len.store(q.len(), Ordering::Relaxed);
-            if pid.is_some() {
-                host_count(HostOp::ResumeShared);
-                return pid;
-            }
+        if self.resume_len.load(Ordering::Relaxed) == 0 {
+            return None;
         }
-        for (v, slot) in self.next.iter().enumerate() {
-            if v == w {
-                continue;
-            }
-            let cur = slot.load(Ordering::Relaxed);
-            if cur != 0
-                && cur == seen[v]
-                && slot
-                    .compare_exchange(cur, 0, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                seen[v] = 0;
-                host_count(HostOp::ResumeSteal);
-                return Some(unpack(cur));
-            }
-            seen[v] = cur;
-        }
-        None
+        let mut q = self.lock_resume();
+        let pid = q.pop_front();
+        self.resume_len.store(q.len(), Ordering::Relaxed);
+        pid
     }
 
-    /// The next coroutine for worker `w` to resume, or `None` at
-    /// shutdown. With nothing to take, the worker polls: one
-    /// [`Engine::try_take`], one `yield_now` (so that on a host with no
-    /// spare core the worker that has the work gets the time slice), a
-    /// [`POLL_SPACING`] spin, for [`POLL_ROUNDS`] rounds; then it sleeps
-    /// until a notify.
-    fn next_resume(&self, w: usize, seen: &mut [u64]) -> Option<Pid> {
-        // Apart from the poll so that a busy worker leaves `pollers` alone.
-        if let Some(pid) = self.try_take(w, seen) {
-            return Some(pid);
-        }
-        loop {
-            self.pollers.fetch_add(1, Ordering::Relaxed);
-            for _ in 0..POLL_ROUNDS {
-                let found = self.try_take(w, seen);
-                if found.is_some() || self.shutdown.load(Ordering::Acquire) {
-                    self.pollers.fetch_sub(1, Ordering::Relaxed);
-                    return found;
+    /// The resume loop: resume coroutines as [`Engine::next_resume`]
+    /// hands them out, each until its next suspension, on the thread that
+    /// called [`Sim::run`]. Returns when nothing is left to resume.
+    fn drive(&self, coros: &crate::coro::Coroutines) {
+        while let Some(pid) = self.next_resume() {
+            crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
+            match coros.resume(pid.index()) {
+                crate::coro::SwitchOut::Done => {}
+                crate::coro::SwitchOut::Parked => {
+                    // Publish the parked state — or, if a wake raced in
+                    // between the coroutine's last state check and its
+                    // context save, re-enqueue it (the waker saw
+                    // `RUNNING` and deliberately left that to us).
+                    if self.shards[pid.index()].slot.publish_park() {
+                        crate::selfprof::host_count(crate::selfprof::HostOp::Park);
+                    } else {
+                        self.enqueue_resume(pid);
+                    }
                 }
-                std::thread::yield_now();
-                let t0 = Instant::now();
-                while t0.elapsed() < POLL_SPACING {
-                    std::hint::spin_loop();
-                }
-            }
-            self.pollers.fetch_sub(1, Ordering::Relaxed);
-            let mut q = self.lock_resume();
-            // Under the lock, where a push or a shutdown cannot slip
-            // between the check and the wait. A slot store can: see
-            // `enqueue_resume`.
-            if q.is_empty() && !self.shutdown.load(Ordering::Relaxed) {
-                self.sleepers.fetch_add(1, Ordering::Relaxed);
-                crate::selfprof::host_count(crate::selfprof::HostOp::WorkerSleep);
-                self.resume_cv.wait(&mut q);
             }
         }
     }
 
-    /// Grant the commit token to the next runnable process if the
-    /// conservative frontier allows it; otherwise detect completion or
-    /// deadlock. Caller holds the sched lock. Idempotent: safe to call
-    /// after any state change that might enable a grant. `waker` says
-    /// what the calling thread does after the dispatch.
-    fn try_dispatch(&self, g: &mut Sched, waker: Waker) {
+    /// Grant the commit token to the next runnable process; with none
+    /// left and processes still live, declare a deadlock. Caller holds
+    /// the sched lock. Idempotent: safe to call after any state change
+    /// that might enable a grant.
+    fn try_dispatch(&self, g: &mut Sched) {
         if g.turn.is_some() || g.deadlocked {
             return;
         }
@@ -702,29 +483,6 @@ impl Engine {
                 crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
                 g.runnable.pop_min(); // stale entry
                 continue;
-            }
-            // Perturbation (conformance harness): defer this grant while
-            // other processes are still in flight. The candidate remains
-            // the minimum, so only the grant's wall-clock moment moves —
-            // every in-flight process re-triggers dispatch when it aligns
-            // or finishes, and holds stop once the in-flight set drains,
-            // so progress (and the deadlock detector) is unaffected.
-            if let Some(p) = &self.perturb {
-                if !g.inflight.is_empty() && p.hold_grant(cand.time.nanos(), cand.pid.0, cand.gen) {
-                    return;
-                }
-            }
-            // Conservative lookahead frontier: an in-flight process q
-            // re-enters the queue at some (t, q) with t >= lb_q. Grant
-            // `cand` only if no such future entry could order before it;
-            // otherwise wait for the in-flight set to drain. (A process
-            // with a live queue entry is never itself in flight: aligning
-            // leaves the set before it pushes.)
-            if g.inflight
-                .iter()
-                .any(|&(q, lb)| (cand.time, cand.pid) >= (lb, q))
-            {
-                return;
             }
             crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
             g.runnable.pop_min();
@@ -749,13 +507,14 @@ impl Engine {
             g.turn = Some(cand.pid);
             let clock = p.clock;
             let reason = p.wake_reason;
-            self.wake(cand.pid, clock, reason, waker);
+            self.wake(cand.pid, clock, reason);
             return;
         }
-        // Nothing grantable. With compute still in flight this is a
-        // transient state; with nothing in flight and live processes it
-        // is a distributed deadlock.
-        if g.inflight.is_empty() && g.live > 0 && !g.deadlocked {
+        // Nothing grantable while processes are live: only the token
+        // holder ever runs, and it just gave the token up, so every live
+        // process is blocked on a receive nobody can send. A distributed
+        // deadlock.
+        if g.live > 0 {
             g.deadlocked = true;
             let mut diag = String::new();
             for (i, p) in g.procs.iter().enumerate() {
@@ -778,7 +537,7 @@ impl Engine {
                 }
             }
             for (pid, clock) in doomed {
-                self.wake(pid, clock, WakeReason::Deadlock, waker);
+                self.wake(pid, clock, WakeReason::Deadlock);
             }
             // Stash the diagnostic through the panics channel.
             g.panics
@@ -855,9 +614,6 @@ pub struct ProcCtx {
     /// engine's sink at process finish. Always empty when telemetry is
     /// off (the metric API is a no-op then).
     metric_buf: Vec<crate::telemetry::MetricPoint>,
-    /// In-flight cap above which `release_turn` keeps the token; `0`
-    /// encodes sequential mode, making release a no-op without a lock.
-    release_cap: usize,
     /// Schedule perturbation (conformance harness; `None` on normal
     /// runs) plus a per-process visible-op counter salting its
     /// decisions. The counter is deterministic per process, so a seed
@@ -1109,8 +865,7 @@ impl ProcCtx {
 
     /// Advance this process's clock by modeled computation: `work` executed
     /// at `runtime_factor` times native single-core cost (see
-    /// [`crate::RuntimeClass`]). Purely local — no synchronization; in
-    /// parallel mode this is the code that overlaps across cores.
+    /// [`crate::RuntimeClass`]). Purely local — no synchronization.
     pub fn compute(&mut self, work: Work, runtime_factor: f64) {
         let mut d = {
             let spec = &self.world.topology.node(self.node).spec;
@@ -1139,7 +894,6 @@ impl ProcCtx {
     pub fn sleep(&mut self, d: SimDuration) {
         self.clock += d;
         self.become_min();
-        self.release_turn();
     }
 
     /// Align: enter the ready queue at the current clock and wait for the
@@ -1148,15 +902,13 @@ impl ProcCtx {
     /// deadlock (the caller must not touch shared state).
     fn align_quiet(&mut self) -> bool {
         let me = self.pid;
-        // Perturbation (conformance harness): jitter the wall-clock
-        // approach to the scheduler lock and sometimes force the slow
-        // (queue + condvar) path even when the fast path would apply.
-        // Both choices are inside the frontier rule's admitted set, so
-        // virtual-time results cannot change.
+        // Perturbation (conformance harness): sometimes force the slow
+        // path (queue push, dispatch, park) even when the fast path
+        // would apply. Both paths make the same grant, so virtual-time
+        // results cannot change.
         let mut force_slow_path = false;
         if let Some(p) = &self.perturb {
             self.perturb_ops += 1;
-            p.jitter(me.0, self.perturb_ops);
             force_slow_path = p.defeat_fast_path(me.0, self.perturb_ops);
         }
         {
@@ -1165,18 +917,17 @@ impl ProcCtx {
                 return false;
             }
             if g.turn == Some(me) {
-                // Sequential mode (or a kept token): pass it through the
-                // queue so the globally minimal process gets it next.
+                // Pass the token through the queue so the globally
+                // minimal process gets it next.
                 g.turn = None;
             }
-            g.inflight.retain(|&(q, _)| q != me);
             // Self-grant fast path: if this process would be the next
-            // grant anyway — the token is free, every queued entry orders
-            // after `(clock, me)`, and no in-flight frontier blocks us —
-            // take the token directly, skipping the queue round-trip and
-            // the condvar park/wake entirely. The grant decision is the
-            // same one `try_dispatch` would make for our pushed entry, so
-            // the schedule (and every virtual-time result) is unchanged.
+            // grant anyway — the token is free and every queued entry
+            // orders after `(clock, me)` — take the token directly,
+            // skipping the queue round-trip and the park/wake entirely.
+            // The grant decision is the same one `try_dispatch` would
+            // make for our pushed entry, so the schedule (and every
+            // virtual-time result) is unchanged.
             if g.turn.is_none() && !force_slow_path {
                 // Clean stale heads so the comparison sees a live entry.
                 while let Some(k) = g.runnable.peek_min() {
@@ -1190,12 +941,7 @@ impl ProcCtx {
                     .runnable
                     .peek_min()
                     .is_none_or(|k| (k.time, k.pid) > (self.clock, me));
-                if head_after_me
-                    && !g
-                        .inflight
-                        .iter()
-                        .any(|&(q, lb)| (self.clock, me) >= (lb, q))
-                {
+                if head_after_me {
                     let p = &mut g.procs[me.index()];
                     p.clock = self.clock;
                     p.status = Status::Running;
@@ -1211,7 +957,7 @@ impl ProcCtx {
                 p.wake_reason = WakeReason::Turn;
             }
             Sched::push(&mut g, me, self.clock);
-            self.engine.try_dispatch(&mut g, Waker::Parks);
+            self.engine.try_dispatch(&mut g);
         }
         let (clock, reason) = self.engine.shards[me.index()].slot.park();
         self.clock = clock;
@@ -1231,48 +977,14 @@ impl ProcCtx {
         }
     }
 
-    /// Release the commit token after a visible operation's shared-state
-    /// mutation, entering the in-flight set so the next compute segment
-    /// can overlap with other processes. No-op in sequential mode (the
-    /// token is kept until the next [`ProcCtx::become_min`]) — and the
-    /// no-op is lock-free: `release_cap == 0` encodes sequential.
-    fn release_turn(&mut self) {
-        if self.release_cap == 0 {
-            return; // sequential: keep the token; the next align passes it
-        }
-        // Perturbation (conformance harness): sometimes keep the token
-        // through the next compute segment — exactly the legal behaviour
-        // the engine already exhibits when the in-flight cap is reached.
-        if let Some(p) = &self.perturb {
-            self.perturb_ops += 1;
-            if p.keep_token(self.pid.0, self.perturb_ops) {
-                return;
-            }
-        }
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            return;
-        }
-        debug_assert_eq!(g.turn, Some(self.pid), "token released by non-holder");
-        if g.inflight.len() >= self.release_cap {
-            return; // keep the token; the next align passes it on
-        }
-        crate::selfprof::host_count(crate::selfprof::HostOp::TokenRelease);
-        g.turn = None;
-        g.inflight.push((self.pid, self.clock));
-        self.engine.try_dispatch(&mut g, Waker::Runs);
-    }
-
     /// Run `f` inside this process's next commit window: at a
     /// deterministic point in the global visible-operation order, with
     /// the commit token held. Frameworks use this to order side effects
     /// on state shared *outside* the engine (symmetric heaps, RMA
-    /// windows) so parallel execution cannot reorder them.
+    /// windows) in virtual time.
     pub fn ordered<R>(&mut self, f: impl FnOnce() -> R) -> R {
         self.become_min();
-        let out = f();
-        self.release_turn();
-        out
+        f()
     }
 
     /// Send a message. The sender is charged the transport's endpoint CPU
@@ -1299,7 +1011,7 @@ impl ProcCtx {
     }
 
     /// The commit-window part of a send (token held): NIC reservation,
-    /// fault decisions, delivery, token release.
+    /// fault decisions, delivery.
     fn send_commit(
         &mut self,
         dst: Pid,
@@ -1380,11 +1092,8 @@ impl ProcCtx {
             arrival,
             recv_cost,
         };
-        {
-            let mut g = self.engine.sched.lock();
-            self.engine.deliver(&mut g, dst, msg);
-        }
-        self.release_turn();
+        let mut g = self.engine.sched.lock();
+        self.engine.deliver(&mut g, dst, msg);
     }
 
     fn take_match(&mut self, spec: MatchSpec) -> Option<Message> {
@@ -1443,13 +1152,10 @@ impl ProcCtx {
     ) -> Result<Message, RecvTimeout> {
         let blocked_since = self.clock;
         // Align first so the mailbox is inspected at a deterministic
-        // point of the visible-operation order (identical in both
-        // execution modes).
+        // point of the visible-operation order.
         self.become_min();
         if let Some(m) = self.take_match(spec) {
-            let m = self.finish_recv(m, blocked_since);
-            self.release_turn();
-            return Ok(m);
+            return Ok(self.finish_recv(m, blocked_since));
         }
         // Block, handing the token back.
         let me = self.pid;
@@ -1475,7 +1181,7 @@ impl ProcCtx {
                 // No queue entry: only a matching delivery can wake us.
                 g.procs[me.index()].gen += 1;
             }
-            self.engine.try_dispatch(&mut g, Waker::Parks);
+            self.engine.try_dispatch(&mut g);
         }
         let (clock, reason) = self.engine.shards[me.index()].slot.park();
         self.clock = clock;
@@ -1484,13 +1190,10 @@ impl ProcCtx {
                 let m = self
                     .take_match(spec)
                     .expect("woken for message but no match in mailbox");
-                let m = self.finish_recv(m, blocked_since);
-                self.release_turn();
-                Ok(m)
+                Ok(self.finish_recv(m, blocked_since))
             }
             WakeReason::Timeout => {
                 self.stats.wait_time += self.clock - blocked_since;
-                self.release_turn();
                 Err(RecvTimeout)
             }
             WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
@@ -1518,9 +1221,7 @@ impl ProcCtx {
                 .map(|(i, _)| i);
             best.and_then(|i| m.mailbox.remove(i))
         };
-        let out = taken.map(|m| self.finish_recv(m, now));
-        self.release_turn();
-        out
+        taken.map(|m| self.finish_recv(m, now))
     }
 
     /// One-sided RDMA transfer (OpenSHMEM put/get, MPI RMA): the initiator
@@ -1544,8 +1245,7 @@ impl ProcCtx {
     /// inside the commit window, after the transfer's completion time is
     /// known. Frameworks pass the actual memory mutation (symmetric-heap
     /// store, window accumulate) here so that remote-memory effects are
-    /// applied in deterministic virtual-time order even when other
-    /// processes compute concurrently.
+    /// applied in deterministic virtual-time order.
     pub fn one_sided_transfer_with<R>(
         &mut self,
         target_node: NodeId,
@@ -1574,7 +1274,6 @@ impl ProcCtx {
         let out = effect();
         let end = self.clock;
         self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-        self.release_turn();
         out
     }
 
@@ -1634,7 +1333,6 @@ impl ProcCtx {
         let dur = self.device_io_dur(bytes, is_nfs, is_write);
         let finish = self.engine.reserve_cell(cell, self.clock, dur);
         self.apply_device_io(bytes, is_nfs, is_write, finish);
-        self.release_turn();
     }
 
     /// Read `bytes` from this node's scratch disk (serialized with other
@@ -1670,7 +1368,7 @@ impl ProcCtx {
     ///
     /// Reservation happens inside a commit window (like every shared
     /// resource), so the returned completion time is bit-identical
-    /// across execution modes. The queueing delay is *not* charged to
+    /// from run to run. The queueing delay is *not* charged to
     /// this process's `disk_time` — it never waited — but the bytes
     /// count toward its write volume.
     pub fn disk_write_background(&mut self, bytes: u64) -> SimTime {
@@ -1686,7 +1384,6 @@ impl ProcCtx {
             finish,
             crate::trace::EventKind::DiskWrite { bytes },
         );
-        self.release_turn();
         finish
     }
 }
@@ -1703,7 +1400,6 @@ struct ProcSpawn {
 pub struct Sim {
     world: Arc<World>,
     spawns: Vec<ProcSpawn>,
-    exec: Execution,
 }
 
 /// Final report of one process.
@@ -1771,26 +1467,13 @@ impl SimReport {
 }
 
 impl Sim {
-    /// New simulation over `topology`, using the process-wide default
-    /// execution mode (see [`set_default_execution`]).
+    /// New simulation over `topology`.
     pub fn new(topology: Topology) -> Sim {
+        crate::execution::note_execution_env();
         Sim {
             world: Arc::new(World::new(topology)),
             spawns: Vec::new(),
-            exec: default_execution(),
         }
-    }
-
-    /// Choose the execution mode for this run. Both modes produce
-    /// bit-identical virtual-time results; [`Execution::Parallel`]
-    /// overlaps compute segments across cores.
-    pub fn set_execution(&mut self, exec: Execution) {
-        self.exec = exec;
-    }
-
-    /// The execution mode this run will use.
-    pub fn execution(&self) -> Execution {
-        self.exec
     }
 
     /// Access the world (to pre-populate the filesystem).
@@ -1810,9 +1493,8 @@ impl Sim {
 
     /// Install a fault plan for this run (see [`crate::FaultPlan`]): node
     /// crashes, stragglers, link faults and message drops, all scheduled
-    /// in virtual time and replayed bit-identically in both execution
-    /// modes. The first installed plan wins; later calls return it
-    /// unchanged.
+    /// in virtual time and replayed bit-identically. The first installed
+    /// plan wins; later calls return it unchanged.
     pub fn set_fault_plan(
         &mut self,
         plan: crate::faults::FaultPlan,
@@ -1872,18 +1554,8 @@ impl Sim {
             (capturing && selfprof_t0.is_some()).then(crate::selfprof::selfprof_snapshot);
         let proc_nodes: Arc<Vec<NodeId>> = Arc::new(self.spawns.iter().map(|s| s.node).collect());
         let nodes = self.world.topology.len();
-        let release_cap = match self.exec {
-            Execution::Sequential => 0,
-            Execution::Parallel { threads } => threads,
-        };
-        // Worker pool size. The frontier rule caps concurrency at the
-        // token holder plus `threads` in-flight compute segments, so that
-        // is the worker count; sequential mode is the one-worker pool,
-        // run on the calling thread: zero thread spawns per run.
-        let workers = release_cap.saturating_add(1).min(512).min(n);
         let perturb = crate::perturb::current_perturbation();
         let engine = Arc::new(Engine {
-            perturb: perturb.clone(),
             sched: Mutex::new(Sched {
                 procs: (0..n)
                     .map(|_| SchedProc {
@@ -1897,7 +1569,6 @@ impl Sim {
                 live: n,
                 deadlocked: false,
                 turn: None,
-                inflight: Vec::new(),
                 panics: Vec::new(),
             }),
             shards: self
@@ -1925,13 +1596,9 @@ impl Sim {
             fault_seq: AtomicU64::new(0),
             telemetry_interval,
             metric_sink: Mutex::new(Vec::new()),
-            next: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            next: AtomicU32::new(0),
             resume: Mutex::new(VecDeque::new()),
-            resume_cv: Condvar::new(),
             resume_len: AtomicUsize::new(0),
-            pollers: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
         });
 
         type ResultSlots = Vec<Option<Box<dyn Any + Send>>>;
@@ -1939,7 +1606,7 @@ impl Sim {
 
         // One coroutine per process, each running the full process body
         // on its own lazily-paged stack. Bodies start suspended; the
-        // scheduler's first wake enqueues them for a worker.
+        // scheduler's first wake enqueues them for the resume loop.
         let specs: Vec<(String, Box<dyn FnOnce() + Send>)> = self
             .spawns
             .into_iter()
@@ -1971,7 +1638,6 @@ impl Sim {
                         span_stack: Vec::new(),
                         telemetry: engine.telemetry_interval.is_some(),
                         metric_buf: Vec::new(),
-                        release_cap,
                         perturb,
                         perturb_ops: 0,
                     };
@@ -1980,9 +1646,6 @@ impl Sim {
                         finish_proc(&engine, &mut ctx, None);
                         return;
                     }
-                    // Process start commits nothing: release the token so
-                    // starts overlap in parallel mode.
-                    ctx.release_turn();
                     let f = spawn.f;
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                     match outcome {
@@ -2002,8 +1665,7 @@ impl Sim {
         let coros = crate::coro::Coroutines::build(specs);
 
         // Enqueue every process at its start time and kick off the first
-        // grant; this thread is no worker yet, so it lands on the shared
-        // resume queue the workers drain below. Pids go in descending
+        // grant, which lands in the run-next cell. Pids go in descending
         // order: processes mostly start together, and a calendar bucket
         // keeps its minimum at the end, so each key lands there in O(1)
         // where ascending order would shift the whole bucket. The pop
@@ -2014,42 +1676,18 @@ impl Sim {
                 let t = g.procs[i].clock;
                 Sched::push(&mut g, Pid(i as u32), t);
             }
-            engine.try_dispatch(&mut g, Waker::Parks);
+            engine.try_dispatch(&mut g);
         }
-
-        if workers <= 1 {
-            worker_loop(&engine, &coros, 0);
-        } else {
-            std::thread::scope(|scope| {
-                for w in 1..workers {
-                    let engine = &engine;
-                    let coros = &coros;
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("sim-worker-{w}"))
-                        .spawn_scoped(scope, move || worker_loop(engine, coros, w));
-                    if let Err(e) = spawned {
-                        // Let the already-spawned workers drain and exit
-                        // before unwinding, or the scope join would hang.
-                        engine.shut_down();
-                        panic!(
-                            "failed to spawn engine worker thread {w} of {workers} \
-                             for {n} simulated processes: {e}"
-                        );
-                    }
-                }
-                worker_loop(&engine, &coros, 0);
-            });
-        }
-        // Every enqueued coroutine was resumed exactly once: a stray entry
-        // would be a second resume of a finished process waiting to happen.
-        assert!(
-            engine.next.iter().all(|s| s.load(Ordering::Relaxed) == 0)
-                && engine.resume.lock().is_empty(),
-            "resume path not drained at shutdown"
-        );
+        engine.drive(&coros);
         drop(coros);
 
         let g = engine.sched.lock();
+        // With nothing left to resume, every process must have finished:
+        // a live one would be parked with no wake coming.
+        assert_eq!(
+            g.live, 0,
+            "resume loop ran dry with processes still live (lost wakeup)"
+        );
         // Report application panics first; deadlock only if nothing else.
         if let Some((pid, msg, _)) = g
             .panics
@@ -2162,7 +1800,6 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     if g.turn == Some(pid) {
         g.turn = None;
     }
-    g.inflight.retain(|&(q, _)| q != pid);
     {
         let p = &mut g.procs[pid.index()];
         p.status = Status::Done;
@@ -2173,40 +1810,8 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
         g.panics.push((pid, msg, was_deadlock));
     }
     g.live -= 1;
-    if g.live == 0 {
-        // Last process: signal the worker pool to exit once the queue
-        // drains. This coroutine performs no further visible operation
-        // (its results are already stored), so it runs straight to
-        // completion and its worker observes the shutdown.
-        engine.shut_down();
-    } else if !g.deadlocked {
-        engine.try_dispatch(&mut g, Waker::Parks);
-    }
-}
-
-/// Worker `w` of the pool: resume coroutines as [`Engine::next_resume`]
-/// hands them out, each until its next suspension. Runs on the calling
-/// thread in sequential mode (the one-worker pool) and on it plus the
-/// spawned workers otherwise; exits at shutdown.
-fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines, w: usize) {
-    let _scope = WorkerScope::enter(engine, w);
-    let mut seen = vec![0u64; engine.next.len()];
-    while let Some(pid) = engine.next_resume(w, &mut seen) {
-        crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
-        match coros.resume(pid.index()) {
-            crate::coro::SwitchOut::Done => {}
-            crate::coro::SwitchOut::Parked => {
-                // Publish the parked state — or, if a wake raced in
-                // between the coroutine's last state check and its
-                // context save, re-enqueue it ourselves (the waker saw
-                // `RUNNING` and deliberately left that to us).
-                if engine.shards[pid.index()].slot.publish_park() {
-                    crate::selfprof::host_count(crate::selfprof::HostOp::Park);
-                } else {
-                    engine.enqueue_resume(pid, Waker::Parks);
-                }
-            }
-        }
+    if g.live > 0 && !g.deadlocked {
+        engine.try_dispatch(&mut g);
     }
 }
 
@@ -2216,7 +1821,6 @@ mod tests {
 
     fn ping_pong(rounds: u32) -> Sim {
         let mut sim = Sim::new(Topology::comet(2));
-        sim.set_execution(Execution::Sequential);
         let tr = Transport::ipoib_socket();
         for i in 0..2u32 {
             sim.spawn(NodeId(i), format!("p{i}"), move |ctx| {
@@ -2233,72 +1837,49 @@ mod tests {
         sim
     }
 
-    /// Sequential mode is the one-worker pool on the calling thread: every
-    /// grant after the first goes through that worker's run-next slot, so
-    /// the `resume` lock is taken for the first grant (push and pop) and
-    /// for shutdown, however long the run, and nothing is ever notified.
+    /// Every grant goes through the run-next cell, the first one of the
+    /// run included, so a run takes the `resume` lock not at all,
+    /// however long it is.
     #[test]
-    fn sequential_mode_resumes_without_the_lock_or_the_kernel() {
-        let counts = |rounds| {
+    fn a_run_resumes_without_the_lock() {
+        let locks = |rounds| {
             let sim = ping_pong(rounds);
-            let before = (
-                RESUME_LOCKS.with(Cell::get),
-                RESUME_NOTIFIES.with(Cell::get),
-            );
+            let before = RESUME_LOCKS.with(|c| c.get());
             assert!(sim.run().makespan() > SimTime::ZERO);
-            (
-                RESUME_LOCKS.with(Cell::get) - before.0,
-                RESUME_NOTIFIES.with(Cell::get) - before.1,
-            )
+            RESUME_LOCKS.with(|c| c.get()) - before
         };
-        let (locks, notifies) = counts(200);
-        assert_eq!(notifies, 0);
-        // The thread coroutine backend runs process bodies off the worker
-        // thread, where these thread-local counts do not see them and
-        // every wake takes the shared queue.
-        if crate::coro::use_asm_backend() {
-            assert_eq!(locks, 3);
-            assert_eq!(counts(20), (3, 0));
-        }
+        assert_eq!(locks(200), 0);
+        assert_eq!(locks(20), 0);
     }
 
     /// Deadlock teardown wakes every blocked process from one dispatch:
-    /// with more of them than workers, all but the first overflow the
-    /// waker's run-next slot into the shared queue. Each must still be
-    /// resumed exactly once, and the diagnostic must not depend on the
-    /// mode.
+    /// all but the first overflow the run-next cell into the queue. Each
+    /// must still be resumed exactly once, and the diagnostic must name
+    /// every one of them.
     #[test]
-    fn deadlock_teardown_overflows_the_slot_and_reports_the_same_in_every_mode() {
-        let diagnostic = |exec: Execution| {
-            let mut sim = Sim::new(Topology::comet(2));
-            sim.set_execution(exec);
-            for i in 0..12u32 {
-                sim.spawn(NodeId(i % 2), format!("stuck{i}"), move |ctx| {
-                    ctx.sleep(SimDuration::from_nanos(u64::from(i) * 10));
-                    ctx.recv(MatchSpec::tag(100 + Tag::from(i)));
-                });
-            }
-            let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
-                .err()
-                .expect("twelve receives nobody sends to must deadlock");
-            describe_panic(err.as_ref()).0
-        };
-        let locks = RESUME_LOCKS.with(Cell::get);
-        let want = diagnostic(Execution::Sequential);
+    fn deadlock_teardown_overflows_the_cell_and_names_every_process() {
+        let mut sim = Sim::new(Topology::comet(2));
+        for i in 0..12u32 {
+            sim.spawn(NodeId(i % 2), format!("stuck{i}"), move |ctx| {
+                ctx.sleep(SimDuration::from_nanos(u64::from(i) * 10));
+                ctx.recv(MatchSpec::tag(100 + Tag::from(i)));
+            });
+        }
+        let locks = RESUME_LOCKS.with(|c| c.get());
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .err()
+            .expect("twelve receives nobody sends to must deadlock");
+        let want = describe_panic(err.as_ref()).0;
         // The last process to block runs the teardown and consumes its
         // own wake without parking; of the other eleven, one fits the
-        // slot: ten pushes and ten pops on top of the usual three.
+        // cell: ten pushes and ten pops. (The thread coroutine backend
+        // pushes from process bodies' own OS threads, which these
+        // thread-local counts do not see.)
         if crate::coro::use_asm_backend() {
-            assert_eq!(RESUME_LOCKS.with(Cell::get) - locks, 23);
+            assert_eq!(RESUME_LOCKS.with(|c| c.get()) - locks, 20);
         }
         assert!(want.starts_with("deadlock: "), "{want}");
         assert_eq!(want.matches("blocked at").count(), 12, "{want}");
-        for exec in [
-            Execution::Parallel { threads: 1 },
-            Execution::Parallel { threads: 2 },
-        ] {
-            assert_eq!(diagnostic(exec), want, "under {exec:?}");
-        }
     }
 
     /// A fresh slot is parked: the coroutine has not run yet, so its
@@ -2312,8 +1893,8 @@ mod tests {
     }
 
     /// A wake that lands while the coroutine runs leaves the enqueue to
-    /// its worker: the wake does not enqueue, the worker's publish then
-    /// fails (it re-enqueues), and the resumed park finds the value.
+    /// the resume loop: the wake does not enqueue, the loop's publish
+    /// then fails (it re-enqueues), and the resumed park finds the value.
     #[test]
     fn a_wake_while_running_does_not_enqueue_and_the_next_publish_fails() {
         let slot = Slot::new();

@@ -14,13 +14,12 @@
 //! Nothing in this module consults the wall clock or OS randomness.
 //!
 //! * Crashes, stragglers, and link faults are pure functions of virtual
-//!   time, which the engine already reproduces bit-for-bit across
-//!   [`crate::Execution::Sequential`] and [`crate::Execution::Parallel`].
-//! * Per-message drops cannot use a classic mutable RNG stream keyed by
-//!   wall-clock send order — parallel mode would perturb it. Instead the
-//!   engine assigns every inter-node message a sequence number from a
-//!   counter incremented *inside the send commit window*. Commit windows
-//!   are totally ordered identically in both execution modes, so message
+//!   time, which the engine already reproduces bit-for-bit.
+//! * Per-message drops do not draw from a mutable RNG stream in the
+//!   order processes happen to call `send`. Instead the engine assigns
+//!   every inter-node message a sequence number from a counter
+//!   incremented *inside the send commit window*. Commit windows are
+//!   totally ordered in virtual time, so message
 //!   `k` is the same message in every run; [`FaultPlan::should_drop`]
 //!   then hashes `(seed, k)` with the fixed-seed FNV-1a hasher
 //!   ([`crate::det_hash`]) and drops when `hash % 1_000_000 < drop_ppm`.

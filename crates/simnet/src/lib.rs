@@ -15,11 +15,8 @@
 //!   ordered: the process performing one always holds the commit token and
 //!   has the minimum virtual clock among runnable processes. This makes
 //!   every schedule, and therefore every reported time, reproducible
-//!   bit-for-bit. Under the default [`Execution::Sequential`] mode the
-//!   token doubles as a baton — one process runs at a time; under
-//!   [`Execution::Parallel`] the compute segments between commits overlap
-//!   across real cores while the commit order (and every virtual-time
-//!   result) stays bit-identical (see [`parallel`]).
+//!   bit-for-bit. The token doubles as a baton: one process runs at a
+//!   time (see [`engine`]).
 //! * **Lazy conservatism.** Local computation (`compute`, `advance`)
 //!   advances the private clock without synchronization. Any operation with
 //!   global effect (message delivery, NIC/disk reservation) first yields
@@ -58,13 +55,13 @@ pub mod cost;
 pub mod dataset;
 pub mod engine;
 pub mod error;
+mod execution;
 pub mod faults;
 pub mod fs;
 pub mod hash;
 pub mod job;
 pub mod message;
 pub mod observe;
-pub mod parallel;
 pub mod perturb;
 pub mod queue;
 pub mod selfprof;
@@ -90,7 +87,6 @@ pub use hash::{det_hash, partition_of, DetHasher, DetMap};
 pub use job::{JobChannel, LaunchEnv, TaskClosure, JOB_TAG_BASE};
 pub use message::{MatchSpec, Message, Payload, Tag};
 pub use observe::{begin_capture, capture_active, end_capture, RunCapture};
-pub use parallel::{default_execution, set_default_execution, Execution};
 pub use perturb::{current_perturbation, set_perturbation, Perturbation};
 pub use queue::{CalendarQueue, OrderKey};
 pub use selfprof::{
@@ -208,50 +204,6 @@ mod engine_tests {
         for _ in 0..3 {
             assert_eq!(run_once(), first, "simulation must be deterministic");
         }
-    }
-
-    #[test]
-    fn parallel_execution_is_bit_identical_to_sequential() {
-        fn run_once(exec: Execution) -> (u64, Vec<u64>, Vec<ProcStats>) {
-            let mut sim = Sim::new(Topology::comet(4));
-            sim.set_execution(exec);
-            let tr = Transport::ipoib_socket();
-            let n = 8u32;
-            for i in 0..n {
-                sim.spawn(NodeId(i % 4), format!("w{i}"), move |ctx| {
-                    let next = Pid((i + 1) % n);
-                    for round in 0..4u64 {
-                        ctx.compute(Work::flops(1.0e5 * (i as f64 + round as f64 + 1.0)), 1.0);
-                        ctx.send(next, 9, 1 << (10 + (i % 4)), Payload::Empty, &tr);
-                        let m = ctx.recv(MatchSpec::tag(9));
-                        ctx.disk_write(m.bytes);
-                    }
-                    ctx.one_sided_transfer(NodeId((i + 1) % 4), 4096, &Transport::rdma_verbs(), 2);
-                });
-            }
-            let report = sim.run();
-            (
-                report.makespan().nanos(),
-                report.procs.iter().map(|p| p.finish.nanos()).collect(),
-                report.procs.iter().map(|p| p.stats.clone()).collect(),
-            )
-        }
-        let seq = run_once(Execution::Sequential);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run_once(Execution::Parallel { threads }),
-                seq,
-                "parallel({threads}) diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn execution_mode_is_reported_by_builder() {
-        let mut sim = two_node_sim();
-        assert_eq!(sim.execution(), Execution::Sequential);
-        sim.set_execution(Execution::Parallel { threads: 3 });
-        assert_eq!(sim.execution(), Execution::Parallel { threads: 3 });
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! Determinism: everything in a capture derives from virtual-time state
 //! ([`crate::Trace::sorted_events`] order, per-process stats, finish
-//! times), all of which are bit-identical across
-//! [`crate::Execution::Sequential`] and [`crate::Execution::Parallel`].
-//! Captures therefore compare byte-equal across modes once serialized.
+//! times), all of which are bit-identical from run to run. Captures
+//! therefore compare byte-equal across runs once serialized.
 //!
 //! Cost: one relaxed atomic load per `Sim::run` when inactive — nothing
 //! on the engine's per-operation hot path.

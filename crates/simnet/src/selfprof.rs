@@ -1,16 +1,13 @@
 //! Host-side self-profiler: cheap wall-clock accounting of the
 //! simulator's own subsystems, so a benchmark row that moved can be
 //! explained by the *mix of engine work* that produced it (queue ops,
-//! coroutine switches, token protocol, resume path) rather than guessed
-//! at.
+//! coroutine switches, token protocol) rather than guessed at.
 //!
-//! This is the one deliberately *non*-deterministic corner of the
-//! telemetry subsystem: the counters tally what the host actually did,
-//! which depends on the wall-clock schedule (a parallel run parks and
-//! wakes where a sequential run self-grants). They are therefore
-//! emitted only inside the report's `host_profile` section — gated
-//! behind `HPCBD_SELFPROF` — and never compared across execution modes
-//! or folded into digests.
+//! The counters tally what the host did, not what was simulated, and a
+//! perturbed run ([`crate::perturb`]) parks and wakes where a plain one
+//! self-grants. They are therefore emitted only inside the report's
+//! `host_profile` section — gated behind `HPCBD_SELFPROF` — and never
+//! folded into digests.
 //!
 //! Cost contract: **zero-cost when off** up to one relaxed atomic load
 //! per counted operation (the same budget `observe::capture_active`
@@ -28,7 +25,7 @@ pub enum HostOp {
     QueuePush,
     /// Ready-queue removals (grants and stale-entry discards).
     QueuePop,
-    /// Coroutine resumptions by a worker.
+    /// Coroutine resumptions by the resume loop.
     CoroResume,
     /// Coroutine parks published to the slot protocol.
     Park,
@@ -36,25 +33,15 @@ pub enum HostOp {
     Wake,
     /// Commit-token grants through the dispatcher.
     TokenGrant,
-    /// Token releases into parallel in-flight execution.
+    /// Token releases into overlapped execution: always 0 since the
+    /// parallel engine mode was removed. The row stays because
+    /// `benchmark/` reads it as `simnet.token.releases`.
     TokenRelease,
-    /// Resumptions a worker took from its own run-next slot: the grant
-    /// stayed on the worker that made it.
-    ResumeLocal,
-    /// Resumptions popped from the shared resume queue (the overflow
-    /// path: first grant of a run, slot already full, thread backend).
-    ResumeShared,
-    /// Resumptions an idle worker took out of another worker's slot.
-    ResumeSteal,
-    /// Times a worker gave up polling and slept on the condvar.
-    WorkerSleep,
-    /// `notify_one` calls made to end such a sleep.
-    WorkerNotify,
 }
 
 /// Display names, indexed by `HostOp as usize` — also the key order of
 /// the `host_profile` JSON section.
-pub const HOST_OP_NAMES: [&str; 12] = [
+pub const HOST_OP_NAMES: [&str; 7] = [
     "queue_push",
     "queue_pop",
     "coro_resume",
@@ -62,11 +49,6 @@ pub const HOST_OP_NAMES: [&str; 12] = [
     "wake",
     "token_grant",
     "token_release",
-    "resume_local",
-    "resume_shared",
-    "resume_steal",
-    "worker_sleep",
-    "worker_notify",
 ];
 
 const N_OPS: usize = HOST_OP_NAMES.len();
@@ -182,11 +164,11 @@ mod tests {
         set_selfprof(true);
         host_count(HostOp::QueuePush);
         host_count(HostOp::QueuePush);
-        host_count(HostOp::WorkerNotify);
+        host_count(HostOp::Wake);
         set_selfprof(false);
         let snap = selfprof_snapshot();
         assert_eq!(snap[HostOp::QueuePush as usize], ("queue_push", 2));
-        assert_eq!(snap[HostOp::WorkerNotify as usize], ("worker_notify", 1));
+        assert_eq!(snap[HostOp::Wake as usize], ("wake", 1));
         selfprof_reset();
         assert!(selfprof_snapshot().iter().all(|&(_, v)| v == 0));
     }

@@ -18,8 +18,7 @@
 //! as the trace buffer), then merged and sorted by
 //! `(time, name, labels, pid, seq)` at run end. Everything about the
 //! stream is a pure function of the virtual-time schedule, so telemetry
-//! serializes byte-identically across
-//! [`crate::Execution::Sequential`] and [`crate::Execution::Parallel`].
+//! serializes byte-identically from run to run.
 //! Metric points are deliberately excluded from conformance digests
 //! (`hpcbd-check` hashes capture fields explicitly).
 //!
@@ -103,8 +102,7 @@ pub fn set_telemetry_interval(interval_ns: Option<u64>) {
 /// The process-wide telemetry sampling interval: whatever
 /// [`set_telemetry_interval`] last stored, else `HPCBD_TELEMETRY`, else
 /// off. A malformed environment value falls back to off, but not
-/// silently: a one-time stderr warning names the rejected value
-/// (mirroring [`crate::Execution::from_env`]).
+/// silently: a one-time stderr warning names the rejected value.
 pub fn telemetry_interval() -> Option<u64> {
     let v = TELEMETRY.load(Ordering::SeqCst);
     if v != u64::MAX {

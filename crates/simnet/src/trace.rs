@@ -174,12 +174,11 @@ impl Trace {
 
     /// Events in the deterministic export order.
     ///
-    /// Under [`crate::Execution::Parallel`] events from different
-    /// processes are appended in wall-clock order, which varies run to
-    /// run — so the export order must come entirely from the sort key.
-    /// The key `(start, pid, end, kind)` is a total order up to fully
-    /// identical (hence interchangeable) events, making trace exports
-    /// bit-identical across runs and execution modes.
+    /// Processes absorb their buffers into the trace in the order they
+    /// finish, which is not the export order — so the export order must
+    /// come entirely from the sort key. The key `(start, pid, end, kind)`
+    /// is a total order up to fully identical (hence interchangeable)
+    /// events, making trace exports bit-identical across runs.
     ///
     /// The result equals a stable sort by that key, computed in two
     /// passes so the expensive part of the key is rarely built: an

@@ -1,43 +1,48 @@
-//! Cross-mode bit-determinism regression tests.
+//! Bit-determinism regression tests across the engine's two grant
+//! paths.
 //!
-//! The engine's contract (DESIGN.md §"Parallel engine") is that
-//! [`Execution::Parallel`] produces **bit-identical** virtual-time
-//! results to [`Execution::Sequential`] — same makespans, same
-//! per-process finish times and statistics, same benchmark tables. These
-//! tests run whole paper pipelines (Fig. 3, Fig. 6) and an adversarial
-//! engine-level workload twice under each mode and compare everything.
+//! The engine's contract (DESIGN.md §6) is that a run is a pure
+//! function of its inputs: same makespans, same per-process finish
+//! times and statistics, same benchmark tables, however often it is
+//! replayed. A grant reaches a process by one of two paths, and the
+//! contract says the choice must not matter: an aligning process that
+//! is already globally minimal takes the token itself (the self-grant
+//! fast path), every other grant goes through the ready queue and a
+//! park/wake round-trip. These tests run whole paper pipelines (Fig. 3,
+//! Fig. 6) and an adversarial engine-level workload twice as they are
+//! and twice with every alignment forced down the queue path, and
+//! compare everything.
 //!
-//! The execution mode is process-global state
-//! ([`hpcbd::simnet::set_default_execution`]), so every test in this
-//! binary serializes on one mutex and restores Sequential before
-//! releasing it.
+//! The forcing perturbation is process-global state
+//! ([`hpcbd::simnet::set_perturbation`]), so every test in this binary
+//! serializes on one mutex and clears it before releasing the mutex.
 
 use std::sync::Mutex;
 
 use hpcbd::cluster::Placement;
 use hpcbd::core::{bench_pagerank, bench_reduce};
 use hpcbd::simnet::{
-    set_default_execution, Execution, MatchSpec, Payload, Sim, SimTime, Topology, Transport, Work,
+    set_perturbation, MatchSpec, Payload, Perturbation, Sim, SimTime, Topology, Transport, Work,
 };
 
-/// Serializes tests that flip the process-global execution default.
-static EXEC_GUARD: Mutex<()> = Mutex::new(());
+/// Serializes tests that install the process-global perturbation.
+static PERTURB_GUARD: Mutex<()> = Mutex::new(());
 
-/// Run `f` twice under each mode (Sequential, Parallel), returning the
-/// four outputs in order [seq, seq, par, par].
+/// Run `f` twice as it is and twice with the self-grant fast path
+/// defeated at every alignment, returning the four outputs in order
+/// [plain, plain, queue path, queue path].
 fn four_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
-    let _g = EXEC_GUARD.lock().unwrap();
+    let _g = PERTURB_GUARD.lock().unwrap();
+    let queue_path = Perturbation {
+        seed: 0,
+        defeat_fast_path_one_in: 1,
+    };
     let mut out = Vec::with_capacity(4);
-    for exec in [
-        Execution::Sequential,
-        Execution::Sequential,
-        Execution::Parallel { threads: 4 },
-        Execution::Parallel { threads: 4 },
-    ] {
-        set_default_execution(exec);
+    for p in [None, None, Some(queue_path.clone()), Some(queue_path)] {
+        set_perturbation(p);
         out.push(f());
     }
-    set_default_execution(Execution::Sequential);
+    set_perturbation(None);
     out
 }
 
@@ -45,18 +50,24 @@ fn four_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
 fn fig3_pipeline_is_bit_identical_across_modes() {
     let tables =
         four_runs(|| bench_reduce::figure3(Placement::new(2, 4), &[1usize, 4096], 3).to_csv());
-    assert_eq!(tables[0], tables[1], "sequential runs differ");
-    assert_eq!(tables[0], tables[2], "parallel differs from sequential");
-    assert_eq!(tables[2], tables[3], "parallel runs differ");
+    assert_eq!(tables[0], tables[1], "replays differ");
+    assert_eq!(
+        tables[0], tables[2],
+        "the queue path differs from the fast path"
+    );
+    assert_eq!(tables[2], tables[3], "queue-path replays differ");
 }
 
 #[test]
 fn fig6_pipeline_is_bit_identical_across_modes() {
     let input = bench_pagerank::PagerankInput::small();
     let tables = four_runs(|| bench_pagerank::figure6(&input, &[1u32, 2], 4).to_csv());
-    assert_eq!(tables[0], tables[1], "sequential runs differ");
-    assert_eq!(tables[0], tables[2], "parallel differs from sequential");
-    assert_eq!(tables[2], tables[3], "parallel runs differ");
+    assert_eq!(tables[0], tables[1], "replays differ");
+    assert_eq!(
+        tables[0], tables[2],
+        "the queue path differs from the fast path"
+    );
+    assert_eq!(tables[2], tables[3], "queue-path replays differ");
 }
 
 /// An adversarial mixed workload exercising every visible-operation
@@ -136,15 +147,18 @@ fn engine_reports_are_bit_identical_across_modes() {
     }
 
     let runs = four_runs(run_once);
-    assert_eq!(runs[0], runs[1], "sequential runs differ");
-    assert_eq!(runs[0], runs[2], "parallel differs from sequential");
-    assert_eq!(runs[2], runs[3], "parallel runs differ");
+    assert_eq!(runs[0], runs[1], "replays differ");
+    assert_eq!(
+        runs[0], runs[2],
+        "the queue path differs from the fast path"
+    );
+    assert_eq!(runs[2], runs[3], "queue-path replays differ");
 }
 
 /// Faulty runs must be exactly as deterministic as clean ones: the same
 /// [`hpcbd::simnet::FaultPlan`] — a node crash, a straggler interval, a
-/// degraded link, and heavy message drops all at once — replayed under
-/// both execution modes must yield byte-identical traces (including the
+/// degraded link, and heavy message drops all at once — replayed over
+/// both grant paths must yield byte-identical traces (including the
 /// injected `Fault` events) and identical per-process statistics.
 #[test]
 fn faulty_runs_are_bit_identical_across_modes() {
@@ -233,16 +247,19 @@ fn faulty_runs_are_bit_identical_across_modes() {
         runs[0].stats.iter().any(|s| s.fault_events > 0),
         "fault statistics must be populated"
     );
-    assert_eq!(runs[0], runs[1], "sequential runs differ");
-    assert_eq!(runs[0], runs[2], "parallel differs from sequential");
-    assert_eq!(runs[2], runs[3], "parallel runs differ");
+    assert_eq!(runs[0], runs[1], "replays differ");
+    assert_eq!(
+        runs[0], runs[2],
+        "the queue path differs from the fast path"
+    );
+    assert_eq!(runs[2], runs[3], "queue-path replays differ");
 }
 
 /// The observability layer must not disturb determinism, and its own
 /// output must be deterministic: capturing a Fig. 6 quick run and
 /// rendering the full [`hpcbd::obs::RunReport`] (phase attribution,
 /// causal critical path, category breakdowns) must produce byte-identical
-/// JSON under both execution modes.
+/// JSON over both grant paths.
 #[test]
 fn run_reports_are_byte_identical_across_modes() {
     fn run_once() -> String {
@@ -258,12 +275,12 @@ fn run_reports_are_byte_identical_across_modes() {
     }
 
     let reports = four_runs(run_once);
-    assert_eq!(reports[0], reports[1], "sequential reports differ");
+    assert_eq!(reports[0], reports[1], "replayed reports differ");
     assert_eq!(
         reports[0], reports[2],
-        "parallel report differs from sequential"
+        "the queue-path report differs from the fast-path one"
     );
-    assert_eq!(reports[2], reports[3], "parallel reports differ");
+    assert_eq!(reports[2], reports[3], "queue-path reports differ");
     // The report must actually contain phase attribution, not an empty
     // shell: PageRank iterations and runtime collectives are annotated.
     assert!(

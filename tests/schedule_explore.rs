@@ -3,8 +3,8 @@
 //! seeds — the perturbation seed space contains no magic values that
 //! break (or mask) determinism.
 //!
-//! Each proptest case runs a full exploration (sequential oracle +
-//! sequential replay + perturbed parallel schedules) under a different
+//! Each proptest case runs a full exploration (oracle + replay +
+//! perturbed schedules) under a different
 //! seed and additionally pins the oracle digest across cases: every
 //! exploration of the same workload must see the same oracle, whatever
 //! seed drives the perturbations.
@@ -47,7 +47,7 @@ proptest! {
 
     #[test]
     fn perturbed_schedules_reproduce_the_oracle_for_any_seed(seed in 0u64..u64::MAX) {
-        let report = Explorer::new(seed).schedules(4).threads(4).explore(mixed_workload);
+        let report = Explorer::new(seed).schedules(4).explore(mixed_workload);
         if let Some(d) = &report.divergence {
             prop_assert!(false, "divergence under seed {seed:#x}:\n{}", d.render());
         }
@@ -84,7 +84,6 @@ fn seed_leaking_workload() {
 fn explorer_catches_a_schedule_dependent_workload() {
     let report = Explorer::new(0xBAD)
         .schedules(4)
-        .threads(4)
         .explore(seed_leaking_workload);
     let d = report
         .divergence
