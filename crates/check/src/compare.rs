@@ -147,9 +147,12 @@ pub fn compare_captures(idx: usize, expected: &RunCapture, got: &RunCapture) -> 
 
     // Event streams: both sides are in the deterministic export order,
     // so the first differing index is the minimal divergent prefix.
+    // Payloads are compared by content, each looked up in its own
+    // capture's tables.
     let n = expected.events.len().min(got.events.len());
     for i in 0..n {
-        let (e, g) = (&expected.events[i], &got.events[i]);
+        let e = expected.events[i].resolve(&expected.tables);
+        let g = got.events[i].resolve(&got.tables);
         if e != g {
             let mut pids = vec![e.pid.0, g.pid.0];
             pids.dedup();
@@ -236,7 +239,7 @@ pub fn capture_digest(caps: &[RunCapture]) -> String {
             let _ = writeln!(buf, "p{pid} finish={f:?} stats={s:?}");
         }
         for e in &c.events {
-            let _ = writeln!(buf, "{e:?}");
+            let _ = writeln!(buf, "{:?}", e.resolve(&c.tables));
         }
     }
     crate::sha256::sha256_hex(buf.as_bytes())
@@ -270,6 +273,7 @@ mod tests {
                     kind: EventKind::Compute,
                 },
             ],
+            tables: Default::default(),
             telemetry_interval: None,
             metric_points: Vec::new(),
             host_profile: None,
@@ -350,5 +354,35 @@ mod tests {
         b.events[0].end = SimTime(6);
         let d = compare_runs(&[a], &[b]).unwrap();
         assert_eq!(d.field, "dropped_msgs");
+    }
+
+    /// Labels are compared by their text, wherever each capture's tables
+    /// hold it: the same labels stored in another order compare equal,
+    /// and a different label of the same length at the same place does
+    /// not.
+    #[test]
+    fn phase_labels_compare_by_content() {
+        let with_labels = |stored: &[&str], used: &[usize]| {
+            let mut c = cap();
+            let labels: Vec<_> = stored.iter().map(|l| c.tables.push_label(l)).collect();
+            for (e, &i) in c.events.iter_mut().zip(used) {
+                e.kind = EventKind::Phase {
+                    label: labels[i],
+                    depth: 0,
+                };
+            }
+            c
+        };
+        let a = with_labels(&["job", "map"], &[0, 1]);
+        let b = with_labels(&["map", "job"], &[1, 0]);
+        assert_ne!(a.events, b.events, "the two store the labels apart");
+        let (a, b) = ([a], [b]);
+        assert!(compare_runs(&a, &b).is_none());
+        assert_eq!(capture_digest(&a), capture_digest(&b));
+        let [a] = a;
+        let c = with_labels(&["job", "red"], &[0, 1]);
+        assert_eq!(a.events, c.events, "the same places, different text");
+        let d = compare_runs(&[a], &[c]).unwrap();
+        assert_eq!((d.field.as_str(), d.event_index), ("events", Some(1)));
     }
 }

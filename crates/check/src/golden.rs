@@ -147,7 +147,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn scratch_registry() -> GoldenRegistry {
+    /// A registry in a fresh temp directory, removed when dropped.
+    struct Scratch(GoldenRegistry);
+
+    impl std::ops::Deref for Scratch {
+        type Target = GoldenRegistry;
+        fn deref(&self) -> &GoldenRegistry {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn scratch_registry() -> Scratch {
         static N: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
             "hpcbd-golden-test-{}-{}",
@@ -155,7 +171,7 @@ mod tests {
             N.fetch_add(1, Ordering::SeqCst)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        GoldenRegistry::open(dir)
+        Scratch(GoldenRegistry::open(dir))
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl<'a> MpiRank<'a> {
     /// Open a named phase span on this rank's trace (no-op when tracing
     /// is off; see [`ProcCtx::span_open`]).
     #[inline]
-    pub fn span_open(&mut self, label: impl Into<Arc<str>>) {
+    pub fn span_open(&mut self, label: impl AsRef<str>) {
         self.ctx.span_open(label);
     }
 

@@ -92,7 +92,7 @@ impl<'a> PeCtx<'a> {
     /// Open a named phase span on this PE's trace (no-op when tracing is
     /// off; see [`ProcCtx::span_open`]).
     #[inline]
-    pub fn span_open(&mut self, label: impl Into<std::sync::Arc<str>>) {
+    pub fn span_open(&mut self, label: impl AsRef<str>) {
         self.ctx.span_open(label);
     }
 

@@ -159,9 +159,9 @@ pub fn critical_path(cap: &RunCapture, graph: &CausalGraph) -> CriticalPath {
         .collect();
     for (i, e) in cap.events.iter().enumerate() {
         let v = &mut views[e.pid.index()];
-        match &e.kind {
+        match e.kind.resolve(&cap.tables) {
             EventKind::Phase { label, depth } => {
-                v.phases.push((e.start, e.end, *depth, label.to_string()));
+                v.phases.push((e.start, e.end, depth, label.to_string()));
             }
             EventKind::Fault(_) => {}
             _ if e.start < e.end => v.leaves.push((e.start, e.end, i)),
@@ -271,10 +271,11 @@ pub fn critical_path(cap: &RunCapture, graph: &CausalGraph) -> CriticalPath {
 mod tests {
     use super::*;
     use crate::causal::match_events;
-    use hpcbd_simnet::{NodeId, ProcStats, TraceEvent};
+    use hpcbd_simnet::{NodeId, ProcStats, ResolvedKind, TraceEvent, TraceTables};
 
-    fn cap_of(events: Vec<TraceEvent>, finishes: Vec<u64>) -> RunCapture {
+    fn cap_of(events: Vec<TraceEvent<ResolvedKind<'static>>>, finishes: Vec<u64>) -> RunCapture {
         let n = finishes.len();
+        let (events, tables) = TraceTables::store_all(events);
         RunCapture {
             proc_names: (0..n).map(|i| format!("p{i}")).collect(),
             proc_nodes: (0..n).map(|_| NodeId(0)).collect(),
@@ -284,13 +285,19 @@ mod tests {
             cluster_nodes: 1,
             dropped_msgs: 0,
             events,
+            tables,
             telemetry_interval: None,
             metric_points: Vec::new(),
             host_profile: None,
         }
     }
 
-    fn ev(pid: u32, start: u64, end: u64, kind: EventKind) -> TraceEvent {
+    fn ev(
+        pid: u32,
+        start: u64,
+        end: u64,
+        kind: ResolvedKind<'static>,
+    ) -> TraceEvent<ResolvedKind<'static>> {
         TraceEvent {
             pid: Pid(pid),
             start: SimTime(start),
@@ -374,7 +381,7 @@ mod tests {
                 0,
                 100,
                 EventKind::Phase {
-                    label: "outer".into(),
+                    label: "outer",
                     depth: 0,
                 },
             ),
@@ -383,7 +390,7 @@ mod tests {
                 20,
                 60,
                 EventKind::Phase {
-                    label: "outer/inner".into(),
+                    label: "outer/inner",
                     depth: 1,
                 },
             ),

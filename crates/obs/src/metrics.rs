@@ -174,7 +174,7 @@ struct RawSeries {
 type SeriesKey = (Arc<str>, Arc<str>);
 type Shard = BTreeMap<SeriesKey, RawSeries>;
 
-/// The lock-sharded registry: updates hash to one of [`SHARDS`] shards
+/// The lock-sharded registry: updates hash to one of `SHARDS` (16) shards
 /// by `(name, labels)`, so concurrent recorders on different metrics
 /// rarely contend. [`Registry::sample`] drains every shard and sorts by
 /// `(name, labels)`, so shard assignment never affects output.
@@ -795,9 +795,9 @@ fn derive_device_series(reg: &Registry, cap: &RunCapture, iv: u64) {
 fn derive_phase_series(reg: &Registry, cap: &RunCapture) {
     let mut label_cache: BTreeMap<&str, Arc<str>> = BTreeMap::new();
     for e in &cap.events {
-        if let EventKind::Phase { label, .. } = &e.kind {
+        if let EventKind::Phase { label, .. } = e.kind.resolve(&cap.tables) {
             let labels = label_cache
-                .entry(label.as_ref())
+                .entry(label)
                 .or_insert_with(|| Arc::from(format!("phase={}", normalize_label(label)).as_str()))
                 .clone();
             reg.observe(
@@ -813,9 +813,14 @@ fn derive_phase_series(reg: &Registry, cap: &RunCapture) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcbd_simnet::{NodeId, Pid, ProcStats, SimTime, TraceEvent};
+    use hpcbd_simnet::{NodeId, Pid, ProcStats, ResolvedKind, SimTime, TraceEvent, TraceTables};
 
-    fn ev(pid: u32, start: u64, end: u64, kind: EventKind) -> TraceEvent {
+    fn ev(
+        pid: u32,
+        start: u64,
+        end: u64,
+        kind: ResolvedKind<'static>,
+    ) -> TraceEvent<ResolvedKind<'static>> {
         TraceEvent {
             pid: Pid(pid),
             start: SimTime(start),
@@ -824,7 +829,11 @@ mod tests {
         }
     }
 
-    fn cap_with(events: Vec<TraceEvent>, interval: Option<u64>) -> RunCapture {
+    fn cap_with(
+        events: Vec<TraceEvent<ResolvedKind<'static>>>,
+        interval: Option<u64>,
+    ) -> RunCapture {
+        let (events, tables) = TraceTables::store_all(events);
         RunCapture {
             proc_names: vec!["a".into(), "b".into()],
             proc_nodes: vec![NodeId(0), NodeId(1)],
@@ -834,6 +843,7 @@ mod tests {
             cluster_nodes: 2,
             dropped_msgs: 0,
             events,
+            tables,
             telemetry_interval: interval,
             metric_points: Vec::new(),
             host_profile: None,
@@ -1046,7 +1056,7 @@ mod tests {
                 0,
                 50,
                 EventKind::Phase {
-                    label: "job/iter/3".into(),
+                    label: "job/iter/3",
                     depth: 0,
                 },
             ),

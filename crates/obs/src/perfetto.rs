@@ -41,9 +41,10 @@ pub fn to_perfetto_json_with_telemetry(
         }
     };
     for e in &cap.events {
-        let name: &str = match &e.kind {
+        let kind = e.kind.resolve(&cap.tables);
+        let name: &str = match kind {
             EventKind::Phase { label, .. } => label,
-            _ => e.kind.label(),
+            _ => kind.label(),
         };
         let proc = cap
             .proc_names
@@ -56,7 +57,7 @@ pub fn to_perfetto_json_with_telemetry(
         let _ = write!(
             out,
             "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"",
-            e.kind.label(),
+            kind.label(),
             Micros(e.start.nanos()),
             Micros(e.end.nanos().saturating_sub(e.start.nanos())),
             e.pid.0,
@@ -172,6 +173,7 @@ mod tests {
                 ),
             ],
             telemetry_interval: None,
+            tables: Default::default(),
             metric_points: Vec::new(),
             host_profile: None,
         };
@@ -213,6 +215,7 @@ mod tests {
             dropped_msgs: 0,
             events: Vec::new(),
             telemetry_interval: Some(10),
+            tables: Default::default(),
             metric_points: Vec::new(),
             host_profile: None,
         };

@@ -90,10 +90,10 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
     // earliest record per node.
     let mut crash_by_node: BTreeMap<u32, SimTime> = BTreeMap::new();
     for e in &cap.events {
-        let EventKind::Fault(ev) = &e.kind else {
+        let EventKind::Fault(ev) = e.kind.resolve(&cap.tables) else {
             continue;
         };
-        if let FaultEvent::NodeCrash { node } = **ev {
+        if let FaultEvent::NodeCrash { node } = *ev {
             let t = crash_by_node.entry(node.0).or_insert(e.start);
             if e.start < *t {
                 *t = e.start;
@@ -114,10 +114,10 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
     faults.sort_by_key(|f| (f.crash, f.node));
 
     for e in &cap.events {
-        let EventKind::Fault(ev) = &e.kind else {
+        let EventKind::Fault(ev) = e.kind.resolve(&cap.tables) else {
             continue;
         };
-        let FaultEvent::Recovery { action, detail, .. } = &**ev else {
+        let FaultEvent::Recovery { action, detail, .. } = ev else {
             continue;
         };
         let t = e.start;
@@ -154,25 +154,30 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcbd_simnet::{NodeId, Pid, ProcStats, TraceEvent};
+    use hpcbd_simnet::{NodeId, Pid, ProcStats, TraceEvent, TraceTables};
 
     fn fault_capture() -> RunCapture {
-        let at = |t: u64, kind: EventKind| TraceEvent {
+        let mut tables = TraceTables::default();
+        let mut at = |t: u64, ev: FaultEvent| TraceEvent {
             pid: Pid(0),
             start: SimTime(t),
             end: SimTime(t),
-            kind,
+            kind: EventKind::Fault(tables.push_fault(ev)),
         };
-        let rec = |t: u64, action: &'static str, detail: u64| {
-            at(
-                t,
-                EventKind::Fault(Box::new(FaultEvent::Recovery {
-                    runtime: "mpi",
-                    action,
-                    detail,
-                })),
-            )
+        let rec = |action: &'static str, detail: u64| FaultEvent::Recovery {
+            runtime: "mpi",
+            action,
+            detail,
         };
+        let events = vec![
+            // Crash back-dated to t=1000; duplicate record later.
+            at(1_000, FaultEvent::NodeCrash { node: NodeId(1) }),
+            at(1_400, FaultEvent::NodeCrash { node: NodeId(1) }),
+            at(1_500, rec("rank_failure_detected", 1)),
+            at(2_000, rec("checkpoint_restart", 3)),
+            at(2_200, rec("checkpoint_restart", 3)),
+            at(2_500, rec("task_retry", 7)),
+        ];
         RunCapture {
             proc_names: vec!["a".into()],
             proc_nodes: vec![NodeId(0)],
@@ -184,21 +189,8 @@ mod tests {
             telemetry_interval: None,
             metric_points: Vec::new(),
             host_profile: None,
-            events: vec![
-                // Crash back-dated to t=1000; duplicate record later.
-                at(
-                    1_000,
-                    EventKind::Fault(Box::new(FaultEvent::NodeCrash { node: NodeId(1) })),
-                ),
-                at(
-                    1_400,
-                    EventKind::Fault(Box::new(FaultEvent::NodeCrash { node: NodeId(1) })),
-                ),
-                rec(1_500, "rank_failure_detected", 1),
-                rec(2_000, "checkpoint_restart", 3),
-                rec(2_200, "checkpoint_restart", 3),
-                rec(2_500, "task_retry", 7),
-            ],
+            events,
+            tables,
         }
     }
 
@@ -221,17 +213,18 @@ mod tests {
     #[test]
     fn recovery_before_any_crash_is_unattributed() {
         let mut cap = fault_capture();
+        let f = cap.tables.push_fault(FaultEvent::Recovery {
+            runtime: "spark",
+            action: "speculative_task",
+            detail: 4,
+        });
         cap.events.insert(
             0,
             TraceEvent {
                 pid: Pid(0),
                 start: SimTime(10),
                 end: SimTime(10),
-                kind: EventKind::Fault(Box::new(FaultEvent::Recovery {
-                    runtime: "spark",
-                    action: "speculative_task",
-                    detail: 4,
-                })),
+                kind: EventKind::Fault(f),
             },
         );
         let s = recovery_slos(&cap);

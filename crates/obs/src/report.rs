@@ -169,7 +169,7 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
     let mut hist_phase_ns = Histogram::default();
     let mut hist_recv_ns = Histogram::default();
     for e in &cap.events {
-        match &e.kind {
+        match e.kind.resolve(&cap.tables) {
             EventKind::Phase { label, .. } => {
                 let d = (e.end - e.start).nanos();
                 hist_phase_ns.add(d);
@@ -177,7 +177,7 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
                 slot.0 += 1;
                 slot.1 += d;
             }
-            EventKind::Send { bytes, .. } => hist_msg_bytes.add(*bytes),
+            EventKind::Send { bytes, .. } => hist_msg_bytes.add(bytes),
             EventKind::Recv { .. } => hist_recv_ns.add((e.end - e.start).nanos()),
             _ => {}
         }
@@ -576,15 +576,46 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcbd_simnet::{NodeId, Pid, TraceEvent};
+    use hpcbd_simnet::{NodeId, Pid, ResolvedKind, TraceEvent, TraceTables};
 
     fn small_capture() -> RunCapture {
-        let ev = |pid: u32, start: u64, end: u64, kind: EventKind| TraceEvent {
+        let ev = |pid: u32, start: u64, end: u64, kind: ResolvedKind<'static>| TraceEvent {
             pid: Pid(pid),
             start: SimTime(start),
             end: SimTime(end),
             kind,
         };
+        let (events, tables) = TraceTables::store_all([
+            ev(
+                0,
+                0,
+                50,
+                EventKind::Phase {
+                    label: "work/iter/0",
+                    depth: 0,
+                },
+            ),
+            ev(0, 0, 40, EventKind::Compute),
+            ev(
+                0,
+                40,
+                50,
+                EventKind::Send {
+                    dst: Pid(1),
+                    bytes: 1024,
+                },
+            ),
+            ev(
+                1,
+                0,
+                80,
+                EventKind::Recv {
+                    src: Pid(0),
+                    bytes: 1024,
+                },
+            ),
+            ev(1, 80, 100, EventKind::DiskWrite { bytes: 4096 }),
+        ]);
         RunCapture {
             proc_names: vec!["a".into(), "b".into()],
             proc_nodes: vec![NodeId(0), NodeId(1)],
@@ -596,37 +627,8 @@ mod tests {
             telemetry_interval: None,
             metric_points: Vec::new(),
             host_profile: None,
-            events: vec![
-                ev(
-                    0,
-                    0,
-                    50,
-                    EventKind::Phase {
-                        label: "work/iter/0".into(),
-                        depth: 0,
-                    },
-                ),
-                ev(0, 0, 40, EventKind::Compute),
-                ev(
-                    0,
-                    40,
-                    50,
-                    EventKind::Send {
-                        dst: Pid(1),
-                        bytes: 1024,
-                    },
-                ),
-                ev(
-                    1,
-                    0,
-                    80,
-                    EventKind::Recv {
-                        src: Pid(0),
-                        bytes: 1024,
-                    },
-                ),
-                ev(1, 80, 100, EventKind::DiskWrite { bytes: 4096 }),
-            ],
+            events,
+            tables,
         }
     }
 
@@ -712,15 +714,14 @@ mod tests {
         );
 
         let mut cap = small_capture();
-        let fault = |t: u64, ev: FaultEvent| TraceEvent {
+        let mut fault = |t: u64, ev: FaultEvent| TraceEvent {
             pid: Pid(0),
             start: SimTime(t),
             end: SimTime(t),
-            kind: EventKind::Fault(Box::new(ev)),
+            kind: EventKind::Fault(cap.tables.push_fault(ev)),
         };
-        cap.events
-            .push(fault(10, FaultEvent::NodeCrash { node: NodeId(1) }));
-        cap.events.push(fault(
+        let mut events = vec![fault(10, FaultEvent::NodeCrash { node: NodeId(1) })];
+        events.push(fault(
             20,
             FaultEvent::Recovery {
                 runtime: "mpi",
@@ -728,7 +729,7 @@ mod tests {
                 detail: 1,
             },
         ));
-        cap.events.push(fault(
+        events.push(fault(
             30,
             FaultEvent::Recovery {
                 runtime: "mpi",
@@ -736,6 +737,7 @@ mod tests {
                 detail: 2,
             },
         ));
+        cap.events.extend(events);
         let faulty = RunReport::from_captures("unit", true, &[cap]);
         let v = JsonValue::parse(&faulty.to_json()).unwrap();
         let rec = v.get("runs").unwrap().as_arr().unwrap()[0]

@@ -10,7 +10,9 @@ use hpcbd_obs::{
     Telemetry,
 };
 use hpcbd_simnet::observe::RunCapture;
-use hpcbd_simnet::{json_escape, EventKind, NodeId, Pid, ProcStats, SimTime, Trace, TraceEvent};
+use hpcbd_simnet::{
+    json_escape, EventKind, NodeId, Pid, ProcStats, SimTime, Trace, TraceEvent, TraceTables,
+};
 use proptest::prelude::*;
 
 /// The previous `match_events`, kept verbatim as the reference (std
@@ -68,9 +70,10 @@ fn oracle_perfetto(cap: &RunCapture, graph: &CausalGraph, telemetry: Option<&Tel
         out.push_str(&line);
     };
     for e in &cap.events {
-        let name: &str = match &e.kind {
+        let kind = e.kind.resolve(&cap.tables);
+        let name: &str = match kind {
             EventKind::Phase { label, .. } => label,
-            _ => e.kind.label(),
+            _ => kind.label(),
         };
         let proc = cap
             .proc_names
@@ -81,7 +84,7 @@ fn oracle_perfetto(cap: &RunCapture, graph: &CausalGraph, telemetry: Option<&Tel
             format!(
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"{}\"}}}}",
                 json_escape(name),
-                e.kind.label(),
+                kind.label(),
                 us(e.start.nanos()),
                 us(e.end.nanos().saturating_sub(e.start.nanos())),
                 e.pid.0,
@@ -153,8 +156,8 @@ fn oracle_perfetto(cap: &RunCapture, graph: &CausalGraph, telemetry: Option<&Tel
 }
 
 /// Random events on three processes, recorded in generation order and
-/// returned in export order.
-fn sorted(specs: &[(u32, u32, u64, u64, u8)]) -> Vec<TraceEvent> {
+/// returned in export order with the tables they refer to.
+fn sorted(specs: &[(u32, u32, u64, u64, u8)]) -> (Vec<TraceEvent>, TraceTables) {
     let t = Trace::new();
     for &(pid, peer, start, len, sel) in specs {
         let bytes = 64 << (sel % 2);
@@ -168,14 +171,14 @@ fn sorted(specs: &[(u32, u32, u64, u64, u8)]) -> Vec<TraceEvent> {
                 bytes,
             },
             5 => EventKind::Phase {
-                label: "tenant \"a\"/job".into(),
+                label: "tenant \"a\"/job",
                 depth: peer,
             },
             _ => EventKind::Compute,
         };
         t.record(Pid(pid), SimTime(start), SimTime(start + len), kind);
     }
-    t.sorted_events()
+    (t.sorted_events(), t.tables())
 }
 
 proptest! {
@@ -190,7 +193,7 @@ proptest! {
         specs in collection::vec((0u32..3, 0u32..3, 0u64..1 << 50, 0u64..1 << 20, 0u8..6), 0..80),
         samples in collection::vec((0u64..200, 0u64..1 << 40), 1..40),
     ) {
-        let events = sorted(&specs);
+        let (events, tables) = sorted(&specs);
         let reg = Registry::new();
         for &(t, v) in &samples {
             reg.counter_add("util", "disk=\"sda\"", t, v);
@@ -209,6 +212,7 @@ proptest! {
             cluster_nodes: 1,
             dropped_msgs: 0,
             events,
+            tables,
             telemetry_interval: Some(10),
             metric_points: Vec::new(),
             host_profile: None,
@@ -234,7 +238,7 @@ proptest! {
         // (pid, peer, start, len, selector) per event.
         specs in collection::vec((0u32..3, 0u32..3, 0u64..20, 0u64..8, 0u8..5), 0..160),
     ) {
-        let events = sorted(&specs);
+        let (events, _) = sorted(&specs);
         let g = match_events(&events);
         let (edges, unmatched, send_of_recv) = oracle_match(&events);
         prop_assert_eq!(&g.edges, &edges);

@@ -9,12 +9,12 @@
 //!
 //! * [`queue`] — named queues with weights/caps, per-node slot ledger,
 //!   deterministic preemption-victim selection, fairness integrals;
-//! * [`arrivals`] — seeded open-loop Poisson and diurnal arrival
+//! * [`arrivals`](mod@arrivals) — seeded open-loop Poisson and diurnal arrival
 //!   processes, generated before the run so the offered load is a pure
 //!   function of the seed;
 //! * [`job`] — the wave/task/segment job model runtimes compile their
 //!   workloads into;
-//! * [`scheduler`] — the in-sim scheduler process, slot workers, delay
+//! * [`scheduler`](mod@scheduler) — the in-sim scheduler process, slot workers, delay
 //!   scheduling and kill/re-queue preemption protocol;
 //! * [`scenario`] — glue that assembles a cluster, a queue table and a
 //!   set of traffic sources into one deterministic simulation.

@@ -2,7 +2,7 @@
 //! in one simulation.
 //!
 //! A scenario pre-computes every traffic source's arrival trace (a pure
-//! function of the seed — see [`crate::arrivals`]), pre-spawns the slot
+//! function of the seed — see [`crate::arrivals`](mod@crate::arrivals)), pre-spawns the slot
 //! workers and scheduler (the engine's process table is fixed at run
 //! start), runs the simulation, and returns the scheduler's
 //! [`SchedStats`].

@@ -832,7 +832,7 @@ fn try_preempt(ctx: &mut ProcCtx, st: &mut State, qi: usize) {
 
 /// The open-loop submitter body: sleep to each arrival instant, then
 /// submit. The whole trace is computed before the run (see
-/// [`crate::arrivals`]), so the offered load never reacts to the
+/// [`crate::arrivals`](mod@crate::arrivals)), so the offered load never reacts to the
 /// system — the definition of open-loop.
 pub fn submitter(ctx: &mut ProcCtx, sched: Pid, control: Transport, trace: Vec<(u64, JobSpec)>) {
     for (i, (at_ns, spec)) in trace.into_iter().enumerate() {

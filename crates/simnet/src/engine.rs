@@ -1,7 +1,7 @@
 //! The conservative virtual-time execution engine.
 //!
-//! Every simulated process is a stackful coroutine ([`crate::coro`])
-//! executing real Rust code — a few hundred KiB of lazily-paged stack
+//! Every simulated process is a stackful coroutine (the private `coro`
+//! module) executing real Rust code — a few hundred KiB of lazily-paged stack
 //! instead of the 2 MiB OS thread of earlier versions, which is what
 //! lets a full SDSC Comet (1984 nodes x 24 ≈ 48k processes) run on a
 //! laptop-class host. The engine enforces a single invariant:
@@ -11,7 +11,7 @@
 //! those commit windows are totally ordered.** The commit token is
 //! passed through explicit per-process wakers: a wake stores the grant
 //! in the process's slot and leaves its coroutine in the engine's
-//! run-next cell (see [`Engine::enqueue_resume`]); parking is an
+//! run-next cell, which the resume loop empties; parking is an
 //! in-process context switch, not a condvar wait. The ready queue is a
 //! calendar bucket queue ([`crate::queue::CalendarQueue`]) ordered by
 //! `(virtual time, pid, generation)`, a key chosen to be independent of
@@ -34,32 +34,26 @@
 //!
 //! # Host-performance structure (DESIGN.md §9)
 //!
-//! Shared engine state is split by owner:
+//! The engine is single-threaded by construction: the thread that
+//! called [`Sim::run`] resumes every coroutine, process bodies are not
+//! `Send`, and a [`ProcCtx`] holds its engine through an `Rc`. So no
+//! engine state is behind a lock or an atomic; every mutation happens
+//! inside a commit window (token held), which orders it, and a
+//! `RefCell` borrow never outlives a switch-out. State is split by
+//! owner:
 //!
 //! * `sched` — the scheduler state proper (ready queue, token,
-//!   per-process scheduling cells). The only lock on the align/dispatch
-//!   path, with an O(1)-amortized calendar queue behind it and a
-//!   *self-grant fast path* that skips the queue and the park/wake
-//!   round-trip entirely when the aligning process is already globally
-//!   minimal.
-//! * per-process mail shards — mailbox, final stats and finish time.
-//!   Mailbox scans (`recv` matching, `try_recv` polling) touch only the
-//!   owning process's shard.
+//!   per-process scheduling cells), with an O(1)-amortized calendar
+//!   queue and a *self-grant fast path* that skips the queue and the
+//!   park/wake round-trip entirely when the aligning process is already
+//!   globally minimal.
+//! * per-process mail shards — mailbox, final stats, finish time and
+//!   return value. Mailbox scans (`recv` matching, `try_recv` polling)
+//!   touch only the owning process's shard.
 //! * per-node device cells — NIC and scratch-disk next-free times; a
-//!   separate cell for the shared NFS server. They are only ever touched
-//!   with the commit token held, which already orders every access, so
-//!   they are plain atomics read and written without a lock or an RMW.
-//! * per-process waker slots — one atomic state word per process
-//!   (running, parked, value pending): a wake is one swap, a park's
-//!   publish one compare-exchange ([`Slot`]).
-//!
-//! Every mutation of this state happens inside a commit window (token
-//! held), so no lock ever arbitrates between two threads: the locks
-//! and atomics exist because the thread coroutine backend runs process
-//! bodies on their own OS threads, which makes the engine `Sync`. An
-//! uncontended lock/unlock pair costs about 18 ns on a 2-core x86-64
-//! host, so on an engine-bound run the `sched` lock and the mail shards
-//! are a measurable share of the host time (DESIGN.md §9).
+//!   separate cell for the shared NFS server.
+//! * per-process waker slots — one state word per process (running,
+//!   parked, value pending) and the wake value it guards.
 //!
 //! Trace events are buffered in a per-process `Vec` and merged at
 //! export ([`crate::trace::Trace`]), so tracing costs one `Vec::push`
@@ -70,12 +64,11 @@
 //! section on a 2-core host (DESIGN.md §9).
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::cost::Work;
 use crate::error::{DeadlockNote, RecvTimeout};
@@ -140,23 +133,11 @@ impl World {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 enum WakeReason {
     Turn,
     Message,
     Timeout,
     Deadlock,
-}
-
-impl WakeReason {
-    fn from_u8(v: u8) -> WakeReason {
-        match v {
-            0 => WakeReason::Turn,
-            1 => WakeReason::Message,
-            2 => WakeReason::Timeout,
-            _ => WakeReason::Deadlock,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -171,95 +152,74 @@ enum Status {
 }
 
 /// Per-process waker slot: one state word and the wake value it
-/// guards. The state is [`RUNNING`] while the coroutine executes (or is
-/// switching out), [`PARKED`] once the resume loop has published the
-/// suspension, and [`VALUE`] while a wake value waits to be consumed.
-/// Every transition is a single atomic operation, so a blocking cycle
-/// costs two read-modify-writes (the wake's swap, the resume loop's
-/// compare-exchange) and no lock.
-///
-/// * **No lost wakeup.** [`Slot::wake`] and [`Slot::publish_park`]
-///   both act on `state` in one RMW, so exactly one of them sees the
-///   other: a wake that lands before the publish turns it into a failed
-///   compare-exchange (the resume loop re-enqueues), one that lands after
-///   finds [`PARKED`] (the waker enqueues).
-/// * **Ordering.** The coroutine's saved context reaches its next
-///   resume through the resume loop's `Release` compare-exchange, the
-///   waker's `Acquire` swap, and the resume path's release/acquire pair
-///   ([`Engine::enqueue_resume`]). The value fields are written before
-///   the waker's `Release` swap and read after [`Slot::park`]'s
-///   `Acquire` load. The `RUNNING` store that consumes a value needs no
-///   ordering of its own: the next wake is issued only after this
-///   process pushes a new queue entry under the `sched` lock.
+/// guards. The state is [`SlotState::Running`] while the coroutine
+/// executes, [`SlotState::Parked`] while it is suspended with nothing
+/// pending, and [`SlotState::Value`] while a wake value waits to be
+/// consumed. A wake that finds the
+/// coroutine running (it granted itself between pushing its ready-queue
+/// entry and parking) only stores the value, which the running park
+/// consumes without suspending; a wake that finds it parked must
+/// enqueue it for the resume loop.
 struct Slot {
-    state: AtomicU8,
-    /// The pending wake's clock, in nanoseconds.
-    clock: AtomicU64,
-    /// The pending wake's [`WakeReason`], as `u8`.
-    reason: AtomicU8,
+    state: Cell<SlotState>,
+    /// The pending wake's clock.
+    clock: Cell<SimTime>,
+    /// The pending wake's reason.
+    reason: Cell<WakeReason>,
 }
 
-/// [`Slot`] state: the coroutine runs, or is switching out.
-const RUNNING: u8 = 0;
-/// [`Slot`] state: suspended with no value; a wake must enqueue it.
-const PARKED: u8 = 1;
-/// [`Slot`] state: a wake value is pending.
-const VALUE: u8 = 2;
+/// [`Slot`] states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotState {
+    /// The coroutine runs.
+    Running,
+    /// Suspended with no value; a wake must enqueue it.
+    Parked,
+    /// A wake value is pending.
+    Value,
+}
 
 impl Slot {
-    /// A slot in the [`PARKED`] state: a coroutine first runs when its
+    /// A slot in the [`SlotState::Parked`] state: a coroutine first runs when its
     /// first wake enqueues it.
     fn new() -> Slot {
         Slot {
-            state: AtomicU8::new(PARKED),
-            clock: AtomicU64::new(0),
-            reason: AtomicU8::new(WakeReason::Turn as u8),
+            state: Cell::new(SlotState::Parked),
+            clock: Cell::new(SimTime::ZERO),
+            reason: Cell::new(WakeReason::Turn),
         }
     }
 
     /// Store a wake value. Returns true iff the coroutine was parked,
     /// i.e. the caller must enqueue it for resumption; otherwise it is
-    /// running and consumes the value itself ([`Slot::park`]) or the
-    /// resume loop's publish fails and re-enqueues it.
+    /// running and consumes the value itself ([`Slot::park`]).
     fn wake(&self, clock: SimTime, reason: WakeReason) -> bool {
-        self.clock.store(clock.nanos(), Ordering::Relaxed);
-        self.reason.store(reason as u8, Ordering::Relaxed);
-        let old = self.state.swap(VALUE, Ordering::AcqRel);
-        debug_assert_ne!(old, VALUE, "second wake before park");
-        old == PARKED
+        self.clock.set(clock);
+        self.reason.set(reason);
+        let old = self.state.replace(SlotState::Value);
+        debug_assert_ne!(old, SlotState::Value, "second wake before park");
+        old == SlotState::Parked
     }
 
     /// Wait (in the coroutine sense) until a wake value is available.
-    /// Must run inside this process's coroutine. If the value raced in
-    /// between the caller's last visible operation and this park, it is
-    /// consumed without suspending at all.
+    /// Must run inside this process's coroutine. If the value is already
+    /// there, it is consumed without suspending at all. Nothing runs
+    /// between marking the slot parked and the switch-out, so a wake
+    /// cannot slip in unseen.
     fn park(&self) -> (SimTime, WakeReason) {
-        loop {
-            if self.state.load(Ordering::Acquire) == VALUE {
-                let v = (
-                    SimTime(self.clock.load(Ordering::Relaxed)),
-                    WakeReason::from_u8(self.reason.load(Ordering::Relaxed)),
-                );
-                self.state.store(RUNNING, Ordering::Relaxed);
-                return v;
-            }
+        while self.state.get() != SlotState::Value {
+            self.state.set(SlotState::Parked);
+            crate::selfprof::host_count(crate::selfprof::HostOp::Park);
             crate::coro::suspend();
         }
-    }
-
-    /// Publish a switched-out coroutine as parked. Returns false if a
-    /// wake raced in between its last state check and its context save:
-    /// the waker saw [`RUNNING`] and left the re-enqueue to the caller.
-    fn publish_park(&self) -> bool {
-        self.state
-            .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        self.state.set(SlotState::Running);
+        (self.clock.get(), self.reason.get())
     }
 }
 
 /// Scheduling cell of one process: the fields the dispatcher reads and
-/// writes under the `sched` lock. Everything else a process owns lives in
-/// its [`ProcShard`] (mail lock) or its `ProcCtx` (no lock at all).
+/// writes through the `sched` borrow. Everything else a process owns
+/// lives in its [`ProcShard`] or its `ProcCtx`.
 struct SchedProc {
     clock: SimTime,
     gen: u64,
@@ -267,7 +227,7 @@ struct SchedProc {
     wake_reason: WakeReason,
 }
 
-/// Scheduler state: the single lock on the align/dispatch hot path.
+/// Scheduler state: the one `RefCell` on the align/dispatch hot path.
 struct Sched {
     procs: Vec<SchedProc>,
     runnable: CalendarQueue,
@@ -282,7 +242,7 @@ struct Sched {
 
 impl Sched {
     /// Push `pid` as runnable at `time`, invalidating any earlier entry
-    /// for it. Caller holds the sched lock.
+    /// for it. Caller holds the `sched` borrow.
     fn push(&mut self, pid: Pid, time: SimTime) {
         crate::selfprof::host_count(crate::selfprof::HostOp::QueuePush);
         let p = &mut self.procs[pid.index()];
@@ -296,20 +256,20 @@ impl Sched {
 type PanicRecord = (Pid, String, bool);
 
 /// Per-process shard: everything a process owns that other processes
-/// only touch inside commit windows. The mail lock is effectively
-/// uncontended — the commit token already serializes every access — and
-/// exists to satisfy `Sync`, not to arbitrate.
+/// only touch inside commit windows.
 struct ProcShard {
     name: String,
     node: NodeId,
     slot: Slot,
-    mail: Mutex<Mail>,
+    mail: RefCell<Mail>,
 }
 
 struct Mail {
-    mailbox: std::collections::VecDeque<Message>,
+    mailbox: VecDeque<Message>,
     finish: Option<SimTime>,
     stats: ProcStats,
+    /// The closure's return value, once it returned.
+    result: Option<Box<dyn Any>>,
 }
 
 /// A device next-free cell, as [`Engine::reserve_cell`] addresses it.
@@ -324,31 +284,26 @@ enum DeviceCell {
 }
 
 /// Per-node device state: next-free times of the node's NIC and scratch
-/// disk, in nanoseconds. Touched only by processes on (or transferring
-/// from) this node, inside commit windows: the commit token serializes
-/// every access, so the cells are atomics only for `Sync` and are read
-/// and written with plain `Relaxed` loads and stores (see
-/// [`Engine::reserve_cell`]).
+/// disk. Touched only by processes on (or transferring from) this node,
+/// inside commit windows (see [`Engine::reserve_cell`]).
 struct NodeRes {
-    nic_free: AtomicU64,
-    disk_free: AtomicU64,
+    nic_free: Cell<SimTime>,
+    disk_free: Cell<SimTime>,
 }
 
 struct Engine {
-    sched: Mutex<Sched>,
+    sched: RefCell<Sched>,
     shards: Vec<ProcShard>,
     nodes: Vec<NodeRes>,
-    /// Next-free time of the shared NFS server; token-serialized like
-    /// the [`NodeRes`] cells.
-    nfs_free: AtomicU64,
+    /// Next-free time of the shared NFS server.
+    nfs_free: Cell<SimTime>,
     /// Messages sent to processes that had already finished.
-    /// Token-serialized; atomic only for `Sync`.
-    dropped_msgs: AtomicU64,
+    dropped_msgs: Cell<u64>,
     /// Sequence numbers handed to inter-node messages for the fault
     /// plan's drop hash. Incremented inside send commit windows, which
     /// are totally ordered — the basis of faulty-run bit-determinism.
     /// Only advanced when the plan actually enables drops.
-    fault_seq: AtomicU64,
+    fault_seq: Cell<u64>,
     /// Telemetry sampling interval resolved at run start (`None` off).
     /// Per-process contexts copy it into a `bool`; the report carries it
     /// so the observability layer knows the tick (see
@@ -357,34 +312,29 @@ struct Engine {
     /// Metric points absorbed from per-process buffers at finish.
     /// Export order is recovered by [`crate::telemetry::sort_points`],
     /// so the wall-clock absorb order is irrelevant.
-    metric_sink: Mutex<Vec<crate::telemetry::MetricPoint>>,
-    /// The run-next cell: `0` when empty, else `pid + 1` of a coroutine
-    /// with a pending wake value, which [`Engine::drive`] resumes as soon
-    /// as the running one switches out.
-    next: AtomicU32,
+    metric_sink: RefCell<Vec<crate::telemetry::MetricPoint>>,
+    /// The run-next cell: a parked coroutine with a pending wake value,
+    /// which [`Engine::drive`] resumes as soon as the running one
+    /// switches out.
+    next: Cell<Option<Pid>>,
     /// Overflow of the cell: wakes issued while it was full, which only
     /// deadlock teardown does (it wakes every blocked process from one
     /// dispatch). Drained after the cell, in push order.
-    resume: Mutex<VecDeque<Pid>>,
-    /// Length of `resume`, written under its lock. Read without it (hence
-    /// `Relaxed`: a hint that publishes nothing) so that the resume loop
-    /// finding the cell empty takes no lock.
-    resume_len: AtomicUsize,
+    resume: RefCell<VecDeque<Pid>>,
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Acquisitions of the `resume` lock made on this thread.
-    static RESUME_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Pushes onto the `resume` overflow queue made on this thread.
+    static RESUME_OVERFLOWS: Cell<u64> = const { Cell::new(0) };
 }
 
 impl Engine {
     /// Hand `pid` a wake value, enqueuing its coroutine for resumption
-    /// if it is parked. If the coroutine is currently running (e.g. it
+    /// if it is parked. If the coroutine is currently running (it
     /// granted itself between pushing its ready-queue entry and
-    /// parking), the value alone suffices: its park loop consumes it
-    /// without suspending, or the resume loop re-enqueues it at
-    /// switch-out.
+    /// parking), the value alone suffices: its park consumes it without
+    /// suspending.
     fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
         if self.shards[pid.index()].slot.wake(clock, reason) {
@@ -394,81 +344,37 @@ impl Engine {
 
     /// Make `pid`'s coroutine (parked, wake value pending) the next one
     /// [`Engine::drive`] resumes: the run-next cell, or the overflow
-    /// queue when the cell is full. A wake takes no lock unless it
-    /// overflows.
-    ///
-    /// **Ordering.** [`Engine::wake`] enqueues only a coroutine whose
-    /// switch-out already published [`PARKED`] with a `Release`
-    /// compare-exchange after saving its context, and the wake's
-    /// `Acquire` swap read that state ([`Slot`]); the `Release` store
-    /// below and the `Acquire` swap that empties the cell carry it on to
-    /// the resume loop (the `resume` mutex does the same on the overflow
-    /// path). Under the thread coroutine backend the waker is a process
-    /// body's own OS thread, which is why the cell is atomic.
+    /// queue when the cell is full.
     fn enqueue_resume(&self, pid: Pid) {
-        // Only the running coroutine (or the resume loop between two
-        // resumes) fills the cell: empty now means empty until the store.
-        if self.next.load(Ordering::Relaxed) == 0 {
-            self.next.store(pid.0 + 1, Ordering::Release);
+        if self.next.get().is_none() {
+            self.next.set(Some(pid));
             return;
         }
-        let mut q = self.lock_resume();
-        q.push_back(pid);
-        self.resume_len.store(q.len(), Ordering::Relaxed);
-    }
-
-    fn lock_resume(&self) -> MutexGuard<'_, VecDeque<Pid>> {
         #[cfg(test)]
-        RESUME_LOCKS.with(|c| c.set(c.get() + 1));
-        self.resume.lock()
+        RESUME_OVERFLOWS.with(|c| c.set(c.get() + 1));
+        self.resume.borrow_mut().push_back(pid);
     }
 
-    /// The next coroutine to resume: the run-next cell, then the
-    /// overflow queue. `None` once both are empty, which ends the run:
-    /// every live process is either running (and it is not, since the
-    /// resume loop is asking) or has a wake pending in one of the two.
-    fn next_resume(&self) -> Option<Pid> {
-        if self.next.load(Ordering::Relaxed) != 0 {
-            let v = self.next.swap(0, Ordering::Acquire);
-            if v != 0 {
-                return Some(Pid(v - 1));
-            }
-        }
-        if self.resume_len.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        let mut q = self.lock_resume();
-        let pid = q.pop_front();
-        self.resume_len.store(q.len(), Ordering::Relaxed);
-        pid
-    }
-
-    /// The resume loop: resume coroutines as [`Engine::next_resume`]
-    /// hands them out, each until its next suspension, on the thread that
-    /// called [`Sim::run`]. Returns when nothing is left to resume.
+    /// The resume loop: resume coroutines as the run-next cell, then the
+    /// overflow queue, hand them out, each until its next suspension, on
+    /// the thread that called [`Sim::run`]. Returns when both are empty,
+    /// which ends the run: every live process is either running (and it
+    /// is not, since the resume loop is asking) or has a wake pending in
+    /// one of the two.
     fn drive(&self, coros: &crate::coro::Coroutines) {
-        while let Some(pid) = self.next_resume() {
+        while let Some(pid) = self
+            .next
+            .take()
+            .or_else(|| self.resume.borrow_mut().pop_front())
+        {
             crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
-            match coros.resume(pid.index()) {
-                crate::coro::SwitchOut::Done => {}
-                crate::coro::SwitchOut::Parked => {
-                    // Publish the parked state — or, if a wake raced in
-                    // between the coroutine's last state check and its
-                    // context save, re-enqueue it (the waker saw
-                    // `RUNNING` and deliberately left that to us).
-                    if self.shards[pid.index()].slot.publish_park() {
-                        crate::selfprof::host_count(crate::selfprof::HostOp::Park);
-                    } else {
-                        self.enqueue_resume(pid);
-                    }
-                }
-            }
+            coros.resume(pid.index());
         }
     }
 
     /// Grant the commit token to the next runnable process; with none
     /// left and processes still live, declare a deadlock. Caller holds
-    /// the sched lock. Idempotent: safe to call after any state change
+    /// the `sched` borrow. Idempotent: safe to call after any state change
     /// that might enable a grant.
     fn try_dispatch(&self, g: &mut Sched) {
         if g.turn.is_some() || g.deadlocked {
@@ -546,14 +452,14 @@ impl Engine {
     }
 
     /// Deliver a message, waking the destination if it is blocked on a
-    /// matching receive. Caller holds the sched lock (and the commit
+    /// matching receive. Caller holds the `sched` borrow (and the commit
     /// token).
     fn deliver(&self, g: &mut Sched, dst: Pid, msg: Message) {
         let arrival = msg.arrival;
         let p = &mut g.procs[dst.index()];
         match &p.status {
             Status::Done => {
-                self.dropped_msgs.fetch_add(1, Ordering::Relaxed);
+                self.dropped_msgs.set(self.dropped_msgs.get() + 1);
             }
             Status::Blocked { spec, .. } if spec.matches(&msg) => {
                 p.status = Status::Ready;
@@ -561,28 +467,34 @@ impl Engine {
                 // Clock stays at the block-time value; the receiver
                 // recomputes its resume clock from the matched message.
                 let t = p.clock.max(arrival);
-                self.shards[dst.index()].mail.lock().mailbox.push_back(msg);
+                self.shards[dst.index()]
+                    .mail
+                    .borrow_mut()
+                    .mailbox
+                    .push_back(msg);
                 Sched::push(g, dst, t);
             }
             _ => {
-                self.shards[dst.index()].mail.lock().mailbox.push_back(msg);
+                self.shards[dst.index()]
+                    .mail
+                    .borrow_mut()
+                    .mailbox
+                    .push_back(msg);
             }
         }
     }
 
     /// Reserve `dur` on a device cell starting no earlier than `at`;
-    /// returns the completion time. Caller holds the commit token, whose
-    /// hand-off through the `sched` lock and the waker slot orders every
-    /// access to the cell (as it does for `dropped_msgs` and
-    /// `fault_seq`): a load and a store, no read-modify-write.
+    /// returns the completion time. Caller holds the commit token, which
+    /// orders every reservation in virtual time.
     fn reserve_cell(&self, cell: DeviceCell, at: SimTime, dur: SimDuration) -> SimTime {
         let free = match cell {
             DeviceCell::Nic(n) => &self.nodes[n.index()].nic_free,
             DeviceCell::Disk(n) => &self.nodes[n.index()].disk_free,
             DeviceCell::Nfs => &self.nfs_free,
         };
-        let end = at.max(SimTime(free.load(Ordering::Relaxed))) + dur;
-        free.store(end.nanos(), Ordering::Relaxed);
+        let end = at.max(free.get()) + dur;
+        free.set(end);
         end
     }
 }
@@ -590,10 +502,12 @@ impl Engine {
 /// Per-process context handed to each process closure. All simulation
 /// operations go through this handle. Engine, trace and fault-plan
 /// handles are resolved once at spawn — the hot path clones no `Arc`s.
+/// Not `Send`: it lives on its process's coroutine, on the thread that
+/// runs the simulation.
 pub struct ProcCtx {
-    engine: Arc<Engine>,
+    engine: Rc<Engine>,
     world: Arc<World>,
-    proc_nodes: Arc<Vec<NodeId>>,
+    proc_nodes: Rc<[NodeId]>,
     pid: Pid,
     node: NodeId,
     clock: SimTime,
@@ -605,9 +519,12 @@ pub struct ProcCtx {
     /// Per-process append-only trace buffer; merged into the shared
     /// [`crate::trace::Trace`] once, at process finish.
     trace_buf: Vec<TraceEvent>,
+    /// The phase labels and fault events `trace_buf` refers to; merged
+    /// with it.
+    trace_tables: crate::trace::TraceTables,
     /// Open phase spans: `(label, open time)`, innermost last. Always
     /// empty when tracing is off (the span API is a no-op then).
-    span_stack: Vec<(Arc<str>, SimTime)>,
+    span_stack: Vec<(crate::trace::Label, SimTime)>,
     /// Whether telemetry is enabled for this run (resolved at spawn).
     telemetry: bool,
     /// Per-process append-only metric-point buffer; merged into the
@@ -778,9 +695,10 @@ impl ProcCtx {
     /// open when the process finishes are closed at its finish time).
     /// No-op — including the label conversion — when tracing is off.
     #[inline]
-    pub fn span_open(&mut self, label: impl Into<Arc<str>>) {
+    pub fn span_open(&mut self, label: impl AsRef<str>) {
         if self.tracing {
-            self.span_stack.push((label.into(), self.clock));
+            let label = self.trace_tables.push_label(label.as_ref());
+            self.span_stack.push((label, self.clock));
         }
     }
 
@@ -789,7 +707,8 @@ impl ProcCtx {
     #[inline]
     pub fn span_open_with(&mut self, label: impl FnOnce() -> String) {
         if self.tracing {
-            self.span_stack.push((label().into(), self.clock));
+            let label = self.trace_tables.push_label(&label());
+            self.span_stack.push((label, self.clock));
         }
     }
 
@@ -815,7 +734,7 @@ impl ProcCtx {
 
     /// Run `f` inside a phase span: `span_open(label)`, `f`, `span_close`.
     #[inline]
-    pub fn span<R>(&mut self, label: impl Into<Arc<str>>, f: impl FnOnce(&mut ProcCtx) -> R) -> R {
+    pub fn span<R>(&mut self, label: impl AsRef<str>, f: impl FnOnce(&mut ProcCtx) -> R) -> R {
         self.span_open(label);
         let out = f(self);
         self.span_close();
@@ -857,9 +776,10 @@ impl ProcCtx {
     /// SLOs (time-to-detect, time-to-recover) are measured against.
     pub fn record_fault_at(&mut self, at: SimTime, ev: crate::faults::FaultEvent) {
         self.stats.fault_events += 1;
-        // Box the payload only when the trace keeps it.
+        // Store the payload only when the trace keeps it.
         if self.tracing {
-            self.trace_push(at, at, crate::trace::EventKind::Fault(Box::new(ev)));
+            let f = self.trace_tables.push_fault(ev);
+            self.trace_push(at, at, crate::trace::EventKind::Fault(f));
         }
     }
 
@@ -912,7 +832,7 @@ impl ProcCtx {
             force_slow_path = p.defeat_fast_path(me.0, self.perturb_ops);
         }
         {
-            let mut g = self.engine.sched.lock();
+            let mut g = self.engine.sched.borrow_mut();
             if g.deadlocked {
                 return false;
             }
@@ -1071,7 +991,8 @@ impl ProcCtx {
                     None => {}
                 }
                 if plan.has_drops() {
-                    let seq = self.engine.fault_seq.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.engine.fault_seq.get();
+                    self.engine.fault_seq.set(seq + 1);
                     if plan.should_drop(seq) {
                         let delay = plan.retransmit();
                         arrival += delay;
@@ -1092,12 +1013,12 @@ impl ProcCtx {
             arrival,
             recv_cost,
         };
-        let mut g = self.engine.sched.lock();
+        let mut g = self.engine.sched.borrow_mut();
         self.engine.deliver(&mut g, dst, msg);
     }
 
     fn take_match(&mut self, spec: MatchSpec) -> Option<Message> {
-        let mut m = self.engine.shards[self.pid.index()].mail.lock();
+        let mut m = self.engine.shards[self.pid.index()].mail.borrow_mut();
         let best = m
             .mailbox
             .iter()
@@ -1160,7 +1081,7 @@ impl ProcCtx {
         // Block, handing the token back.
         let me = self.pid;
         {
-            let mut g = self.engine.sched.lock();
+            let mut g = self.engine.sched.borrow_mut();
             if g.deadlocked {
                 drop(g);
                 panic::panic_any(DeadlockNote(format!(
@@ -1211,7 +1132,7 @@ impl ProcCtx {
         self.become_min();
         let now = self.clock;
         let taken = {
-            let mut m = self.engine.shards[self.pid.index()].mail.lock();
+            let mut m = self.engine.shards[self.pid.index()].mail.borrow_mut();
             let best = m
                 .mailbox
                 .iter()
@@ -1388,7 +1309,7 @@ impl ProcCtx {
     }
 }
 
-type ProcFn = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any + Send> + Send>;
+type ProcFn = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any>>;
 
 struct ProcSpawn {
     node: NodeId,
@@ -1422,7 +1343,7 @@ pub struct SimReport {
     /// Per-process reports, indexed by pid.
     pub procs: Vec<ProcReport>,
     /// Per-process return values, indexed by pid.
-    results: Vec<Option<Box<dyn Any + Send>>>,
+    results: Vec<Option<Box<dyn Any>>>,
     /// Messages that were sent to already-finished processes.
     pub dropped_msgs: u64,
     /// The execution trace, when tracing was enabled.
@@ -1503,11 +1424,13 @@ impl Sim {
     }
 
     /// Register a process on `node`. Processes start at virtual time zero
-    /// in registration order. Returns the process id.
+    /// in registration order. Returns the process id. The closure runs
+    /// on the thread that calls [`Sim::run`], so neither it nor its
+    /// result needs to be `Send`.
     pub fn spawn<T, F>(&mut self, node: NodeId, name: impl Into<String>, f: F) -> Pid
     where
-        T: Send + 'static,
-        F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
+        T: 'static,
+        F: FnOnce(&mut ProcCtx) -> T + 'static,
     {
         assert!(
             node.index() < self.world.topology.len(),
@@ -1517,7 +1440,7 @@ impl Sim {
         self.spawns.push(ProcSpawn {
             node,
             name: name.into(),
-            f: Box::new(move |ctx| Box::new(f(ctx)) as Box<dyn Any + Send>),
+            f: Box::new(move |ctx| Box::new(f(ctx)) as Box<dyn Any>),
         });
         pid
     }
@@ -1552,11 +1475,11 @@ impl Sim {
         // growth from here to the end of the run.
         let selfprof_before =
             (capturing && selfprof_t0.is_some()).then(crate::selfprof::selfprof_snapshot);
-        let proc_nodes: Arc<Vec<NodeId>> = Arc::new(self.spawns.iter().map(|s| s.node).collect());
+        let proc_nodes: Rc<[NodeId]> = self.spawns.iter().map(|s| s.node).collect();
         let nodes = self.world.topology.len();
         let perturb = crate::perturb::current_perturbation();
-        let engine = Arc::new(Engine {
-            sched: Mutex::new(Sched {
+        let engine = Rc::new(Engine {
+            sched: RefCell::new(Sched {
                 procs: (0..n)
                     .map(|_| SchedProc {
                         clock: SimTime::ZERO,
@@ -1578,36 +1501,33 @@ impl Sim {
                     name: s.name.clone(),
                     node: s.node,
                     slot: Slot::new(),
-                    mail: Mutex::new(Mail {
-                        mailbox: std::collections::VecDeque::new(),
+                    mail: RefCell::new(Mail {
+                        mailbox: VecDeque::new(),
                         finish: None,
                         stats: ProcStats::default(),
+                        result: None,
                     }),
                 })
                 .collect(),
             nodes: (0..nodes)
                 .map(|_| NodeRes {
-                    nic_free: AtomicU64::new(0),
-                    disk_free: AtomicU64::new(0),
+                    nic_free: Cell::new(SimTime::ZERO),
+                    disk_free: Cell::new(SimTime::ZERO),
                 })
                 .collect(),
-            nfs_free: AtomicU64::new(0),
-            dropped_msgs: AtomicU64::new(0),
-            fault_seq: AtomicU64::new(0),
+            nfs_free: Cell::new(SimTime::ZERO),
+            dropped_msgs: Cell::new(0),
+            fault_seq: Cell::new(0),
             telemetry_interval,
-            metric_sink: Mutex::new(Vec::new()),
-            next: AtomicU32::new(0),
-            resume: Mutex::new(VecDeque::new()),
-            resume_len: AtomicUsize::new(0),
+            metric_sink: RefCell::new(Vec::new()),
+            next: Cell::new(None),
+            resume: RefCell::new(VecDeque::new()),
         });
-
-        type ResultSlots = Vec<Option<Box<dyn Any + Send>>>;
-        let results: Arc<Mutex<ResultSlots>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
 
         // One coroutine per process, each running the full process body
         // on its own lazily-paged stack. Bodies start suspended; the
         // scheduler's first wake enqueues them for the resume loop.
-        let specs: Vec<(String, Box<dyn FnOnce() + Send>)> = self
+        let bodies: Vec<Box<dyn FnOnce()>> = self
             .spawns
             .into_iter()
             .enumerate()
@@ -1616,10 +1536,8 @@ impl Sim {
                 let engine = engine.clone();
                 let world = self.world.clone();
                 let proc_nodes = proc_nodes.clone();
-                let results = results.clone();
                 let perturb = perturb.clone();
-                let name = spawn.name;
-                let body: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let body: Box<dyn FnOnce()> = Box::new(move || {
                     // Wait for the first grant.
                     let (clock, reason) = engine.shards[pid.index()].slot.park();
                     let tracing = world.trace.get().is_some();
@@ -1635,6 +1553,7 @@ impl Sim {
                         faults,
                         tracing,
                         trace_buf: Vec::new(),
+                        trace_tables: Default::default(),
                         span_stack: Vec::new(),
                         telemetry: engine.telemetry_interval.is_some(),
                         metric_buf: Vec::new(),
@@ -1650,7 +1569,7 @@ impl Sim {
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                     match outcome {
                         Ok(val) => {
-                            results.lock()[pid.index()] = Some(val);
+                            engine.shards[pid.index()].mail.borrow_mut().result = Some(val);
                             finish_proc(&engine, &mut ctx, None);
                         }
                         Err(payload) => {
@@ -1659,10 +1578,10 @@ impl Sim {
                         }
                     }
                 });
-                (name, body)
+                body
             })
             .collect();
-        let coros = crate::coro::Coroutines::build(specs);
+        let coros = crate::coro::Coroutines::build(bodies);
 
         // Enqueue every process at its start time and kick off the first
         // grant, which lands in the run-next cell. Pids go in descending
@@ -1671,7 +1590,7 @@ impl Sim {
         // where ascending order would shift the whole bucket. The pop
         // order is the same either way (the key ignores push order).
         {
-            let mut g = engine.sched.lock();
+            let mut g = engine.sched.borrow_mut();
             for i in (0..n).rev() {
                 let t = g.procs[i].clock;
                 Sched::push(&mut g, Pid(i as u32), t);
@@ -1681,7 +1600,7 @@ impl Sim {
         engine.drive(&coros);
         drop(coros);
 
-        let g = engine.sched.lock();
+        let g = engine.sched.borrow();
         // With nothing left to resume, every process must have finished:
         // a live one would be parked with no wake coming.
         assert_eq!(
@@ -1700,30 +1619,24 @@ impl Sim {
         if let Some((_, msg, _)) = g.panics.first().cloned() {
             panic!("{msg}");
         }
-        let procs = engine
+        let (procs, results) = engine
             .shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let m = s.mail.lock();
-                ProcReport {
+                let mut m = s.mail.borrow_mut();
+                let report = ProcReport {
                     pid: Pid(i as u32),
                     name: s.name.clone(),
                     node: s.node,
                     finish: m.finish.unwrap_or(g.procs[i].clock),
-                    stats: m.stats.clone(),
-                }
+                    stats: std::mem::take(&mut m.stats),
+                };
+                (report, m.result.take())
             })
-            .collect();
-        let dropped = engine.dropped_msgs.load(Ordering::Relaxed);
+            .unzip();
         drop(g);
-        let results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| {
-                let mut g = arc.lock();
-                g.iter_mut().map(|o| o.take()).collect()
-            });
-        let mut metric_points = std::mem::take(&mut *engine.metric_sink.lock());
+        let mut metric_points = engine.metric_sink.take();
         crate::telemetry::sort_points(&mut metric_points);
         let run_wall_ns = selfprof_t0.map(|t0| t0.elapsed().as_nanos() as u64);
         if let Some(ns) = run_wall_ns {
@@ -1732,7 +1645,7 @@ impl Sim {
         let report = SimReport {
             procs,
             results,
-            dropped_msgs: dropped,
+            dropped_msgs: engine.dropped_msgs.get(),
             trace: self.world.trace.get().cloned(),
             telemetry_interval: engine.telemetry_interval,
             metric_points,
@@ -1764,7 +1677,7 @@ fn describe_panic(payload: &(dyn Any + Send)) -> (String, bool) {
     }
 }
 
-fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(String, bool)>) {
+fn finish_proc(engine: &Engine, ctx: &mut ProcCtx, panic_info: Option<(String, bool)>) {
     let pid = ctx.pid;
     if panic_info.is_none() {
         // Normal completion is itself a visible event: align so the
@@ -1782,21 +1695,21 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     ctx.close_all_spans();
     if ctx.tracing {
         if let Some(tr) = ctx.world.trace.get() {
-            tr.absorb(std::mem::take(&mut ctx.trace_buf));
+            tr.absorb(
+                std::mem::take(&mut ctx.trace_buf),
+                std::mem::take(&mut ctx.trace_tables),
+            );
         }
     }
     if !ctx.metric_buf.is_empty() {
-        engine
-            .metric_sink
-            .lock()
-            .append(&mut std::mem::take(&mut ctx.metric_buf));
+        engine.metric_sink.borrow_mut().append(&mut ctx.metric_buf);
     }
     {
-        let mut m = engine.shards[pid.index()].mail.lock();
+        let mut m = engine.shards[pid.index()].mail.borrow_mut();
         m.finish = Some(ctx.clock);
         m.stats = std::mem::take(&mut ctx.stats);
     }
-    let mut g = engine.sched.lock();
+    let mut g = engine.sched.borrow_mut();
     if g.turn == Some(pid) {
         g.turn = None;
     }
@@ -1838,18 +1751,18 @@ mod tests {
     }
 
     /// Every grant goes through the run-next cell, the first one of the
-    /// run included, so a run takes the `resume` lock not at all,
-    /// however long it is.
+    /// run included: a deadlock-free run, however long, never pushes onto
+    /// the overflow queue, so no wake takes the slow path.
     #[test]
-    fn a_run_resumes_without_the_lock() {
-        let locks = |rounds| {
+    fn a_deadlock_free_run_never_overflows_the_run_next_cell() {
+        let overflows = |rounds| {
             let sim = ping_pong(rounds);
-            let before = RESUME_LOCKS.with(|c| c.get());
+            let before = RESUME_OVERFLOWS.with(|c| c.get());
             assert!(sim.run().makespan() > SimTime::ZERO);
-            RESUME_LOCKS.with(|c| c.get()) - before
+            RESUME_OVERFLOWS.with(|c| c.get()) - before
         };
-        assert_eq!(locks(200), 0);
-        assert_eq!(locks(20), 0);
+        assert_eq!(overflows(200), 0);
+        assert_eq!(overflows(20), 0);
     }
 
     /// Deadlock teardown wakes every blocked process from one dispatch:
@@ -1865,19 +1778,15 @@ mod tests {
                 ctx.recv(MatchSpec::tag(100 + Tag::from(i)));
             });
         }
-        let locks = RESUME_LOCKS.with(|c| c.get());
+        let overflows = RESUME_OVERFLOWS.with(|c| c.get());
         let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
             .err()
             .expect("twelve receives nobody sends to must deadlock");
         let want = describe_panic(err.as_ref()).0;
         // The last process to block runs the teardown and consumes its
         // own wake without parking; of the other eleven, one fits the
-        // cell: ten pushes and ten pops. (The thread coroutine backend
-        // pushes from process bodies' own OS threads, which these
-        // thread-local counts do not see.)
-        if crate::coro::use_asm_backend() {
-            assert_eq!(RESUME_LOCKS.with(|c| c.get()) - locks, 20);
-        }
+        // cell and ten overflow.
+        assert_eq!(RESUME_OVERFLOWS.with(|c| c.get()) - overflows, 10);
         assert!(want.starts_with("deadlock: "), "{want}");
         assert_eq!(want.matches("blocked at").count(), 12, "{want}");
     }
@@ -1887,36 +1796,15 @@ mod tests {
     #[test]
     fn a_fresh_slot_is_parked_so_its_first_wake_enqueues() {
         let slot = Slot::new();
-        assert_eq!(slot.state.load(Ordering::Relaxed), PARKED);
+        assert_eq!(slot.state.get(), SlotState::Parked);
         assert!(slot.wake(SimTime(5), WakeReason::Turn));
-        assert_eq!(slot.state.load(Ordering::Relaxed), VALUE);
-    }
-
-    /// A wake that lands while the coroutine runs leaves the enqueue to
-    /// the resume loop: the wake does not enqueue, the loop's publish
-    /// then fails (it re-enqueues), and the resumed park finds the value.
-    #[test]
-    fn a_wake_while_running_does_not_enqueue_and_the_next_publish_fails() {
-        let slot = Slot::new();
-        assert!(slot.wake(SimTime(1), WakeReason::Turn));
-        assert_eq!(slot.park(), (SimTime(1), WakeReason::Turn));
-        assert_eq!(slot.state.load(Ordering::Relaxed), RUNNING);
-        assert!(!slot.wake(SimTime(2), WakeReason::Message));
-        assert!(
-            !slot.publish_park(),
-            "a pending value must fail the publish"
-        );
-        assert_eq!(slot.state.load(Ordering::Relaxed), VALUE);
-        assert_eq!(slot.park(), (SimTime(2), WakeReason::Message));
-        // Without a racing wake the publish succeeds and the next wake
-        // enqueues again.
-        assert!(slot.publish_park());
-        assert!(slot.wake(SimTime(3), WakeReason::Timeout));
+        assert_eq!(slot.state.get(), SlotState::Value);
     }
 
     /// Park consumes a pending value without suspending: outside a
     /// coroutine `coro::suspend` panics, so a park that returns here
-    /// never tried. Every reason survives the trip through the `u8` cell.
+    /// never tried. A wake that lands while the process runs does not
+    /// enqueue it. Every reason survives the trip through the slot.
     #[test]
     fn park_consumes_a_pending_value_without_suspending() {
         let slot = Slot::new();
@@ -1930,9 +1818,9 @@ mod tests {
         .enumerate()
         {
             let at = SimTime(u64::MAX - i as u64);
-            slot.wake(at, reason);
+            assert_eq!(slot.wake(at, reason), i == 0);
             assert_eq!(slot.park(), (at, reason));
-            assert_eq!(slot.state.load(Ordering::Relaxed), RUNNING);
+            assert_eq!(slot.state.get(), SlotState::Running);
         }
     }
 }

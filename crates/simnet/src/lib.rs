@@ -16,7 +16,9 @@
 //!   has the minimum virtual clock among runnable processes. This makes
 //!   every schedule, and therefore every reported time, reproducible
 //!   bit-for-bit. The token doubles as a baton: one process runs at a
-//!   time (see [`engine`]).
+//!   time, all on the thread that called [`Sim::run`], so process
+//!   closures need not be `Send` and the engine takes no locks (see
+//!   [`engine`]).
 //! * **Lazy conservatism.** Local computation (`compute`, `advance`)
 //!   advances the private clock without synchronization. Any operation with
 //!   global effect (message delivery, NIC/disk reservation) first yields
@@ -100,7 +102,9 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{DiskSpec, Node, NodeId, NodeSpec, Topology};
-pub use trace::{json_escape, json_escape_into, EventKind, Micros, Trace, TraceEvent};
+pub use trace::{
+    json_escape, json_escape_into, EventKind, Micros, ResolvedKind, Trace, TraceEvent, TraceTables,
+};
 pub use transport::Transport;
 
 /// Shim: the `(commits, rollbacks)` totals of the removed speculative
@@ -391,7 +395,11 @@ mod engine_tests {
         });
         let report = sim.run();
         let events = trace.sorted_events();
-        let kinds: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
+        let tables = trace.tables();
+        let kinds: Vec<&str> = events
+            .iter()
+            .map(|e| e.kind.resolve(&tables).label())
+            .collect();
         assert!(kinds.contains(&"compute"));
         assert!(kinds.contains(&"disk_read"));
         assert!(kinds.contains(&"send"));
@@ -430,12 +438,13 @@ mod engine_tests {
         });
         sim.spawn(NodeId(1), "other", |_| {});
         let report = sim.run();
+        let tables = trace.tables();
         let phases: Vec<(String, u32, SimTime, SimTime)> = trace
             .sorted_events()
             .iter()
-            .filter_map(|e| match &e.kind {
+            .filter_map(|e| match e.kind.resolve(&tables) {
                 EventKind::Phase { label, depth } => {
-                    Some((label.to_string(), *depth, e.start, e.end))
+                    Some((label.to_string(), depth, e.start, e.end))
                 }
                 _ => None,
             })

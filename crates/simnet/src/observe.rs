@@ -26,7 +26,7 @@ use crate::engine::SimReport;
 use crate::stats::ProcStats;
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceTables};
 
 /// Snapshot of one completed simulation run.
 #[derive(Debug, Clone)]
@@ -47,6 +47,9 @@ pub struct RunCapture {
     pub dropped_msgs: u64,
     /// The full event stream in the deterministic export order.
     pub events: Vec<TraceEvent>,
+    /// The phase labels and fault events the events refer to
+    /// ([`TraceEvent::resolve`]).
+    pub tables: TraceTables,
     /// Telemetry sampling interval the run used (`None` off; see
     /// [`crate::telemetry`]). Like the points below, excluded from
     /// conformance digests — `hpcbd-check` hashes capture fields
@@ -99,10 +102,10 @@ pub(crate) fn record_run(
     cluster_nodes: usize,
     host_profile: Option<Vec<(&'static str, u64)>>,
 ) {
-    let events = report
+    let (events, tables) = report
         .trace
         .as_ref()
-        .map(|t| t.sorted_events())
+        .map(|t| (t.sorted_events(), t.tables()))
         .unwrap_or_default();
     let cap = RunCapture {
         proc_names: report.procs.iter().map(|p| p.name.clone()).collect(),
@@ -113,6 +116,7 @@ pub(crate) fn record_run(
         cluster_nodes,
         dropped_msgs: report.dropped_msgs,
         events,
+        tables,
         telemetry_interval: report.telemetry_interval,
         metric_points: report.metric_points.clone(),
         host_profile,

@@ -8,16 +8,22 @@
 //! a Spark stage's dispatch wave or an alltoall's NIC serialization.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::engine::Pid;
+use crate::faults::FaultEvent;
 use crate::time::{SimDuration, SimTime};
 
 /// What a trace event describes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
+///
+/// `L` and `F` are how a phase label and a fault event are held. A
+/// recorded event holds a [`Label`] and a [`FaultRef`] into the
+/// [`TraceTables`] of its trace, so events are plain data and a trace of
+/// hundreds of thousands of them is freed without visiting them;
+/// [`EventKind::resolve`] looks the payloads up ([`ResolvedKind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind<L = Label, F = FaultRef> {
     /// Modeled computation.
     Compute,
     /// Message handed to a transport.
@@ -55,10 +61,10 @@ pub enum EventKind {
         bytes: u64,
     },
     /// An injected fault or a runtime recovery action (zero-length
-    /// instant; the payload carries the virtual-time cost). Boxed:
+    /// instant; the payload carries the virtual-time cost). Out of line:
     /// faults are rare, and inline they would make every event 24 B
     /// larger.
-    Fault(Box<crate::faults::FaultEvent>),
+    Fault(F),
     /// A structured phase span opened with [`crate::ProcCtx::span_open`]:
     /// a nestable, runtime-level label ("pagerank/iter/3/shuffle",
     /// "mpi/allreduce") covering the primitive events it encloses.
@@ -66,13 +72,49 @@ pub enum EventKind {
     /// sat on its process's span stack.
     Phase {
         /// Hierarchical phase label; `/` separates levels.
-        label: Arc<str>,
+        label: L,
         /// Nesting depth on the opening process's span stack.
         depth: u32,
     },
 }
 
+/// An event kind with its phase label and fault event looked up.
+pub type ResolvedKind<'a> = EventKind<&'a str, &'a FaultEvent>;
+
+impl<L, F> EventKind<L, F> {
+    /// This kind with its label passed through `label` and its fault
+    /// through `fault`.
+    fn map<L2, F2>(
+        self,
+        label: impl FnOnce(L) -> L2,
+        fault: impl FnOnce(F) -> F2,
+    ) -> EventKind<L2, F2> {
+        match self {
+            EventKind::Compute => EventKind::Compute,
+            EventKind::Send { dst, bytes } => EventKind::Send { dst, bytes },
+            EventKind::Recv { src, bytes } => EventKind::Recv { src, bytes },
+            EventKind::DiskRead { bytes } => EventKind::DiskRead { bytes },
+            EventKind::DiskWrite { bytes } => EventKind::DiskWrite { bytes },
+            EventKind::Nfs { bytes } => EventKind::Nfs { bytes },
+            EventKind::OneSided { bytes } => EventKind::OneSided { bytes },
+            EventKind::Fault(f) => EventKind::Fault(fault(f)),
+            EventKind::Phase { label: l, depth } => EventKind::Phase {
+                label: label(l),
+                depth,
+            },
+        }
+    }
+}
+
 impl EventKind {
+    /// This kind with its out-of-line payload looked up in `tables`,
+    /// the tables of the trace or capture the event came from.
+    pub fn resolve<'a>(&self, tables: &'a TraceTables) -> ResolvedKind<'a> {
+        self.map(|l| tables.label(l), |f| tables.fault(f))
+    }
+}
+
+impl ResolvedKind<'_> {
     /// Short label for rendering.
     pub fn label(&self) -> &'static str {
         match self {
@@ -86,6 +128,100 @@ impl EventKind {
             EventKind::Fault(ev) => ev.label(),
             EventKind::Phase { .. } => "phase",
         }
+    }
+}
+
+/// Where a phase label's text sits in its [`TraceTables`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Label {
+    at: u32,
+    len: u32,
+}
+
+/// A fault event's index in its [`TraceTables`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultRef(u32);
+
+/// The out-of-line payloads of a batch of events: the text of their
+/// phase labels and their fault events. Each process fills its own
+/// while it runs; [`Trace::absorb`] moves them into the trace's, and a
+/// [`crate::RunCapture`] carries a copy, so they are freed with the
+/// events that refer to them.
+#[derive(Debug, Clone, Default)]
+pub struct TraceTables {
+    text: String,
+    faults: Vec<FaultEvent>,
+}
+
+impl TraceTables {
+    /// Store a phase label; the returned [`Label`] refers to it.
+    pub fn push_label(&mut self, label: &str) -> Label {
+        let at = u32::try_from(self.text.len()).expect("trace label text fits in 4 GiB");
+        self.text.push_str(label);
+        Label {
+            at,
+            len: label.len() as u32,
+        }
+    }
+
+    /// Store a fault event; the returned [`FaultRef`] refers to it.
+    pub fn push_fault(&mut self, ev: FaultEvent) -> FaultRef {
+        self.faults.push(ev);
+        FaultRef(self.faults.len() as u32 - 1)
+    }
+
+    /// Store the payloads of `events`: the events that refer to them,
+    /// with the tables they are stored in.
+    pub fn store_all<'a>(
+        events: impl IntoIterator<Item = TraceEvent<ResolvedKind<'a>>>,
+    ) -> (Vec<TraceEvent>, TraceTables) {
+        let mut tables = TraceTables::default();
+        let events = events
+            .into_iter()
+            .map(|e| {
+                // Label first, then fault: one closure at a time holds
+                // the tables.
+                let kind = e.kind.map(|l| tables.push_label(l), |f| f);
+                let kind = kind.map(|l| l, |f| tables.push_fault(f.clone()));
+                TraceEvent {
+                    pid: e.pid,
+                    start: e.start,
+                    end: e.end,
+                    kind,
+                }
+            })
+            .collect();
+        (events, tables)
+    }
+
+    /// The text of a label stored in these tables.
+    pub fn label(&self, l: Label) -> &str {
+        &self.text[l.at as usize..(l.at + l.len) as usize]
+    }
+
+    /// A fault event stored in these tables.
+    pub fn fault(&self, f: FaultRef) -> &FaultEvent {
+        &self.faults[f.0 as usize]
+    }
+
+    /// Append `other`, and rebase the references of `batch`, which point
+    /// into `other`, to point into `self`.
+    fn append(&mut self, other: TraceTables, batch: &mut [TraceEvent]) {
+        let text_base = self.text.len() as u32;
+        let fault_base = self.faults.len() as u32;
+        for e in batch {
+            match &mut e.kind {
+                EventKind::Phase { label, .. } => label.at += text_base,
+                EventKind::Fault(f) => f.0 += fault_base,
+                _ => {}
+            }
+        }
+        assert!(
+            self.text.len() + other.text.len() <= u32::MAX as usize,
+            "trace label text fits in 4 GiB"
+        );
+        self.text.push_str(&other.text);
+        self.faults.extend(other.faults);
     }
 }
 
@@ -125,9 +261,11 @@ impl std::fmt::Display for Micros {
     }
 }
 
-/// One timeline span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+/// One timeline span. `K` is [`EventKind`] for a recorded event and
+/// [`ResolvedKind`] for one whose payload was looked up
+/// ([`TraceEvent::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent<K = EventKind> {
     /// The process the span belongs to.
     pub pid: Pid,
     /// Span start (virtual time).
@@ -135,13 +273,28 @@ pub struct TraceEvent {
     /// Span end (virtual time).
     pub end: SimTime,
     /// What happened.
-    pub kind: EventKind,
+    pub kind: K,
 }
 
-/// Collected events (append-only during a run).
+impl TraceEvent {
+    /// This event with its payload looked up in `tables` (see
+    /// [`EventKind::resolve`]). Two events from different traces are
+    /// equal when their resolved forms are.
+    pub fn resolve<'a>(&self, tables: &'a TraceTables) -> TraceEvent<ResolvedKind<'a>> {
+        TraceEvent {
+            pid: self.pid,
+            start: self.start,
+            end: self.end,
+            kind: self.kind.resolve(tables),
+        }
+    }
+}
+
+/// Collected events (append-only during a run) and the tables their
+/// payloads live in.
 #[derive(Default)]
 pub struct Trace {
-    events: Mutex<Vec<TraceEvent>>,
+    inner: Mutex<(Vec<TraceEvent>, TraceTables)>,
 }
 
 impl Trace {
@@ -150,17 +303,19 @@ impl Trace {
         Trace::default()
     }
 
-    /// Record one span.
-    pub fn record(&self, pid: Pid, start: SimTime, end: SimTime, kind: EventKind) {
-        self.events.lock().push(TraceEvent {
+    /// Record one span, storing its payload in the trace's tables.
+    pub fn record(&self, pid: Pid, start: SimTime, end: SimTime, kind: ResolvedKind<'_>) {
+        let (batch, tables) = TraceTables::store_all([TraceEvent {
             pid,
             start,
             end,
             kind,
-        });
+        }]);
+        self.absorb(batch, tables);
     }
 
-    /// Merge a batch of events collected in a private per-process buffer.
+    /// Merge a batch of events collected in a private per-process buffer,
+    /// with the tables its payloads were stored in.
     ///
     /// The engine buffers each process's events locally (one `Vec::push`
     /// per event, no shared lock on the hot path) and absorbs the buffer
@@ -168,8 +323,16 @@ impl Trace {
     /// entirely by the sort in [`Trace::sorted_events`], the wall-clock
     /// order in which buffers are absorbed is irrelevant: the result is
     /// byte-identical to recording every event through the shared lock.
-    pub fn absorb(&self, mut batch: Vec<TraceEvent>) {
-        self.events.lock().append(&mut batch);
+    pub fn absorb(&self, mut batch: Vec<TraceEvent>, batch_tables: TraceTables) {
+        let (events, tables) = &mut *self.inner.lock();
+        tables.append(batch_tables, &mut batch);
+        events.append(&mut batch);
+    }
+
+    /// A copy of the tables the events' payloads live in, to resolve
+    /// the events [`Trace::sorted_events`] returns.
+    pub fn tables(&self) -> TraceTables {
+        self.inner.lock().1.clone()
     }
 
     /// Events in the deterministic export order.
@@ -186,9 +349,11 @@ impl Trace {
     /// then a sort of each run of equal `(start, pid)` by
     /// `(end, kind, append index)`. The append index breaks every tie,
     /// which is what makes both passes agree with the stable sort.
+    ///
+    /// The events' payloads live in [`Trace::tables`].
     pub fn sorted_events(&self) -> Vec<TraceEvent> {
-        fn kind_key(k: &EventKind) -> (u8, u64, u32) {
-            match *k {
+        fn kind_key(k: ResolvedKind<'_>) -> (u8, u64, u32) {
+            match k {
                 EventKind::Compute => (0, 0, 0),
                 EventKind::Send { dst, bytes } => (1, bytes, dst.0),
                 EventKind::Recv { src, bytes } => (2, bytes, src.0),
@@ -197,18 +362,16 @@ impl Trace {
                 EventKind::Nfs { bytes } => (5, bytes, 0),
                 EventKind::OneSided { bytes } => (6, bytes, 0),
                 // Distinct fault events must sort apart; identical ones
-                // are interchangeable, so a content hash is a valid key
-                // (`Box<T>` hashes as `T`).
-                EventKind::Fault(ref ev) => (7, crate::hash::det_hash(ev), 0),
+                // are interchangeable, so a content hash is a valid key.
+                EventKind::Fault(ev) => (7, crate::hash::det_hash(ev), 0),
                 // Same argument for phases: the label hash separates
                 // distinct spans, `depth` orders a parent after the child
                 // it exactly coincides with.
-                EventKind::Phase { ref label, depth } => {
-                    (8, crate::hash::det_hash(&**label), depth)
-                }
+                EventKind::Phase { label, depth } => (8, crate::hash::det_hash(label), depth),
             }
         }
-        let events = self.events.lock();
+        let inner = self.inner.lock();
+        let (events, tables) = &*inner;
         assert!(
             events.len() <= u32::MAX as usize,
             "a trace holds fewer than 2^32 events"
@@ -226,29 +389,31 @@ impl Trace {
             if run.len() > 1 {
                 run.sort_unstable_by_key(|&k| {
                     let e = &events[index(k)];
-                    (e.end, kind_key(&e.kind), k)
+                    (e.end, kind_key(e.kind.resolve(tables)), k)
                 });
             }
         }
-        keys.iter().map(|&k| events[index(k)].clone()).collect()
+        keys.iter().map(|&k| events[index(k)]).collect()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.inner.lock().0.len()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.inner.lock().0.is_empty()
     }
 
     /// Chrome tracing format (a JSON array of complete events, `ph: "X"`)
     /// loadable in `chrome://tracing` or Perfetto. Timestamps in
     /// microseconds, one row per process.
     pub fn to_chrome_json(&self, proc_names: &[String]) -> String {
+        let tables = self.tables();
         let mut out = String::from("[\n");
         for (i, e) in self.sorted_events().iter().enumerate() {
+            let kind = e.kind.resolve(&tables);
             if i > 0 {
                 out.push_str(",\n");
             }
@@ -258,16 +423,16 @@ impl Trace {
                 .unwrap_or("?");
             // Phase spans display under their own label so nested runtime
             // phases read as a flame graph above the primitive ops.
-            let display: &str = match &e.kind {
+            let display: &str = match kind {
                 EventKind::Phase { label, .. } => label,
-                _ => e.kind.label(),
+                _ => kind.label(),
             };
             out.push_str("  {\"name\": \"");
             json_escape_into(&mut out, display);
             let _ = write!(
                 out,
                 "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"",
-                e.kind.label(),
+                kind.label(),
                 Micros(e.start.nanos()),
                 Micros(e.end.nanos().saturating_sub(e.start.nanos())),
                 e.pid.0,
@@ -276,7 +441,7 @@ impl Trace {
             out.push_str("\", \"detail\": \"");
             // Only a fault's `Debug` form can hold characters that need
             // escaping; every other detail is digits, letters and spaces.
-            let _ = match &e.kind {
+            let _ = match kind {
                 EventKind::Send { dst, bytes } => write!(out, "to p{} {} B", dst.0, bytes),
                 EventKind::Recv { src, bytes } => write!(out, "from p{} {} B", src.0, bytes),
                 EventKind::DiskRead { bytes }
@@ -307,6 +472,7 @@ impl Trace {
                 ));
             }
         }
+        let tables = self.tables();
         let mut out = String::new();
         let mut events = self.sorted_events();
         events.sort_by_key(|e| (e.pid, e.start));
@@ -314,6 +480,7 @@ impl Trace {
         let mut fault_count = 0u64;
         let mut fault_delay = SimDuration::ZERO;
         for e in events {
+            let kind = e.kind.resolve(&tables);
             if current != Some(e.pid) {
                 flush_faults(&mut out, fault_count, fault_delay);
                 fault_count = 0;
@@ -325,7 +492,7 @@ impl Trace {
                     .unwrap_or("?");
                 out.push_str(&format!("== {} ({}) ==\n", e.pid, name));
             }
-            if let EventKind::Fault(ev) = &e.kind {
+            if let EventKind::Fault(ev) = kind {
                 fault_count += 1;
                 fault_delay += ev.injected_delay();
             }
@@ -333,8 +500,8 @@ impl Trace {
                 "  [{} .. {}] {} {:?}\n",
                 e.start,
                 e.end,
-                e.kind.label(),
-                e.kind
+                kind.label(),
+                kind
             ));
         }
         flush_faults(&mut out, fault_count, fault_delay);
@@ -435,7 +602,7 @@ mod tests {
                 // generation order (an arbitrary wall-clock interleaving).
                 let global = Trace::new();
                 for e in &events {
-                    global.record(e.pid, e.start, e.end, e.kind.clone());
+                    global.record(e.pid, e.start, e.end, e.kind.resolve(&TraceTables::default()));
                 }
 
                 // Candidate: split into per-process buffers (preserving
@@ -446,11 +613,11 @@ mod tests {
                 let npids = 6;
                 let mut bufs: Vec<Vec<TraceEvent>> = vec![Vec::new(); npids];
                 for e in &events {
-                    bufs[e.pid.index()].push(e.clone());
+                    bufs[e.pid.index()].push(*e);
                 }
                 for i in 0..npids {
                     let p = (i + absorb_order_seed as usize) % npids;
-                    buffered.absorb(std::mem::take(&mut bufs[p]));
+                    buffered.absorb(std::mem::take(&mut bufs[p]), TraceTables::default());
                 }
 
                 prop_assert_eq!(global.len(), buffered.len());
@@ -467,11 +634,15 @@ mod tests {
         use crate::topology::NodeId;
         use proptest::prelude::*;
         use proptest::test_runner::TestRng;
+        use std::sync::LazyLock;
+
+        /// An event with its payload looked up.
+        type Resolved = TraceEvent<ResolvedKind<'static>>;
 
         /// The previous `Trace::sorted_events`, kept verbatim as the
         /// reference: a stable sort by `(start, pid, end, kind)`.
-        fn oracle_sorted(appended: &[TraceEvent]) -> Vec<TraceEvent> {
-            fn kind_key(k: &EventKind) -> (u8, u64, u32) {
+        fn oracle_sorted(appended: &[Resolved]) -> Vec<Resolved> {
+            fn kind_key(k: &ResolvedKind<'_>) -> (u8, u64, u32) {
                 match *k {
                     EventKind::Compute => (0, 0, 0),
                     EventKind::Send { dst, bytes } => (1, bytes, dst.0),
@@ -481,9 +652,7 @@ mod tests {
                     EventKind::Nfs { bytes } => (5, bytes, 0),
                     EventKind::OneSided { bytes } => (6, bytes, 0),
                     EventKind::Fault(ref ev) => (7, crate::hash::det_hash(ev), 0),
-                    EventKind::Phase { ref label, depth } => {
-                        (8, crate::hash::det_hash(&**label), depth)
-                    }
+                    EventKind::Phase { label, depth } => (8, crate::hash::det_hash(label), depth),
                 }
             }
             let mut v = appended.to_vec();
@@ -496,7 +665,19 @@ mod tests {
         /// gives zero-length spans.
         type Spec = (u32, u64, u64, u8, u64);
 
-        fn event((pid, start, len, sel, x): Spec) -> TraceEvent {
+        /// The fault events `event` picks from: a crash of node `x`, then
+        /// a restart with detail `x`, for `x` in 0..4.
+        static FAULTS: LazyLock<Vec<FaultEvent>> = LazyLock::new(|| {
+            let crash = |x| FaultEvent::NodeCrash { node: NodeId(x) };
+            let restart = |detail| FaultEvent::Recovery {
+                runtime: "mpi",
+                action: "restart",
+                detail,
+            };
+            (0..4).map(crash).chain((0..4).map(restart)).collect()
+        });
+
+        fn event((pid, start, len, sel, x): Spec) -> Resolved {
             let kind = match sel {
                 0 => EventKind::Compute,
                 1 => EventKind::Send {
@@ -511,17 +692,11 @@ mod tests {
                 4 => EventKind::DiskWrite { bytes: x },
                 5 => EventKind::Nfs { bytes: x },
                 6 => EventKind::OneSided { bytes: x },
-                7 => EventKind::Fault(Box::new(FaultEvent::NodeCrash {
-                    node: NodeId(x as u32),
-                })),
-                8 => EventKind::Fault(Box::new(FaultEvent::Recovery {
-                    runtime: "mpi",
-                    action: "restart",
-                    detail: x,
-                })),
+                7 => EventKind::Fault(&FAULTS[x as usize]),
+                8 => EventKind::Fault(&FAULTS[4 + x as usize]),
                 // The same two labels at depths 0..3.
                 _ => EventKind::Phase {
-                    label: ["job", "job/stage"][x as usize % 2].into(),
+                    label: ["job", "job/stage"][x as usize % 2],
                     depth: (sel - 9) as u32,
                 },
             };
@@ -540,11 +715,11 @@ mod tests {
             )
         }
 
-        /// Split the events into per-process buffers, absorb them in an
-        /// order shuffled by `seed`, and return the trace together with
-        /// its append order.
-        fn absorbed((specs, seed): &(Vec<Spec>, u64)) -> (Trace, Vec<TraceEvent>) {
-            let mut bufs: Vec<Vec<TraceEvent>> = vec![Vec::new(); 4];
+        /// Split the events into per-process buffers with their own
+        /// tables, absorb them in an order shuffled by `seed`, and return
+        /// the trace together with its append order.
+        fn absorbed((specs, seed): &(Vec<Spec>, u64)) -> (Trace, Vec<Resolved>) {
+            let mut bufs: Vec<Vec<Resolved>> = vec![Vec::new(); 4];
             for &s in specs {
                 bufs[s.0 as usize].push(event(s));
             }
@@ -553,16 +728,18 @@ mod tests {
                 bufs.swap(i, rng.below(i as u64 + 1) as usize);
             }
             let t = Trace::new();
-            let appended: Vec<TraceEvent> = bufs.concat();
-            for b in bufs {
-                t.absorb(b);
+            for b in &bufs {
+                let (batch, tables) = TraceTables::store_all(b.iter().copied());
+                t.absorb(batch, tables);
             }
-            (t, appended)
+            (t, bufs.concat())
         }
 
         fn agrees(sort: fn(&Trace) -> Vec<TraceEvent>, case: &(Vec<Spec>, u64)) -> bool {
             let (t, appended) = absorbed(case);
-            sort(&t) == oracle_sorted(&appended)
+            let tables = t.tables();
+            let sorted: Vec<_> = sort(&t).iter().map(|e| e.resolve(&tables)).collect();
+            sorted == oracle_sorted(&appended)
         }
 
         proptest! {
@@ -589,7 +766,7 @@ mod tests {
 
         /// The previous `Trace::to_chrome_json` body: one `format!` and
         /// three escaped `String`s per event.
-        fn oracle_chrome_json(sorted: &[TraceEvent], proc_names: &[String]) -> String {
+        fn oracle_chrome_json(sorted: &[Resolved], proc_names: &[String]) -> String {
             let mut out = String::from("[\n");
             for (i, e) in sorted.iter().enumerate() {
                 if i > 0 {
@@ -634,7 +811,7 @@ mod tests {
         #[test]
         fn oracle_rejects_an_unstable_start_pid_sort() {
             fn mutant(t: &Trace) -> Vec<TraceEvent> {
-                let mut v = t.events.lock().clone();
+                let mut v = t.inner.lock().0.clone();
                 v.sort_unstable_by_key(|e| (e.start, e.pid));
                 v
             }
@@ -644,18 +821,18 @@ mod tests {
         }
 
         #[test]
-        fn trace_event_is_48_bytes() {
-            assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+        fn trace_event_is_40_bytes() {
+            assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
         }
     }
 
     #[test]
     fn absorb_empty_batch_is_noop() {
         let t = Trace::new();
-        t.absorb(Vec::new());
+        t.absorb(Vec::new(), TraceTables::default());
         assert!(t.is_empty());
         t.record(Pid(0), SimTime(1), SimTime(2), EventKind::Compute);
-        t.absorb(Vec::new());
+        t.absorb(Vec::new(), TraceTables::default());
         assert_eq!(t.len(), 1);
     }
 
@@ -668,7 +845,7 @@ mod tests {
             SimTime(10),
             SimTime(20),
             EventKind::Phase {
-                label: r#"odd"phase\label"#.into(),
+                label: r#"odd"phase\label"#,
                 depth: 0,
             },
         );
@@ -701,21 +878,21 @@ mod tests {
             Pid(0),
             SimTime(5),
             SimTime(5),
-            EventKind::Fault(Box::new(FaultEvent::MessageDropped {
+            EventKind::Fault(&FaultEvent::MessageDropped {
                 dst: Pid(1),
                 bytes: 64,
                 delay: SimDuration::from_nanos(700),
-            })),
+            }),
         );
         t.record(
             Pid(0),
             SimTime(6),
             SimTime(6),
-            EventKind::Fault(Box::new(FaultEvent::LinkDegraded {
+            EventKind::Fault(&FaultEvent::LinkDegraded {
                 dst_node: crate::topology::NodeId(1),
                 bytes: 64,
                 delay: SimDuration::from_nanos(300),
-            })),
+            }),
         );
         t.record(Pid(1), SimTime(2), SimTime(9), EventKind::Compute);
         let txt = t.render_text(&["faulty".into(), "clean".into()]);
@@ -736,7 +913,7 @@ mod tests {
             SimTime(0),
             SimTime(10),
             EventKind::Phase {
-                label: "outer".into(),
+                label: "outer",
                 depth: 0,
             },
         );
@@ -745,7 +922,7 @@ mod tests {
             SimTime(0),
             SimTime(10),
             EventKind::Phase {
-                label: "outer/inner".into(),
+                label: "outer/inner",
                 depth: 1,
             },
         );
