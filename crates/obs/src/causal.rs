@@ -16,12 +16,19 @@
 //!
 //! Determinism: input order is the deterministic trace export order,
 //! per-stream ordering is by `(end, start, index)` — no wall-clock
-//! state anywhere. The per-stream maps are fixed-seed [`DetMap`]s and
-//! hold `u32` event indices; [`CausalGraph::edges`] is sorted by recv
-//! index and each recv appears in it at most once, so
+//! state anywhere. Streams are numbered in order of first appearance;
+//! the sends and the recvs are each bucketed by stream number into one
+//! flat array that carries their times, so no per-stream collection is
+//! allocated and the per-stream sorts touch no event. The matched send
+//! of each recv lands in a slot indexed by the recv's rank among all
+//! recvs, so [`CausalGraph::edges`] comes out sorted by recv index with
+//! no final sort; each recv appears in it at most once, so
 //! [`CausalGraph::matched_send`] is a binary search over the edges.
 
-use hpcbd_simnet::{DetMap, EventKind, TraceEvent};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use hpcbd_simnet::{EventKind, SimTime, TraceEvent};
 
 /// One matched message: indices into the captured event slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,62 +59,124 @@ impl CausalGraph {
 }
 
 /// Build the causal graph of a captured run. `events` must be in the
-/// deterministic export order ([`hpcbd_simnet::Trace::sorted_events`]).
+/// deterministic export order ([`hpcbd_simnet::sort_for_export`]).
 pub fn match_events(events: &[TraceEvent]) -> CausalGraph {
     // Stream key: (src pid, dst pid, logical bytes).
     type Key = (u32, u32, u64);
-    type Streams = DetMap<Key, Vec<u32>>;
     assert!(
-        events.len() <= u32::MAX as usize,
-        "a capture holds fewer than 2^32 events"
+        events.len() < u32::MAX as usize,
+        "a capture holds fewer than 2^32 - 1 events"
     );
-    let mut sends = Streams::default();
-    let mut recvs = Streams::default();
+    const NONE: u32 = u32::MAX;
+    // The map is only probed, never iterated: stream numbers come from
+    // first appearance, so its hasher cannot reach the output.
+    let mut streams: HashMap<Key, u32, BuildHasherDefault<StreamHasher>> = HashMap::default();
+    let mut number = |key: Key| {
+        let next = streams.len() as u32;
+        *streams.entry(key).or_insert(next)
+    };
+    // `(stream, (start, end, event index))` of every send and
+    // `(stream, (end, start, rank))` of every recv, where a recv's rank
+    // is its position in `recv_events`.
+    let mut sends: Vec<(u32, (SimTime, SimTime, u32))> = Vec::new();
+    let mut recvs: Vec<(u32, (SimTime, SimTime, u32))> = Vec::new();
+    let mut recv_events: Vec<u32> = Vec::new();
     for (i, e) in events.iter().enumerate() {
         match e.kind {
             EventKind::Send { dst, bytes } => {
-                sends
-                    .entry((e.pid.0, dst.0, bytes))
-                    .or_default()
-                    .push(i as u32);
+                let k = number((e.pid.0, dst.0, bytes));
+                sends.push((k, (e.start, e.end, i as u32)));
             }
             EventKind::Recv { src, bytes } => {
-                recvs
-                    .entry((src.0, e.pid.0, bytes))
-                    .or_default()
-                    .push(i as u32);
+                let k = number((src.0, e.pid.0, bytes));
+                recvs.push((k, (e.end, e.start, recv_events.len() as u32)));
+                recv_events.push(i as u32);
             }
             _ => {}
         }
     }
-    let at = |i: u32| &events[i as usize];
+    let n = streams.len();
+    let (send_at, mut sends) = bucket(n, &sends);
+    let (recv_at, mut recvs) = bucket(n, &recvs);
+    let mut send_of = vec![NONE; recv_events.len()];
     let mut graph = CausalGraph::default();
-    // Deterministic stream visit order (HashMap iteration order is not).
-    let mut streams: Vec<(Key, Vec<u32>)> = recvs.into_iter().collect();
-    streams.sort_unstable_by_key(|s| s.0);
-    for (key, mut rs) in streams {
-        let mut ss = sends.remove(&key).unwrap_or_default();
+    for k in 0..n {
+        let rs = &mut recvs[recv_at[k]..recv_at[k + 1]];
+        if rs.is_empty() {
+            continue;
+        }
+        let ss = &mut sends[send_at[k]..send_at[k + 1]];
         // Sends fire in start order (already the export order); recvs
         // complete in end order — the mailbox hands out earliest
         // arrivals first, so completion order is the FIFO order.
-        ss.sort_unstable_by_key(|&i| (at(i).start, at(i).end, i));
-        rs.sort_unstable_by_key(|&i| (at(i).end, at(i).start, i));
-        let mut si = ss.into_iter();
-        for r in rs {
+        ss.sort_unstable();
+        rs.sort_unstable();
+        let mut si = ss.iter();
+        for &(r_end, _, rank) in rs.iter() {
             match si.next() {
                 // A send that finishes after the recv completes cannot
                 // have caused it; drop the pair rather than invent a
                 // backwards edge.
-                Some(s) if at(s).end <= at(r).end => graph.edges.push(CausalEdge {
-                    send: s as usize,
-                    recv: r as usize,
-                }),
+                Some(&(_, s_end, s)) if s_end <= r_end => send_of[rank as usize] = s,
                 _ => graph.unmatched_recvs += 1,
             }
         }
     }
-    graph.edges.sort_unstable_by_key(|e| e.recv);
+    graph.edges = recv_events
+        .iter()
+        .zip(send_of)
+        .filter(|&(_, s)| s != NONE)
+        .map(|(&r, s)| CausalEdge {
+            send: s as usize,
+            recv: r as usize,
+        })
+        .collect();
     graph
+}
+
+/// Counting sort of `(stream, item)` pairs by stream: the items of
+/// stream `k` are `flat[at[k]..at[k + 1]]`, in input order.
+fn bucket<T: Copy + Default>(streams: usize, pairs: &[(u32, T)]) -> (Vec<usize>, Vec<T>) {
+    let mut at = vec![0usize; streams + 1];
+    for &(k, _) in pairs {
+        at[k as usize + 1] += 1;
+    }
+    for k in 0..streams {
+        at[k + 1] += at[k];
+    }
+    let mut fill = at.clone();
+    let mut flat = vec![T::default(); pairs.len()];
+    for &(k, item) in pairs {
+        flat[fill[k as usize]] = item;
+        fill[k as usize] += 1;
+    }
+    (at, flat)
+}
+
+/// A multiply-rotate hasher (FxHash's step) for the stream map, with
+/// the high half folded into the low half so the table's bucket index
+/// sees every input bit.
+#[derive(Default)]
+struct StreamHasher(u64);
+
+impl Hasher for StreamHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 #[cfg(test)]

@@ -22,10 +22,13 @@
 //! Each segment is also attributed to the innermost phase span
 //! (recorded via `ProcCtx::span_open`) enclosing its start point on the
 //! process the walk was on, which is what turns "4.2 s of comm" into
-//! "4.2 s of comm inside `pagerank/iter/*/shuffle`".
+//! "4.2 s of comm inside `pagerank/iter/*/shuffle`". A segment refers to
+//! that span's label in the capture's tables ([`Segment::phase_in`]);
+//! no label text is copied.
 
 use hpcbd_simnet::observe::RunCapture;
-use hpcbd_simnet::{EventKind, Pid, SimDuration, SimTime};
+use hpcbd_simnet::trace::Label;
+use hpcbd_simnet::{EventKind, Pid, SimDuration, SimTime, TraceTables};
 
 use crate::causal::CausalGraph;
 
@@ -91,9 +94,17 @@ pub struct Segment {
     pub end: SimTime,
     /// Attributed category.
     pub category: Category,
-    /// Innermost enclosing phase label at `start` on `pid`, or the
-    /// empty string outside any span.
-    pub phase: String,
+    /// Label of the innermost phase span enclosing `start` on `pid`, in
+    /// the capture's tables, or `None` outside any span.
+    pub phase: Option<Label>,
+}
+
+impl Segment {
+    /// The text of [`Segment::phase`], looked up in `tables` (the
+    /// capture's), or the empty string outside any span.
+    pub fn phase_in<'a>(&self, tables: &'a TraceTables) -> &'a str {
+        self.phase.map_or("", |l| tables.label(l))
+    }
 }
 
 /// The walk's result: segments tiling `[0, makespan]` exactly.
@@ -117,13 +128,13 @@ struct ProcView {
     /// `(start, end, event index)` of walkable leaf events.
     leaves: Vec<(SimTime, SimTime, usize)>,
     /// `(start, end, depth, label)` of phase spans, sorted by start.
-    phases: Vec<(SimTime, SimTime, u32, String)>,
+    phases: Vec<(SimTime, SimTime, u32, Label)>,
 }
 
 impl ProcView {
     /// Innermost phase containing `t` (half-open `[start, end)`).
-    fn phase_at(&self, t: SimTime) -> &str {
-        let mut best: Option<&(SimTime, SimTime, u32, String)> = None;
+    fn phase_at(&self, t: SimTime) -> Option<Label> {
+        let mut best: Option<&(SimTime, SimTime, u32, Label)> = None;
         for p in &self.phases {
             if p.0 > t {
                 break;
@@ -138,7 +149,7 @@ impl ProcView {
                 }
             }
         }
-        best.map(|p| p.3.as_str()).unwrap_or("")
+        best.map(|p| p.3)
     }
 
     /// The last leaf event starting strictly before `t`, if any.
@@ -159,10 +170,8 @@ pub fn critical_path(cap: &RunCapture, graph: &CausalGraph) -> CriticalPath {
         .collect();
     for (i, e) in cap.events.iter().enumerate() {
         let v = &mut views[e.pid.index()];
-        match e.kind.resolve(&cap.tables) {
-            EventKind::Phase { label, depth } => {
-                v.phases.push((e.start, e.end, depth, label.to_string()));
-            }
+        match e.kind {
+            EventKind::Phase { label, depth } => v.phases.push((e.start, e.end, depth, label)),
             EventKind::Fault(_) => {}
             _ if e.start < e.end => v.leaves.push((e.start, e.end, i)),
             _ => {}
@@ -191,7 +200,7 @@ pub fn critical_path(cap: &RunCapture, graph: &CausalGraph) -> CriticalPath {
                 start: SimTime,
                 end: SimTime,
                 cat: Category,
-                phase: &str| {
+                phase: Option<Label>| {
         debug_assert!(start < end);
         out.by_category[cat.index()] += (end - start).nanos();
         out.segments.push(Segment {
@@ -199,7 +208,7 @@ pub fn critical_path(cap: &RunCapture, graph: &CausalGraph) -> CriticalPath {
             start,
             end,
             category: cat,
-            phase: phase.to_string(),
+            phase,
         });
     };
 
@@ -404,7 +413,7 @@ mod tests {
         let by_phase: Vec<(&str, u64)> = cp
             .segments
             .iter()
-            .map(|s| (s.phase.as_str(), (s.end - s.start).nanos()))
+            .map(|s| (s.phase_in(&cap.tables), (s.end - s.start).nanos()))
             .collect();
         assert!(by_phase.contains(&("outer/inner", 40)));
         assert_eq!(

@@ -795,7 +795,8 @@ fn derive_device_series(reg: &Registry, cap: &RunCapture, iv: u64) {
 fn derive_phase_series(reg: &Registry, cap: &RunCapture) {
     let mut label_cache: BTreeMap<&str, Arc<str>> = BTreeMap::new();
     for e in &cap.events {
-        if let EventKind::Phase { label, .. } = e.kind.resolve(&cap.tables) {
+        if let EventKind::Phase { label, .. } = e.kind {
+            let label = cap.tables.label(label);
             let labels = label_cache
                 .entry(label)
                 .or_insert_with(|| Arc::from(format!("phase={}", normalize_label(label)).as_str()))

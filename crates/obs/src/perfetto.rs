@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use hpcbd_simnet::observe::RunCapture;
-use hpcbd_simnet::{json_escape, json_escape_into, EventKind, Micros};
+use hpcbd_simnet::{json_escape, json_escape_into, push_decimal, EventKind, Micros};
 
 use crate::causal::CausalGraph;
 use crate::metrics::{Points, Telemetry};
@@ -26,7 +26,8 @@ pub fn to_perfetto_json(cap: &RunCapture, graph: &CausalGraph) -> String {
 
 /// [`to_perfetto_json`], plus counter tracks and SLO-breach instants
 /// for a sampled [`Telemetry`] section. Every record is written straight
-/// into the one output `String`.
+/// into the one output `String`; event and flow records without
+/// `write!`, number by number.
 pub fn to_perfetto_json_with_telemetry(
     cap: &RunCapture,
     graph: &CausalGraph,
@@ -41,10 +42,10 @@ pub fn to_perfetto_json_with_telemetry(
         }
     };
     for e in &cap.events {
-        let kind = e.kind.resolve(&cap.tables);
-        let name: &str = match kind {
-            EventKind::Phase { label, .. } => label,
-            _ => kind.label(),
+        let category = e.kind.label_in(&cap.tables);
+        let name: &str = match e.kind {
+            EventKind::Phase { label, .. } => cap.tables.label(label),
+            _ => category,
         };
         let proc = cap
             .proc_names
@@ -54,34 +55,33 @@ pub fn to_perfetto_json_with_telemetry(
         next(&mut out);
         out.push_str("  {\"name\": \"");
         json_escape_into(&mut out, name);
-        let _ = write!(
-            out,
-            "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"proc\": \"",
-            kind.label(),
-            Micros(e.start.nanos()),
-            Micros(e.end.nanos().saturating_sub(e.start.nanos())),
-            e.pid.0,
-        );
+        out.push_str("\", \"cat\": \"");
+        out.push_str(category);
+        out.push_str("\", \"ph\": \"X\", \"ts\": ");
+        Micros(e.start.nanos()).push_to(&mut out);
+        out.push_str(", \"dur\": ");
+        Micros(e.end.nanos().saturating_sub(e.start.nanos())).push_to(&mut out);
+        out.push_str(", \"pid\": 0, \"tid\": ");
+        push_decimal(&mut out, e.pid.0 as u64);
+        out.push_str(", \"args\": {\"proc\": \"");
         json_escape_into(&mut out, proc);
         out.push_str("\"}}");
     }
     for (i, edge) in graph.edges.iter().enumerate() {
         let s = &cap.events[edge.send];
         let r = &cap.events[edge.recv];
-        next(&mut out);
-        let _ = write!(
-            out,
-            "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"s\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
-            Micros(s.end.nanos()),
-            s.pid.0,
-        );
-        next(&mut out);
-        let _ = write!(
-            out,
-            "  {{\"name\": \"msg\", \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": {i}, \"ts\": {}, \"pid\": 0, \"tid\": {}}}",
-            Micros(r.end.nanos()),
-            r.pid.0,
-        );
+        for (ph, e) in [("\"s\"", s), ("\"f\", \"bp\": \"e\"", r)] {
+            next(&mut out);
+            out.push_str("  {\"name\": \"msg\", \"cat\": \"flow\", \"ph\": ");
+            out.push_str(ph);
+            out.push_str(", \"id\": ");
+            push_decimal(&mut out, i as u64);
+            out.push_str(", \"ts\": ");
+            Micros(e.end.nanos()).push_to(&mut out);
+            out.push_str(", \"pid\": 0, \"tid\": ");
+            push_decimal(&mut out, e.pid.0 as u64);
+            out.push('}');
+        }
     }
     if let Some(t) = telemetry {
         for s in &t.series {

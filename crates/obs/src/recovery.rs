@@ -85,18 +85,24 @@ impl RecoverySummary {
 
 /// Fold a capture's fault records into per-crash recovery SLOs.
 pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
+    // The fault records, in event order: one pass over the events.
+    let records: Vec<(SimTime, &FaultEvent)> = cap
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Fault(f) => Some((e.start, cap.tables.fault(f))),
+            _ => None,
+        })
+        .collect();
     // Crash instants: several processes may record the same node's
     // death (every server on it, or a back-dating rank 0) — keep the
     // earliest record per node.
     let mut crash_by_node: BTreeMap<u32, SimTime> = BTreeMap::new();
-    for e in &cap.events {
-        let EventKind::Fault(ev) = e.kind.resolve(&cap.tables) else {
-            continue;
-        };
+    for &(start, ev) in &records {
         if let FaultEvent::NodeCrash { node } = *ev {
-            let t = crash_by_node.entry(node.0).or_insert(e.start);
-            if e.start < *t {
-                *t = e.start;
+            let t = crash_by_node.entry(node.0).or_insert(start);
+            if start < *t {
+                *t = start;
             }
         }
     }
@@ -113,14 +119,10 @@ pub fn recovery_slos(cap: &RunCapture) -> RecoverySummary {
         .collect();
     faults.sort_by_key(|f| (f.crash, f.node));
 
-    for e in &cap.events {
-        let EventKind::Fault(ev) = e.kind.resolve(&cap.tables) else {
-            continue;
-        };
+    for &(t, ev) in &records {
         let FaultEvent::Recovery { action, detail, .. } = ev else {
             continue;
         };
-        let t = e.start;
         // Attribute to the most recent crash at or before this record;
         // recovery work before any crash (e.g. a speculative copy under
         // pure stragglers) has no crash to charge.

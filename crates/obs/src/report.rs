@@ -163,17 +163,19 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
         totals.merge(s);
     }
 
-    // Span aggregation and histograms.
-    let mut span_agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    // Span aggregation and histograms. Spans add up per exact label
+    // first, borrowed from the capture's tables; each distinct label is
+    // normalized once.
+    let mut exact_spans: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     let mut hist_msg_bytes = Histogram::default();
     let mut hist_phase_ns = Histogram::default();
     let mut hist_recv_ns = Histogram::default();
     for e in &cap.events {
-        match e.kind.resolve(&cap.tables) {
+        match e.kind {
             EventKind::Phase { label, .. } => {
                 let d = (e.end - e.start).nanos();
                 hist_phase_ns.add(d);
-                let slot = span_agg.entry(normalize_label(label)).or_default();
+                let slot = exact_spans.entry(cap.tables.label(label)).or_default();
                 slot.0 += 1;
                 slot.1 += d;
             }
@@ -182,19 +184,27 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
             _ => {}
         }
     }
+    let mut span_agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for (label, (spans, ns)) in exact_spans {
+        let slot = span_agg.entry(normalize_label(label)).or_default();
+        slot.0 += spans;
+        slot.1 += ns;
+    }
 
-    // Critical-path attribution per normalized phase and per exact label.
-    let mut crit_agg: BTreeMap<String, [u64; 5]> = BTreeMap::new();
-    let mut exact_agg: BTreeMap<(String, usize), u64> = BTreeMap::new();
+    // Critical-path attribution per exact label, then per normalized
+    // phase (`normalize_label` keeps "(unphased)" as it is).
+    let mut exact_agg: BTreeMap<(&str, usize), u64> = BTreeMap::new();
     for seg in &cp.segments {
         let ns = (seg.end - seg.start).nanos();
-        crit_agg.entry(normalize_label(&seg.phase)).or_default()[seg.category.index()] += ns;
-        let exact = if seg.phase.is_empty() {
-            "(unphased)".to_string()
-        } else {
-            seg.phase.clone()
+        let label = match seg.phase_in(&cap.tables) {
+            "" => "(unphased)",
+            label => label,
         };
-        *exact_agg.entry((exact, seg.category.index())).or_default() += ns;
+        *exact_agg.entry((label, seg.category.index())).or_default() += ns;
+    }
+    let mut crit_agg: BTreeMap<String, [u64; 5]> = BTreeMap::new();
+    for (&(label, cat), &ns) in &exact_agg {
+        crit_agg.entry(normalize_label(label)).or_default()[cat] += ns;
     }
 
     // One row per label that appeared as a span or received attribution.
@@ -222,7 +232,7 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
 
     let mut top: Vec<(String, Category, u64)> = exact_agg
         .into_iter()
-        .map(|((label, cat), ns)| (label, Category::ALL[cat], ns))
+        .map(|((label, cat), ns)| (label.to_string(), Category::ALL[cat], ns))
         .collect();
     top.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (&a.0, a.1).cmp(&(&b.0, b.1))));
     top.truncate(TOP_K);

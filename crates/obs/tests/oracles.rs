@@ -176,7 +176,12 @@ fn sorted(specs: &[(u32, u32, u64, u64, u8)]) -> (Vec<TraceEvent>, TraceTables) 
             },
             _ => EventKind::Compute,
         };
-        t.record(Pid(pid), SimTime(start), SimTime(start + len), kind);
+        t.record(
+            Pid(pid),
+            SimTime(start),
+            SimTime(start.saturating_add(len)),
+            kind,
+        );
     }
     (t.sorted_events(), t.tables())
 }
@@ -184,15 +189,23 @@ fn sorted(specs: &[(u32, u32, u64, u64, u8)]) -> (Vec<TraceEvent>, TraceTables) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Event times up to 2^50 ns, so the `{:.3}` microsecond fields
-    /// carry every digit count; a quote in a process name, a phase
-    /// label and a metric label; counter, gauge and histogram tracks
-    /// and an SLO breach.
+    /// Event times over the whole `u64` range, a random value shifted
+    /// right by 0 to 63 bits so every magnitude is drawn: the `{:.3}`
+    /// microsecond fields carry every digit count, on both sides of
+    /// `Micros`' 2^52 ns switch to float formatting, and span ends
+    /// saturate at `u64::MAX`. A quote in a process name, a phase label
+    /// and a metric label; counter, gauge and histogram tracks and an
+    /// SLO breach.
     #[test]
     fn perfetto_export_equals_the_format_based_export(
-        specs in collection::vec((0u32..3, 0u32..3, 0u64..1 << 50, 0u64..1 << 20, 0u8..6), 0..80),
+        specs in collection::vec(
+            (0u32..3, 0u32..3, (any::<u64>(), 0u32..64), 0u64..1 << 20, 0u8..6), 0..80),
         samples in collection::vec((0u64..200, 0u64..1 << 40), 1..40),
     ) {
+        let specs: Vec<_> = specs
+            .iter()
+            .map(|&(pid, peer, (x, shift), len, sel)| (pid, peer, x >> shift, len, sel))
+            .collect();
         let (events, tables) = sorted(&specs);
         let reg = Registry::new();
         for &(t, v) in &samples {

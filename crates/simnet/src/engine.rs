@@ -55,13 +55,14 @@
 //! * per-process waker slots — one state word per process (running,
 //!   parked, value pending) and the wake value it guards.
 //!
-//! Trace events are buffered in a per-process `Vec` and merged at
-//! export ([`crate::trace::Trace`]), so tracing costs one `Vec::push`
-//! of a 48 B event on the hot path. The export pays for the order:
-//! [`crate::trace::Trace::sorted_events`] sorts packed
-//! `(start, pid, append index)` keys, then re-sorts each run of equal
-//! `(start, pid)` by the rest of the key — about 11 ms for a 150 k-event
-//! section on a 2-core host (DESIGN.md §9).
+//! A traced run appends every process's events to one run-wide buffer
+//! on the engine, and their labels and fault events to one
+//! [`crate::trace::TraceTables`], so tracing costs one `Vec::push` of a
+//! 40 B event on the hot path and nothing at process finish. At the end
+//! of the run the buffer moves, uncopied, to the run capture — put into
+//! export order in place by [`crate::trace::sort_for_export`] — or to
+//! the [`crate::trace::Trace`] of [`Sim::enable_tracing`] (DESIGN.md
+//! §9).
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -108,7 +109,8 @@ pub struct World {
     pub fs: SimFs,
     /// NFS share characteristics (one server for the whole cluster).
     pub nfs: crate::topology::DiskSpec,
-    /// Execution trace sink (empty unless `Sim::enable_tracing` ran).
+    /// The trace of [`Sim::enable_tracing`], which receives the run's
+    /// events at its end (empty unless that ran).
     pub(crate) trace: std::sync::OnceLock<Arc<crate::trace::Trace>>,
     /// Installed fault plan (empty unless `Sim::set_fault_plan` ran).
     pub(crate) faults: std::sync::OnceLock<Arc<crate::faults::FaultPlan>>,
@@ -313,6 +315,10 @@ struct Engine {
     /// Export order is recovered by [`crate::telemetry::sort_points`],
     /// so the wall-clock absorb order is irrelevant.
     metric_sink: RefCell<Vec<crate::telemetry::MetricPoint>>,
+    /// The run's trace events from every process, in execution order,
+    /// and the tables their labels and fault events live in. Empty when
+    /// tracing is off.
+    trace: RefCell<(Vec<TraceEvent>, crate::trace::TraceTables)>,
     /// The run-next cell: a parked coroutine with a pending wake value,
     /// which [`Engine::drive`] resumes as soon as the running one
     /// switches out.
@@ -516,12 +522,6 @@ pub struct ProcCtx {
     faults: Option<Arc<crate::faults::FaultPlan>>,
     /// Whether tracing is enabled for this run (resolved at spawn).
     tracing: bool,
-    /// Per-process append-only trace buffer; merged into the shared
-    /// [`crate::trace::Trace`] once, at process finish.
-    trace_buf: Vec<TraceEvent>,
-    /// The phase labels and fault events `trace_buf` refers to; merged
-    /// with it.
-    trace_tables: crate::trace::TraceTables,
     /// Open phase spans: `(label, open time)`, innermost last. Always
     /// empty when tracing is off (the span API is a no-op then).
     span_stack: Vec<(crate::trace::Label, SimTime)>,
@@ -594,12 +594,11 @@ impl ProcCtx {
         &self.stats
     }
 
-    /// Append a span to this process's trace buffer (no locking; the
-    /// buffer is merged into the shared trace at process finish).
+    /// Append a span to the run's trace buffer.
     #[inline]
     fn trace_push(&mut self, start: SimTime, end: SimTime, kind: crate::trace::EventKind) {
         if self.tracing {
-            self.trace_buf.push(TraceEvent {
+            self.engine.trace.borrow_mut().0.push(TraceEvent {
                 pid: self.pid,
                 start,
                 end,
@@ -697,7 +696,7 @@ impl ProcCtx {
     #[inline]
     pub fn span_open(&mut self, label: impl AsRef<str>) {
         if self.tracing {
-            let label = self.trace_tables.push_label(label.as_ref());
+            let label = self.engine.trace.borrow_mut().1.push_label(label.as_ref());
             self.span_stack.push((label, self.clock));
         }
     }
@@ -707,7 +706,8 @@ impl ProcCtx {
     #[inline]
     pub fn span_open_with(&mut self, label: impl FnOnce() -> String) {
         if self.tracing {
-            let label = self.trace_tables.push_label(&label());
+            let label = label();
+            let label = self.engine.trace.borrow_mut().1.push_label(&label);
             self.span_stack.push((label, self.clock));
         }
     }
@@ -723,12 +723,7 @@ impl ProcCtx {
         if let Some((label, start)) = self.span_stack.pop() {
             let depth = self.span_stack.len() as u32;
             let end = self.clock;
-            self.trace_buf.push(TraceEvent {
-                pid: self.pid,
-                start,
-                end,
-                kind: crate::trace::EventKind::Phase { label, depth },
-            });
+            self.trace_push(start, end, crate::trace::EventKind::Phase { label, depth });
         }
     }
 
@@ -778,7 +773,7 @@ impl ProcCtx {
         self.stats.fault_events += 1;
         // Store the payload only when the trace keeps it.
         if self.tracing {
-            let f = self.trace_tables.push_fault(ev);
+            let f = self.engine.trace.borrow_mut().1.push_fault(ev);
             self.trace_push(at, at, crate::trace::EventKind::Fault(f));
         }
     }
@@ -1346,7 +1341,9 @@ pub struct SimReport {
     results: Vec<Option<Box<dyn Any>>>,
     /// Messages that were sent to already-finished processes.
     pub dropped_msgs: u64,
-    /// The execution trace, when tracing was enabled.
+    /// The execution trace, when [`Sim::enable_tracing`] ran. A run
+    /// traced only because a capture window was open hands its events
+    /// to the capture instead, and this is `None`.
     pub trace: Option<Arc<crate::trace::Trace>>,
     /// Telemetry sampling interval this run used (`None` off; see
     /// [`crate::telemetry`]).
@@ -1457,11 +1454,7 @@ impl Sim {
         // relaxed atomic load on the cold setup path; nothing on the hot
         // path changes.
         let capturing = crate::observe::capture_active();
-        if capturing {
-            self.world
-                .trace
-                .get_or_init(|| Arc::new(crate::trace::Trace::new()));
-        }
+        let tracing = capturing || self.world.trace.get().is_some();
         // Telemetry feeds the capture (the obs layer builds time-series
         // from it), so it only collects while a capture window is open —
         // points recorded into the void would be dropped anyway.
@@ -1520,6 +1513,7 @@ impl Sim {
             fault_seq: Cell::new(0),
             telemetry_interval,
             metric_sink: RefCell::new(Vec::new()),
+            trace: RefCell::default(),
             next: Cell::new(None),
             resume: RefCell::new(VecDeque::new()),
         });
@@ -1540,7 +1534,6 @@ impl Sim {
                 let body: Box<dyn FnOnce()> = Box::new(move || {
                     // Wait for the first grant.
                     let (clock, reason) = engine.shards[pid.index()].slot.park();
-                    let tracing = world.trace.get().is_some();
                     let faults = world.faults.get().cloned();
                     let mut ctx = ProcCtx {
                         engine: engine.clone(),
@@ -1552,8 +1545,6 @@ impl Sim {
                         stats: ProcStats::default(),
                         faults,
                         tracing,
-                        trace_buf: Vec::new(),
-                        trace_tables: Default::default(),
                         span_stack: Vec::new(),
                         telemetry: engine.telemetry_interval.is_some(),
                         metric_buf: Vec::new(),
@@ -1650,11 +1641,26 @@ impl Sim {
             telemetry_interval: engine.telemetry_interval,
             metric_points,
         };
+        // The run's events go, uncopied, to the capture, else to the
+        // caller's trace. Only a run that is both captured and traced
+        // by its caller copies them, once.
+        let (events, tables) = engine.trace.take();
         if capturing {
+            if let Some(trace) = &report.trace {
+                trace.absorb(events.clone(), tables.clone());
+            }
             let host_profile = selfprof_before
                 .zip(run_wall_ns)
                 .map(|(before, ns)| crate::selfprof::run_profile(&before, ns));
-            crate::observe::record_run(&report, self.world.topology.len(), host_profile);
+            crate::observe::record_run(
+                &report,
+                events,
+                tables,
+                self.world.topology.len(),
+                host_profile,
+            );
+        } else if let Some(trace) = &report.trace {
+            trace.absorb(events, tables);
         }
         report
     }
@@ -1687,20 +1693,10 @@ fn finish_proc(engine: &Engine, ctx: &mut ProcCtx, panic_info: Option<(String, b
         // deadlock teardown the alignment is skipped.
         let _ = ctx.align_quiet();
     }
-    // Merge this process's trace buffer into the shared trace exactly
-    // once. Export order is recovered by the sort in `sorted_events`, so
-    // the append order across processes is irrelevant. Spans left open
-    // (early return, panic unwind) close at the finish time first so the
-    // exported trace only ever contains well-formed phase events.
+    // Spans left open (early return, panic unwind) close at the finish
+    // time so the exported trace only ever contains well-formed phase
+    // events.
     ctx.close_all_spans();
-    if ctx.tracing {
-        if let Some(tr) = ctx.world.trace.get() {
-            tr.absorb(
-                std::mem::take(&mut ctx.trace_buf),
-                std::mem::take(&mut ctx.trace_tables),
-            );
-        }
-    }
     if !ctx.metric_buf.is_empty() {
         engine.metric_sink.borrow_mut().append(&mut ctx.metric_buf);
     }

@@ -103,7 +103,8 @@ pub use telemetry::{
 pub use time::{SimDuration, SimTime};
 pub use topology::{DiskSpec, Node, NodeId, NodeSpec, Topology};
 pub use trace::{
-    json_escape, json_escape_into, EventKind, Micros, ResolvedKind, Trace, TraceEvent, TraceTables,
+    json_escape, json_escape_into, push_decimal, sort_for_export, EventKind, Micros, ResolvedKind,
+    Trace, TraceEvent, TraceTables,
 };
 pub use transport::Transport;
 

@@ -10,10 +10,16 @@
 //! final statistics and the deterministically sorted event stream — to
 //! the global capture buffer.
 //!
+//! The capture takes the run's one event buffer and its tables as they
+//! are: `record_run` puts the buffer into export order in place
+//! ([`crate::trace::sort_for_export`]) and moves it, with the tables,
+//! into the capture. No full-size copy of the events is made, so a
+//! captured run pays for its events' pages once.
+//!
 //! Determinism: everything in a capture derives from virtual-time state
-//! ([`crate::Trace::sorted_events`] order, per-process stats, finish
-//! times), all of which are bit-identical from run to run. Captures
-//! therefore compare byte-equal across runs once serialized.
+//! (the export order, per-process stats, finish times), all of which
+//! are bit-identical from run to run. Captures therefore compare
+//! byte-equal across runs once serialized.
 //!
 //! Cost: one relaxed atomic load per `Sim::run` when inactive — nothing
 //! on the engine's per-operation hot path.
@@ -26,7 +32,7 @@ use crate::engine::SimReport;
 use crate::stats::ProcStats;
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use crate::trace::{TraceEvent, TraceTables};
+use crate::trace::{sort_for_export, TraceEvent, TraceTables};
 
 /// Snapshot of one completed simulation run.
 #[derive(Debug, Clone)]
@@ -95,18 +101,17 @@ pub fn end_capture() -> Vec<RunCapture> {
     std::mem::take(&mut CAPTURES.lock())
 }
 
-/// Record one finished run. Called by `Sim::run` when a capture window
-/// is open.
+/// Record one finished run: its report, and its trace events in
+/// execution order with the tables they refer to. Called by `Sim::run`
+/// when a capture window is open.
 pub(crate) fn record_run(
     report: &SimReport,
+    mut events: Vec<TraceEvent>,
+    tables: TraceTables,
     cluster_nodes: usize,
     host_profile: Option<Vec<(&'static str, u64)>>,
 ) {
-    let (events, tables) = report
-        .trace
-        .as_ref()
-        .map(|t| (t.sorted_events(), t.tables()))
-        .unwrap_or_default();
+    sort_for_export(&mut events, &tables);
     let cap = RunCapture {
         proc_names: report.procs.iter().map(|p| p.name.clone()).collect(),
         proc_nodes: report.procs.iter().map(|p| p.node).collect(),
@@ -148,7 +153,8 @@ mod tests {
             ctx.recv(crate::MatchSpec::tag(1));
         });
         let report = sim.run();
-        assert!(report.trace.is_some(), "capture must force tracing on");
+        // Tracing was forced on for the capture, which took the events.
+        assert!(report.trace.is_none());
         let caps = end_capture();
         assert_eq!(caps.len(), 1);
         let cap = &caps[0];
@@ -160,6 +166,35 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, crate::trace::EventKind::Phase { .. })));
         assert!(!capture_active());
+    }
+
+    /// A caller that enabled tracing keeps its trace under a capture,
+    /// with the same events in the same export order.
+    #[test]
+    fn a_captured_run_keeps_its_callers_trace() {
+        let _g = GUARD.lock();
+        begin_capture();
+        let mut sim = Sim::new(Topology::comet(2));
+        let trace = sim.enable_tracing();
+        sim.spawn(NodeId(0), "a", |ctx| {
+            ctx.span("work", |ctx| ctx.compute(Work::flops(1.0e6), 1.0));
+        });
+        sim.spawn(NodeId(1), "b", |ctx| {
+            ctx.compute(Work::flops(2.0e6), 1.0);
+        });
+        let report = sim.run();
+        let caps = end_capture();
+        assert!(report.trace.is_some());
+        let tables = trace.tables();
+        let traced: Vec<_> = trace
+            .sorted_events()
+            .iter()
+            .map(|e| e.resolve(&tables))
+            .collect();
+        let cap = &caps[0];
+        let captured: Vec<_> = cap.events.iter().map(|e| e.resolve(&cap.tables)).collect();
+        assert_eq!(traced.len(), 3);
+        assert_eq!(traced, captured);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! be rendered as a text timeline or exported in the Chrome tracing
 //! format (`chrome://tracing`, Perfetto) for visual inspection of, say,
 //! a Spark stage's dispatch wave or an alltoall's NIC serialization.
+//!
+//! A traced run appends every event, from every process, to one
+//! run-wide buffer in execution order, and its labels and fault events
+//! to one [`TraceTables`]. [`sort_for_export`] puts that buffer into
+//! the deterministic export order in place; a run capture
+//! ([`crate::observe`]) keeps the sorted buffer, and a [`Trace`] keeps
+//! the buffer as recorded and sorts a copy per export.
 
 use std::fmt::Write as _;
 
@@ -114,10 +121,11 @@ impl EventKind {
     }
 }
 
-impl ResolvedKind<'_> {
-    /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
-        match self {
+impl<L, F> EventKind<L, F> {
+    /// Short label for rendering; `None` for a fault, whose label comes
+    /// from its payload.
+    fn fixed_label(&self) -> Option<&'static str> {
+        Some(match self {
             EventKind::Compute => "compute",
             EventKind::Send { .. } => "send",
             EventKind::Recv { .. } => "recv",
@@ -125,8 +133,29 @@ impl ResolvedKind<'_> {
             EventKind::DiskWrite { .. } => "disk_write",
             EventKind::Nfs { .. } => "nfs",
             EventKind::OneSided { .. } => "rdma",
-            EventKind::Fault(ev) => ev.label(),
+            EventKind::Fault(_) => return None,
             EventKind::Phase { .. } => "phase",
+        })
+    }
+}
+
+impl EventKind {
+    /// [`ResolvedKind::label`] without resolving the kind: only a
+    /// fault's label is looked up in `tables`.
+    pub fn label_in(&self, tables: &TraceTables) -> &'static str {
+        match self {
+            EventKind::Fault(f) => tables.fault(*f).label(),
+            k => k.fixed_label().unwrap_or_default(),
+        }
+    }
+}
+
+impl ResolvedKind<'_> {
+    /// Short label for rendering.
+    pub fn label(&self) -> &'static str {
+        match self {
+            EventKind::Fault(ev) => ev.label(),
+            k => k.fixed_label().unwrap_or_default(),
         }
     }
 }
@@ -143,10 +172,9 @@ pub struct Label {
 pub struct FaultRef(u32);
 
 /// The out-of-line payloads of a batch of events: the text of their
-/// phase labels and their fault events. Each process fills its own
-/// while it runs; [`Trace::absorb`] moves them into the trace's, and a
-/// [`crate::RunCapture`] carries a copy, so they are freed with the
-/// events that refer to them.
+/// phase labels and their fault events. A traced run fills one for all
+/// its processes, and the [`Trace`] or [`crate::RunCapture`] that takes
+/// the run's events takes these with them, so they are freed together.
 #[derive(Debug, Clone, Default)]
 pub struct TraceTables {
     text: String,
@@ -236,6 +264,11 @@ pub fn json_escape(s: &str) -> String {
 /// [`json_escape`], appended to `out` instead of returned: the exporters
 /// write every event straight into one document `String`.
 pub fn json_escape_into(out: &mut String, s: &str) {
+    // Names and labels rarely need escaping: copy those whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -252,13 +285,71 @@ pub fn json_escape_into(out: &mut String, s: &str) {
 }
 
 /// Virtual nanoseconds rendered as the trace formats' microseconds with
-/// three decimals (`{:.3}`), written in place by `write!`.
+/// three decimals: the text of `format!("{:.3}", ns as f64 / 1e3)`.
+/// Write it with `write!`, or with [`Micros::push_to`], which skips the
+/// formatting machinery.
 pub struct Micros(pub u64);
+
+impl Micros {
+    /// The text below 2^52 ns, built in `buf`; `None` above.
+    ///
+    /// Below 2^52 ns the quotient's double is within half a unit of its
+    /// last place, under 0.0005 µs, of the exact `ns / 1000`, so `{:.3}`
+    /// prints the exact decimal: integer division gives the same text
+    /// without float formatting. Above, rounding can move the third
+    /// decimal, and the float path is kept.
+    fn exact<'b>(&self, buf: &'b mut [u8; 24]) -> Option<&'b str> {
+        if self.0 >= 1 << 52 {
+            return None;
+        }
+        let frac = self.0 % 1000;
+        buf[20] = b'.';
+        buf[21] = b'0' + (frac / 100) as u8;
+        buf[22] = b'0' + (frac / 10 % 10) as u8;
+        buf[23] = b'0' + (frac % 10) as u8;
+        let at = decimal_tail(self.0 / 1000, &mut buf[..20]);
+        std::str::from_utf8(&buf[at..]).ok()
+    }
+
+    /// Append the text to `out`.
+    pub fn push_to(&self, out: &mut String) {
+        match self.exact(&mut [0; 24]) {
+            Some(text) => out.push_str(text),
+            None => {
+                let _ = write!(out, "{:.3}", self.0 as f64 / 1e3);
+            }
+        }
+    }
+}
 
 impl std::fmt::Display for Micros {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.3}", self.0 as f64 / 1e3)
+        match self.exact(&mut [0; 24]) {
+            Some(text) => f.write_str(text),
+            None => write!(f, "{:.3}", self.0 as f64 / 1e3),
+        }
     }
+}
+
+/// Write `v` in decimal at the end of `buf` and return where it starts.
+fn decimal_tail(mut v: u64, buf: &mut [u8]) -> usize {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return at;
+        }
+    }
+}
+
+/// Append `v` in decimal to `out`, as `write!(out, "{v}")` would,
+/// without the formatting machinery.
+pub fn push_decimal(out: &mut String, v: u64) {
+    let mut buf = [0; 20];
+    let at = decimal_tail(v, &mut buf);
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
 }
 
 /// One timeline span. `K` is [`EventKind`] for a recorded event and
@@ -290,8 +381,90 @@ impl TraceEvent {
     }
 }
 
-/// Collected events (append-only during a run) and the tables their
-/// payloads live in.
+/// Put `events`, whose payloads live in `tables`, into the
+/// deterministic export order, in place.
+///
+/// Events arrive in execution order, which is not the export order, so
+/// the export order must come entirely from the sort key. The key
+/// `(start, pid, end, kind)` is a total order up to fully identical
+/// (hence interchangeable) events, making trace exports bit-identical
+/// across runs, and equal to a stable sort by that key.
+///
+/// The events are sorted where they lie, with no key array and no
+/// second event buffer. One counting pass buckets them by start time
+/// into about one bucket per 128 events (buckets are ranges of start
+/// times, in order); the events are then swapped into their buckets
+/// along the cycles of that permutation, and each bucket, small enough
+/// to stay in cache, is sorted by the full key. Comparing
+/// `(start, pid, end)` decides almost every pair; only a tie builds the
+/// kind's key, which hashes a phase label or fault event.
+pub fn sort_for_export(events: &mut [TraceEvent], tables: &TraceTables) {
+    fn kind_key(k: EventKind, tables: &TraceTables) -> (u8, u64, u32) {
+        match k {
+            EventKind::Compute => (0, 0, 0),
+            EventKind::Send { dst, bytes } => (1, bytes, dst.0),
+            EventKind::Recv { src, bytes } => (2, bytes, src.0),
+            EventKind::DiskRead { bytes } => (3, bytes, 0),
+            EventKind::DiskWrite { bytes } => (4, bytes, 0),
+            EventKind::Nfs { bytes } => (5, bytes, 0),
+            EventKind::OneSided { bytes } => (6, bytes, 0),
+            // Distinct fault events must sort apart; identical ones are
+            // interchangeable, so a content hash is a valid key.
+            EventKind::Fault(f) => (7, crate::hash::det_hash(tables.fault(f)), 0),
+            // Same argument for phases: the label hash separates distinct
+            // spans, `depth` orders a parent after the child it exactly
+            // coincides with.
+            EventKind::Phase { label, depth } => {
+                (8, crate::hash::det_hash(tables.label(label)), depth)
+            }
+        }
+    }
+    let sort = |events: &mut [TraceEvent]| {
+        events.sort_unstable_by(|a, b| {
+            (a.start, a.pid, a.end)
+                .cmp(&(b.start, b.pid, b.end))
+                .then_with(|| kind_key(a.kind, tables).cmp(&kind_key(b.kind, tables)))
+        })
+    };
+    let (lo, hi) = events.iter().fold((u64::MAX, 0), |(lo, hi), e| {
+        (lo.min(e.start.nanos()), hi.max(e.start.nanos()))
+    });
+    let span = hi.saturating_sub(lo);
+    // The fewest bits that spread the start times over the buckets.
+    let buckets = (events.len() / 128).next_power_of_two();
+    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+    // A 64-bit span over a single bucket shifts by 64: every event in
+    // bucket 0.
+    let bucket = |e: &TraceEvent| (e.start.nanos() - lo).checked_shr(shift).unwrap_or(0) as usize;
+    let mut ends = vec![0usize; buckets + 1];
+    for e in events.iter() {
+        ends[bucket(e) + 1] += 1;
+    }
+    for b in 0..buckets {
+        ends[b + 1] += ends[b];
+    }
+    // `next[b]` is the first position of bucket `b` not yet holding one
+    // of its own events.
+    let mut next = ends.clone();
+    for b in 0..buckets {
+        while next[b] < ends[b + 1] {
+            let mut e = events[next[b]];
+            loop {
+                let t = bucket(&e);
+                if t == b {
+                    break;
+                }
+                std::mem::swap(&mut e, &mut events[next[t]]);
+                next[t] += 1;
+            }
+            events[next[b]] = e;
+            next[b] += 1;
+        }
+        sort(&mut events[ends[b]..ends[b + 1]]);
+    }
+}
+
+/// Collected events and the tables their payloads live in.
 #[derive(Default)]
 pub struct Trace {
     inner: Mutex<(Vec<TraceEvent>, TraceTables)>,
@@ -314,19 +487,24 @@ impl Trace {
         self.absorb(batch, tables);
     }
 
-    /// Merge a batch of events collected in a private per-process buffer,
-    /// with the tables its payloads were stored in.
+    /// Append a batch of events with the tables its payloads were stored
+    /// in. Into an empty trace the batch and its tables move as they
+    /// are; otherwise the batch's payload references are rebased onto
+    /// the trace's tables.
     ///
-    /// The engine buffers each process's events locally (one `Vec::push`
-    /// per event, no shared lock on the hot path) and absorbs the buffer
-    /// once at process finish. Because the export order is recovered
-    /// entirely by the sort in [`Trace::sorted_events`], the wall-clock
-    /// order in which buffers are absorbed is irrelevant: the result is
-    /// byte-identical to recording every event through the shared lock.
+    /// Because the export order is recovered entirely by the sort in
+    /// [`Trace::sorted_events`], the order in which batches are appended
+    /// is irrelevant: the export is byte-identical to recording every
+    /// event one by one.
     pub fn absorb(&self, mut batch: Vec<TraceEvent>, batch_tables: TraceTables) {
         let (events, tables) = &mut *self.inner.lock();
-        tables.append(batch_tables, &mut batch);
-        events.append(&mut batch);
+        if events.is_empty() && tables.text.is_empty() && tables.faults.is_empty() {
+            *events = batch;
+            *tables = batch_tables;
+        } else {
+            tables.append(batch_tables, &mut batch);
+            events.append(&mut batch);
+        }
     }
 
     /// A copy of the tables the events' payloads live in, to resolve
@@ -335,65 +513,14 @@ impl Trace {
         self.inner.lock().1.clone()
     }
 
-    /// Events in the deterministic export order.
-    ///
-    /// Processes absorb their buffers into the trace in the order they
-    /// finish, which is not the export order — so the export order must
-    /// come entirely from the sort key. The key `(start, pid, end, kind)`
-    /// is a total order up to fully identical (hence interchangeable)
-    /// events, making trace exports bit-identical across runs.
-    ///
-    /// The result equals a stable sort by that key, computed in two
-    /// passes so the expensive part of the key is rarely built: an
-    /// unstable sort of packed `u128` keys `(start, pid, append index)`,
-    /// then a sort of each run of equal `(start, pid)` by
-    /// `(end, kind, append index)`. The append index breaks every tie,
-    /// which is what makes both passes agree with the stable sort.
-    ///
-    /// The events' payloads live in [`Trace::tables`].
+    /// A copy of the events in the deterministic export order
+    /// ([`sort_for_export`]). Their payloads live in [`Trace::tables`].
     pub fn sorted_events(&self) -> Vec<TraceEvent> {
-        fn kind_key(k: ResolvedKind<'_>) -> (u8, u64, u32) {
-            match k {
-                EventKind::Compute => (0, 0, 0),
-                EventKind::Send { dst, bytes } => (1, bytes, dst.0),
-                EventKind::Recv { src, bytes } => (2, bytes, src.0),
-                EventKind::DiskRead { bytes } => (3, bytes, 0),
-                EventKind::DiskWrite { bytes } => (4, bytes, 0),
-                EventKind::Nfs { bytes } => (5, bytes, 0),
-                EventKind::OneSided { bytes } => (6, bytes, 0),
-                // Distinct fault events must sort apart; identical ones
-                // are interchangeable, so a content hash is a valid key.
-                EventKind::Fault(ev) => (7, crate::hash::det_hash(ev), 0),
-                // Same argument for phases: the label hash separates
-                // distinct spans, `depth` orders a parent after the child
-                // it exactly coincides with.
-                EventKind::Phase { label, depth } => (8, crate::hash::det_hash(label), depth),
-            }
-        }
         let inner = self.inner.lock();
         let (events, tables) = &*inner;
-        assert!(
-            events.len() <= u32::MAX as usize,
-            "a trace holds fewer than 2^32 events"
-        );
-        let mut keys: Vec<u128> = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.start.nanos() as u128) << 64 | (e.pid.0 as u128) << 32 | i as u128)
-            .collect();
-        keys.sort_unstable();
-        let index = |k: u128| k as u32 as usize;
-        // Keys in one run differ only in the append index, so each run
-        // is re-sorted in place by the rest of the export key.
-        for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
-            if run.len() > 1 {
-                run.sort_unstable_by_key(|&k| {
-                    let e = &events[index(k)];
-                    (e.end, kind_key(e.kind.resolve(tables)), k)
-                });
-            }
-        }
-        keys.iter().map(|&k| events[index(k)]).collect()
+        let mut sorted = events.clone();
+        sort_for_export(&mut sorted, tables);
+        sorted
     }
 
     /// Number of recorded events.
@@ -549,9 +676,7 @@ mod tests {
         assert!(json.trim_end().ends_with(']'));
     }
 
-    /// The per-process-buffer path must be observationally identical to
-    /// the old globally-locked path: on a randomized workload, absorbing
-    /// whole per-process buffers (in any wall-clock order) exports the
+    /// Appending whole per-process batches, in any order, exports the
     /// exact event sequence that per-event `record` calls produce.
     mod merge_order {
         use super::*;
@@ -626,8 +751,8 @@ mod tests {
         }
     }
 
-    /// The two-pass packed-key sort against the single stable sort it
-    /// replaced, on collision-heavy inputs with every event kind.
+    /// The in-place bucketed sort against a single stable sort by the
+    /// export key, on collision-heavy inputs with every event kind.
     mod sort_oracle {
         use super::*;
         use crate::faults::FaultEvent;
@@ -639,8 +764,7 @@ mod tests {
         /// An event with its payload looked up.
         type Resolved = TraceEvent<ResolvedKind<'static>>;
 
-        /// The previous `Trace::sorted_events`, kept verbatim as the
-        /// reference: a stable sort by `(start, pid, end, kind)`.
+        /// The reference: a stable sort by `(start, pid, end, kind)`.
         fn oracle_sorted(appended: &[Resolved]) -> Vec<Resolved> {
             fn kind_key(k: &ResolvedKind<'_>) -> (u8, u64, u32) {
                 match *k {
@@ -703,7 +827,7 @@ mod tests {
             TraceEvent {
                 pid: Pid(pid),
                 start: SimTime(start),
-                end: SimTime(start + len),
+                end: SimTime(start.saturating_add(len)),
                 kind,
             }
         }
@@ -746,8 +870,25 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn packed_key_sort_equals_the_stable_sort(c in case()) {
+            fn export_sort_equals_the_stable_sort(c in case()) {
                 prop_assert!(agrees(Trace::sorted_events, &c));
+            }
+
+            /// Start times over the whole `u64` range (a random value
+            /// shifted right by 0 to 63 bits) and up to 1,500 events:
+            /// buckets cover wide ranges of start times, and many
+            /// events share one.
+            #[test]
+            fn export_sort_equals_the_stable_sort_on_spread_times(
+                specs in collection::vec(
+                    (0u32..4, (any::<u64>(), 0u32..64), 0u64..3, 0u8..12, 0u64..4), 1..1500),
+                seed in any::<u64>(),
+            ) {
+                let specs: Vec<Spec> = specs
+                    .iter()
+                    .map(|&(pid, (x, shift), len, sel, v)| (pid, x >> shift, len, sel, v))
+                    .collect();
+                prop_assert!(agrees(Trace::sorted_events, &(specs, seed)));
             }
 
             /// In-place writing changes no byte of the Chrome export;
@@ -859,6 +1000,41 @@ mod tests {
         // removing escaped ones.
         let unescaped = json.replace("\\\\", "").replace("\\\"", "");
         assert_eq!(unescaped.matches('"').count() % 2, 0);
+    }
+
+    /// `Micros` against the float formatting it stands for, at the edges
+    /// of its integer path and on the float path above it.
+    #[test]
+    fn micros_matches_float_formatting() {
+        for ns in [
+            0,
+            1,
+            999,
+            1000,
+            1001,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            8_897_624_003_498_442,
+            u64::MAX,
+        ] {
+            let float = format!("{:.3}", ns as f64 / 1e3);
+            assert_eq!(Micros(ns).to_string(), float, "ns = {ns}");
+            let mut pushed = String::from("x");
+            Micros(ns).push_to(&mut pushed);
+            assert_eq!(pushed, format!("x{float}"), "ns = {ns}");
+        }
+    }
+
+    #[test]
+    fn push_decimal_matches_display() {
+        for v in [0, 7, 10, 999, 1000, u32::MAX as u64, u64::MAX] {
+            let mut out = String::new();
+            push_decimal(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]
