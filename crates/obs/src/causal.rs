@@ -25,10 +25,7 @@
 //! no final sort; each recv appears in it at most once, so
 //! [`CausalGraph::matched_send`] is a binary search over the edges.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use hpcbd_simnet::{EventKind, SimTime, TraceEvent};
+use hpcbd_simnet::{DetMap, EventKind, SimTime, TraceEvent};
 
 /// One matched message: indices into the captured event slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +66,8 @@ pub fn match_events(events: &[TraceEvent]) -> CausalGraph {
     );
     const NONE: u32 = u32::MAX;
     // The map is only probed, never iterated: stream numbers come from
-    // first appearance, so its hasher cannot reach the output.
-    let mut streams: HashMap<Key, u32, BuildHasherDefault<StreamHasher>> = HashMap::default();
+    // first appearance.
+    let mut streams: DetMap<Key, u32> = DetMap::default();
     let mut number = |key: Key| {
         let next = streams.len() as u32;
         *streams.entry(key).or_insert(next)
@@ -151,32 +148,6 @@ fn bucket<T: Copy + Default>(streams: usize, pairs: &[(u32, T)]) -> (Vec<usize>,
         fill[k as usize] += 1;
     }
     (at, flat)
-}
-
-/// A multiply-rotate hasher (FxHash's step) for the stream map, with
-/// the high half folded into the low half so the table's bucket index
-/// sees every input bit.
-#[derive(Default)]
-struct StreamHasher(u64);
-
-impl Hasher for StreamHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ self.0 >> 32
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
 }
 
 #[cfg(test)]

@@ -1401,7 +1401,8 @@ impl Sim {
 
     /// Turn on execution tracing for this run; every simulation-visible
     /// operation records a timeline span. Returns the trace handle (also
-    /// available on the final [`SimReport`]).
+    /// available on the final [`SimReport`]). The trace receives the
+    /// run's events when the run ends, also when `run` then panics.
     pub fn enable_tracing(&mut self) -> Arc<crate::trace::Trace> {
         self.world
             .trace
@@ -1591,6 +1592,25 @@ impl Sim {
         engine.drive(&coros);
         drop(coros);
 
+        // The run's events go, uncopied, to the capture, else to the
+        // caller's trace. Only a run that is both captured and traced by
+        // its caller copies them, once. The caller's trace is filled
+        // before the panic checks, so a run that panics leaves it every
+        // event recorded.
+        let (events, tables) = engine.trace.take();
+        let caller_trace = self.world.trace.get().cloned();
+        let captured = if capturing {
+            if let Some(trace) = &caller_trace {
+                trace.absorb(events.clone(), tables.clone());
+            }
+            Some((events, tables))
+        } else {
+            if let Some(trace) = &caller_trace {
+                trace.absorb(events, tables);
+            }
+            None
+        };
+
         let g = engine.sched.borrow();
         // With nothing left to resume, every process must have finished:
         // a live one would be parked with no wake coming.
@@ -1637,18 +1657,11 @@ impl Sim {
             procs,
             results,
             dropped_msgs: engine.dropped_msgs.get(),
-            trace: self.world.trace.get().cloned(),
+            trace: caller_trace,
             telemetry_interval: engine.telemetry_interval,
             metric_points,
         };
-        // The run's events go, uncopied, to the capture, else to the
-        // caller's trace. Only a run that is both captured and traced
-        // by its caller copies them, once.
-        let (events, tables) = engine.trace.take();
-        if capturing {
-            if let Some(trace) = &report.trace {
-                trace.absorb(events.clone(), tables.clone());
-            }
+        if let Some((events, tables)) = captured {
             let host_profile = selfprof_before
                 .zip(run_wall_ns)
                 .map(|(before, ns)| crate::selfprof::run_profile(&before, ns));
@@ -1659,8 +1672,6 @@ impl Sim {
                 self.world.topology.len(),
                 host_profile,
             );
-        } else if let Some(trace) = &report.trace {
-            trace.absorb(events, tables);
         }
         report
     }
@@ -1785,6 +1796,24 @@ mod tests {
         assert_eq!(RESUME_OVERFLOWS.with(|c| c.get()) - overflows, 10);
         assert!(want.starts_with("deadlock: "), "{want}");
         assert_eq!(want.matches("blocked at").count(), 12, "{want}");
+    }
+
+    /// A run that panics still hands its events to the caller's trace.
+    #[test]
+    fn a_panicking_run_still_fills_the_callers_trace() {
+        let mut sim = Sim::new(Topology::comet(1));
+        let trace = sim.enable_tracing();
+        sim.spawn(NodeId(0), "sleeper", |ctx| {
+            ctx.span_open("before");
+            ctx.sleep(SimDuration::from_nanos(10));
+            ctx.span_close();
+            panic!("boom");
+        });
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .err()
+            .expect("the process panics");
+        assert!(describe_panic(err.as_ref()).0.contains("boom"));
+        assert!(!trace.is_empty());
     }
 
     /// A fresh slot is parked: the coroutine has not run yet, so its
