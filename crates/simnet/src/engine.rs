@@ -62,7 +62,8 @@
 //! of the run the buffer moves, uncopied, to the run capture — put into
 //! export order in place by [`crate::trace::sort_for_export`] — or to
 //! the [`crate::trace::Trace`] of [`Sim::enable_tracing`] (DESIGN.md
-//! §9).
+//! §9). The caller's trace is filled before the run's panic checks, so
+//! a run that panics still leaves its events there.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
